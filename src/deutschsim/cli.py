@@ -112,48 +112,39 @@ def _print_trace(trace: StageTrace) -> None:
             print(f"  |{_grouped_label(layout, basis)}>  {format_amplitude(amp)}")
 
 
-def _verdict_line(verdict) -> str:
-    return (
-        f"outcome={verdict.outcome_bit}"
-        f" classification={verdict.classification.value}"
-        f" evaluations={verdict.evaluations_used}"
-    )
+def _emit_run(
+    args: argparse.Namespace, trace: StageTrace, summary: dict, lines: list[str]
+) -> int:
+    """Print a run as JSON (``summary`` plus stage dumps) or as text lines,
+    the latter after the stage trace when ``--trace`` is given."""
+    if args.json:
+        stages = [state_dump(state, label) for label, state in trace.stages]
+        print(json.dumps({**summary, "stages": stages}, indent=2))
+        return EXIT_OK
+    if args.trace:
+        _print_trace(trace)
+    for line in lines:
+        print(line)
+    return EXIT_OK
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     trace, verdict = run_deutsch(args.b, initial_a=args.initial_a)
-    if args.json:
-        doc = {
-            "verdict": {
-                "outcome": verdict.outcome_bit,
-                "classification": verdict.classification.value,
-                "evaluations": verdict.evaluations_used,
-            },
-            "stages": [state_dump(state, label) for label, state in trace.stages],
-        }
-        print(json.dumps(doc, indent=2))
-        return EXIT_OK
-    if args.trace:
-        _print_trace(trace)
-    print(_verdict_line(verdict))
-    return EXIT_OK
+    fields = {
+        "outcome": verdict.outcome_bit,
+        "classification": verdict.classification.value,
+        "evaluations": verdict.evaluations_used,
+    }
+    line = " ".join(f"{key}={value}" for key, value in fields.items())
+    return _emit_run(args, trace, {"verdict": fields}, [line])
 
 
 def _cmd_superposed(args: argparse.Namespace) -> int:
     trace = run_deutsch_superposed(initial_a=args.initial_a)
     correlation = solution_correlation(trace.final, balanced_bit=1 - args.initial_a)
-    if args.json:
-        doc = {
-            "solution": {b: c.value for b, c in correlation.items()},
-            "stages": [state_dump(state, label) for label, state in trace.stages],
-        }
-        print(json.dumps(doc, indent=2))
-        return EXIT_OK
-    if args.trace:
-        _print_trace(trace)
-    for b, classification in correlation.items():
-        print(f"b={b} {classification.value}")
-    return EXIT_OK
+    summary = {"solution": {b: c.value for b, c in correlation.items()}}
+    lines = [f"b={b} {c.value}" for b, c in correlation.items()]
+    return _emit_run(args, trace, summary, lines)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

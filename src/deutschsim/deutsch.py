@@ -19,7 +19,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BlockStructureError, LayoutError, PromiseViolationError
+from .errors import (
+    BlockStructureError,
+    LayoutError,
+    PromiseViolationError,
+    SimulatorError,
+)
 from .gates import (
     Classification,
     FunctionTable,
@@ -35,7 +40,6 @@ from .state import (
     RegisterLayout,
     StateVector,
     apply_unitary,
-    basis_state,
     partial_trace,
     superpose,
 )
@@ -100,17 +104,25 @@ def deutsch_circuit(table: FunctionTable | None = None) -> list[CircuitOp]:
     return [(h, a_pos), (oracle_with_setting(table), all_pos), (h, a_pos)]
 
 
-def _prepare_input(b_label: str, initial_a: int) -> StateVector:
-    raw = basis_state(CANONICAL_LAYOUT, b_label + str(initial_a) + "1")
-    return apply_unitary(raw, hadamard(), CANONICAL_LAYOUT.qubit_positions("V"))
-
-
-def _run_pipeline(s0: StateVector, oracle: CountedOracle) -> StageTrace:
+def _run_pipeline(
+    layout: RegisterLayout, input_labels: Sequence[str], oracle: CountedOracle
+) -> StageTrace:
+    """Run the equal superposition of ``input_labels`` through H on V (the
+    labels hold |1>_V), H on each A qubit, one oracle call, H on each A qubit."""
     h = hadamard()
-    a_pos = CANONICAL_LAYOUT.qubit_positions("A")
-    s1 = apply_unitary(s0, h, a_pos)
-    s2 = oracle.apply(s1, tuple(range(CANONICAL_LAYOUT.total_qubits)))
-    s3 = apply_unitary(s2, h, a_pos)
+
+    def h_on_a(state: StateVector) -> StateVector:
+        for q in layout.qubit_positions("A"):
+            state = apply_unitary(state, h, (q,))
+        return state
+
+    raw = superpose([(1.0, label) for label in input_labels], layout)
+    s0 = apply_unitary(raw, h, layout.qubit_positions("V"))
+    s1 = h_on_a(s0)
+    s2 = oracle.apply(s1, tuple(range(layout.total_qubits)))
+    s3 = h_on_a(s2)
+    if oracle.calls != 1:
+        raise SimulatorError(f"oracle applied {oracle.calls} times, expected once")
     return StageTrace(tuple(zip(STAGES, (s0, s1, s2, s3))))
 
 
@@ -142,7 +154,7 @@ def run_deutsch(b: str, initial_a: int = 0) -> tuple[StageTrace, Verdict]:
         raise ValueError(f"unknown setting {b!r}; choose one of {SETTING_LABELS}")
     _check_initial_a(initial_a)
     oracle = CountedOracle(oracle_with_setting(FunctionTable.canonical()))
-    trace = _run_pipeline(_prepare_input(b, initial_a), oracle)
+    trace = _run_pipeline(CANONICAL_LAYOUT, [b + str(initial_a) + "1"], oracle)
     outcome, _ = _point_mass(trace.final, "A")
     outcome_bit = int(outcome, 2)
     balanced_bit = 1 - initial_a
@@ -151,20 +163,15 @@ def run_deutsch(b: str, initial_a: int = 0) -> tuple[StageTrace, Verdict]:
         if outcome_bit == balanced_bit
         else Classification.CONSTANT
     )
-    assert oracle.calls == 1
     return trace, Verdict(outcome_bit, classification, oracle.calls)
 
 
 def run_deutsch_superposed(initial_a: int = 0) -> StageTrace:
     """The same pipeline on an equal superposition of all four settings."""
     _check_initial_a(initial_a)
-    terms = [(1.0, b + str(initial_a) + "1") for b in SETTING_LABELS]
-    raw = superpose(terms, CANONICAL_LAYOUT)
-    s0 = apply_unitary(raw, hadamard(), CANONICAL_LAYOUT.qubit_positions("V"))
+    labels = [b + str(initial_a) + "1" for b in SETTING_LABELS]
     oracle = CountedOracle(oracle_with_setting(FunctionTable.canonical()))
-    trace = _run_pipeline(s0, oracle)
-    assert oracle.calls == 1
-    return trace
+    return _run_pipeline(CANONICAL_LAYOUT, labels, oracle)
 
 
 def solution_correlation(
@@ -206,18 +213,9 @@ def run_deutsch_jozsa(values: Sequence[int]) -> Verdict:
     if n > MAX_ARG_BITS:
         raise LayoutError(f"argument register capped at {MAX_ARG_BITS} qubits")
     layout = RegisterLayout((("A", n), ("V", 1)))
-    h = hadamard()
     oracle = CountedOracle(oracle_fixed(values))
-
-    s = basis_state(layout, "0" * n + "1")
-    s = apply_unitary(s, h, layout.qubit_positions("V"))
-    for q in layout.qubit_positions("A"):
-        s = apply_unitary(s, h, (q,))
-    s = oracle.apply(s, tuple(range(n + 1)))
-    for q in layout.qubit_positions("A"):
-        s = apply_unitary(s, h, (q,))
-
-    p_zero = outcome_distribution(s, "A").probs.get("0" * n, 0.0)
+    trace = _run_pipeline(layout, ["0" * n + "1"], oracle)
+    p_zero = outcome_distribution(trace.final, "A").probs.get("0" * n, 0.0)
     if p_zero > 1.0 - ATOL_STATE:
         classification = Classification.CONSTANT
     elif p_zero < ATOL_STATE:
@@ -226,7 +224,6 @@ def run_deutsch_jozsa(values: Sequence[int]) -> Verdict:
         raise BlockStructureError(
             f"all-zero argument probability {p_zero} is neither 0 nor 1"
         )
-    assert oracle.calls == 1
     outcome_bit = 0 if classification is Classification.CONSTANT else 1
     return Verdict(outcome_bit, classification, oracle.calls)
 

@@ -10,11 +10,11 @@ class LayoutError(SimulatorError):
 
 
 class DegenerateStateError(SimulatorError):
-    """Superposition with (numerically) zero total norm."""
+    """Zero-norm superposition, or a state without unit norm read as a distribution."""
 
 
 class UnitarityError(SimulatorError):
-    """Matrix handed to apply_unitary fails the unitarity check."""
+    """Matrix handed to apply_unitary fails the unitarity check or drifts the norm."""
 
 
 class IncompleteOracleError(SimulatorError):

@@ -32,7 +32,7 @@ class Classification(enum.Enum):
 def _validate_values(values: Sequence[int]) -> tuple[int, ...]:
     vals = tuple(int(v) for v in values)
     if any(v not in (0, 1) for v in vals):
-        raise ValueError(f"function values must be 0 or 1, got {values}")
+        raise ValueError(f"function values must be 0 or 1, got {vals}")
     m = len(vals)
     if m < 2 or m & (m - 1):
         raise ValueError(f"value list length {m} is not a power of two >= 2")
@@ -108,7 +108,6 @@ def parse_function_table(text: str) -> FunctionTable:
     a power of two.  Blank lines and ``#`` comments are ignored.
     """
     settings: dict[str, tuple[int, ...]] = {}
-    lengths = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -118,31 +117,19 @@ def parse_function_table(text: str) -> FunctionTable:
             raise FunctionFormatError(f"line {lineno}: missing ':' in {raw!r}")
         label = label.strip()
         try:
-            values = tuple(int(tok.strip()) for tok in rest.split(","))
-        except ValueError:
-            raise FunctionFormatError(f"line {lineno}: values must be integers") from None
-        if any(v not in (0, 1) for v in values):
-            raise FunctionFormatError(f"line {lineno}: values must be 0 or 1")
-        m = len(values)
-        if m < 2 or m & (m - 1):
-            raise FunctionFormatError(
-                f"line {lineno}: {m} values is not a power of two >= 2"
-            )
+            values = _validate_values(rest.split(","))
+        except ValueError as exc:
+            raise FunctionFormatError(f"line {lineno}: {exc}") from None
         if label in settings:
             raise FunctionFormatError(f"line {lineno}: duplicate label {label!r}")
         settings[label] = values
-        lengths.add(m)
     if not settings:
         raise FunctionFormatError("no function definitions found")
+    lengths = {len(values) for values in settings.values()}
     if len(lengths) != 1:
         raise FunctionFormatError(f"value lists mix lengths {sorted(lengths)}")
     n = lengths.pop().bit_length() - 1
-    try:
-        return FunctionTable(arg_bits=n, settings=settings)
-    except FunctionFormatError:
-        raise
-    except ValueError as exc:
-        raise FunctionFormatError(str(exc)) from None
+    return FunctionTable(arg_bits=n, settings=settings)
 
 
 def oracle_fixed(values: Sequence[int]) -> np.ndarray:
@@ -150,12 +137,10 @@ def oracle_fixed(values: Sequence[int]) -> np.ndarray:
 
     Basis order is argument bits then value bit, big endian.
     """
-    vals = _validate_values(values)
-    dim = 2 * len(vals)
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(dim):
-        a, v = i >> 1, i & 1
-        u[(a << 1) | (v ^ vals[a]), i] = 1.0
+    vals = np.array(_validate_values(values))
+    cols = np.arange(2 * len(vals))
+    u = np.zeros((cols.size, cols.size), dtype=np.complex128)
+    u[cols ^ vals[cols >> 1], cols] = 1.0
     return u
 
 
@@ -164,20 +149,13 @@ def oracle_with_setting(table: FunctionTable) -> np.ndarray:
 
     Permutation on the (setting, argument, value) basis mapping
     |b,a,v> -> |b,a, v xor f_b(a)>; the setting and argument bits pass
-    through unaltered.
+    through unaltered.  That is the fixed oracle of g(b||a) = f_b(a), the
+    settings' value lists concatenated in label order.
     """
-    w, n = table.setting_bits, table.arg_bits
+    w = table.setting_bits
     if len(table.settings) != 1 << w:
         missing = sorted(
             set(format(i, f"0{w}b") for i in range(1 << w)) - set(table.settings)
         )
         raise IncompleteOracleError(f"settings missing labels {missing}")
-    dim = 1 << (w + n + 1)
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    arg_mask = (1 << n) - 1
-    for i in range(dim):
-        b = i >> (n + 1)
-        a = (i >> 1) & arg_mask
-        f = table.settings[format(b, f"0{w}b")][a]
-        u[i ^ f, i] = 1.0
-    return u
+    return oracle_fixed([v for b in sorted(table.settings) for v in table.settings[b]])

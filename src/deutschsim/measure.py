@@ -16,7 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BlockDiagonalityError, ImpossibleOutcomeError, LayoutError
+from .errors import (
+    BlockDiagonalityError,
+    DegenerateStateError,
+    ImpossibleOutcomeError,
+    LayoutError,
+)
 from .state import (
     ATOL_STATE,
     PROB_EPS,
@@ -70,7 +75,8 @@ def outcome_distribution(state: StateVector, register: str) -> OutcomeDistributi
     """Probability of each outcome of ``register``: sum of |amplitude|^2
     over the basis labels carrying that outcome."""
     marg = _marginal(state, register)
-    assert abs(marg.sum() - 1.0) <= ATOL_STATE, "state is not normalized"
+    if abs(marg.sum() - 1.0) > ATOL_STATE:
+        raise DegenerateStateError(f"state is not normalized (norm^2 {marg.sum()})")
     width = state.layout.width(register)
     probs = {
         format(i, f"0{width}b"): float(p)

@@ -220,15 +220,16 @@ def _validate_unitary(u: np.ndarray, n_targets: int) -> np.ndarray:
 def _apply_matrix(amps: np.ndarray, u: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
     """Apply ``u`` on ``targets`` of an n-qubit amplitude array.
 
-    The first target is the most significant bit of u's own index.
+    The first target is the most significant bit of u's own index.  Axes of
+    ``amps`` after the first are a batch: each column is transformed alone.
     """
     k = len(targets)
-    psi = amps.reshape([2] * n)
+    psi = amps.reshape([2] * n + list(amps.shape[1:]))
     psi = np.moveaxis(psi, targets, range(k))
     rest = psi.shape[k:]
     psi = u @ psi.reshape(1 << k, -1)
     psi = np.moveaxis(psi.reshape([2] * k + list(rest)), range(k), targets)
-    return psi.reshape(-1)
+    return psi.reshape(amps.shape)
 
 
 def apply_unitary(
@@ -239,9 +240,9 @@ def apply_unitary(
     targets = _validate_targets(targets, n)
     u = _validate_unitary(u, len(targets))
     out = _apply_matrix(state.amps, u, targets, n)
-    assert abs(np.linalg.norm(out) - np.linalg.norm(state.amps)) <= ATOL_STATE, (
-        "unitary application drifted the norm"
-    )
+    drift = abs(np.linalg.norm(out) - np.linalg.norm(state.amps))
+    if drift > ATOL_STATE:
+        raise UnitarityError(f"unitary application drifted the norm by {drift:.3e}")
     return StateVector(state.layout, out)
 
 
@@ -249,14 +250,8 @@ def expand_unitary(u: np.ndarray, targets: Sequence[int], total_qubits: int) -> 
     """The full 2^n x 2^n matrix of ``u`` on ``targets`` tensored with identity."""
     targets = _validate_targets(targets, total_qubits)
     u = _validate_unitary(u, len(targets))
-    dim = 1 << total_qubits
-    full = np.zeros((dim, dim), dtype=np.complex128)
-    col = np.zeros(dim, dtype=np.complex128)
-    for j in range(dim):
-        col[:] = 0.0
-        col[j] = 1.0
-        full[:, j] = _apply_matrix(col, u, targets, total_qubits)
-    return full
+    identity = np.eye(1 << total_qubits, dtype=np.complex128)
+    return _apply_matrix(identity, u, targets, total_qubits)
 
 
 def inner_product(s1: StateVector, s2: StateVector) -> complex:

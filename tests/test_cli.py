@@ -1,10 +1,15 @@
 """Command-line surface: subcommands, exit codes, JSON dumps, text format."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deutschsim
 from deutschsim import CANONICAL_LAYOUT, RNG_ALGORITHM, run_deutsch
 from deutschsim.cli import format_amplitude, load_state_dump, main, state_dump
 from deutschsim.verify import CHECK_MANIFEST
@@ -111,6 +116,22 @@ class TestVerifyCommand:
         _, out, _ = run_cli(capsys, "verify")
         assert "eq5_final_state" in out
         assert "deferred_equivalence_b01" in out
+
+    def test_passes_with_asserts_stripped(self):
+        # Invariants are explicit raises, so -O (which drops asserts) must
+        # change nothing.
+        src = str(Path(deutschsim.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "deutschsim.cli", "verify"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        n = len(CHECK_MANIFEST)
+        assert f"{n}/{n} checks passed" in proc.stdout
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
         from deutschsim.verify import CheckResult

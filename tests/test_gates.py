@@ -66,6 +66,26 @@ class TestOracleWithSetting:
             i = int(b, 2) * 4
             assert np.array_equal(u[i : i + 4, i : i + 4], oracle_fixed(values))
 
+    def test_random_tables_match_loop_permutation(self):
+        # Independent oracle: the permutation built column by column from
+        # the (b, a, v) bits of each basis index.
+        rng = np.random.default_rng(31)
+        for w in (1, 2):
+            for n in (1, 2, 3):
+                for _ in range(3):
+                    settings = {
+                        format(b, f"0{w}b"): tuple(int(x) for x in rng.integers(0, 2, 1 << n))
+                        for b in range(1 << w)
+                    }
+                    dim = 1 << (w + n + 1)
+                    expected = np.zeros((dim, dim))
+                    for i in range(dim):
+                        b, a, v = i >> (n + 1), (i >> 1) & ((1 << n) - 1), i & 1
+                        f = settings[format(b, f"0{w}b")][a]
+                        expected[(b << (n + 1)) | (a << 1) | (v ^ f), i] = 1.0
+                    u = oracle_with_setting(FunctionTable(arg_bits=n, settings=settings))
+                    assert np.array_equal(u, expected)
+
     def test_incomplete_settings_rejected(self):
         table = FunctionTable(arg_bits=1, settings={"00": (0, 0), "01": (0, 1)})
         with pytest.raises(IncompleteOracleError):
@@ -162,7 +182,7 @@ class TestParseFunctionTable:
         assert dict(table.settings) == {"00": (0, 0), "11": (1, 1)}
 
     def test_length_not_power_of_two_rejected(self):
-        with pytest.raises(FunctionFormatError):
+        with pytest.raises(FunctionFormatError, match="line 1: .*power of two"):
             parse_function_table("0: 0,0,1\n")
 
     def test_missing_colon_rejected(self):
@@ -170,11 +190,11 @@ class TestParseFunctionTable:
             parse_function_table("00 0,0\n")
 
     def test_non_integer_values_rejected(self):
-        with pytest.raises(FunctionFormatError):
+        with pytest.raises(FunctionFormatError, match="line 1: .*'x'"):
             parse_function_table("00: 0,x\n")
 
     def test_non_binary_values_rejected(self):
-        with pytest.raises(FunctionFormatError):
+        with pytest.raises(FunctionFormatError, match="line 1: .*0 or 1"):
             parse_function_table("00: 0,3\n")
 
     def test_duplicate_labels_rejected(self):

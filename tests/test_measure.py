@@ -9,6 +9,7 @@ import pytest
 from deutschsim import (
     CANONICAL_LAYOUT,
     BlockDiagonalityError,
+    DegenerateStateError,
     ImpossibleOutcomeError,
     LayoutError,
     RegisterLayout,
@@ -63,6 +64,12 @@ class TestOutcomeDistribution:
         for b, p in explicit.items():
             assert dist.probs[b] == pytest.approx(p, abs=1e-15)
             assert dist.probs[b] == pytest.approx(0.25, abs=1e-12)
+
+    def test_unnormalized_state_rejected(self):
+        amps = np.zeros(16)
+        amps[0] = 2.0
+        with pytest.raises(DegenerateStateError):
+            outcome_distribution(StateVector(CANONICAL_LAYOUT, amps), "A")
 
     def test_completeness_for_random_states(self):
         rng = np.random.default_rng(21)

@@ -199,11 +199,25 @@ class TestApplyUnitary:
         with pytest.raises(LayoutError):
             apply_unitary(s, np.eye(4), (0,))
 
-    def test_expand_unitary_matches_kron(self):
+    def test_norm_drift_rejected(self):
+        # Unitary to within the 1e-10 matrix tolerance, yet it moves a
+        # basis state's norm by 2e-11, past the 1e-12 amplitude tolerance.
+        s = basis_state(CANONICAL_LAYOUT, "0000")
+        with pytest.raises(UnitarityError, match="norm"):
+            apply_unitary(s, np.diag([1.0 + 2e-11, 1.0]), (0,))
+
+    @pytest.mark.parametrize("targets", [(2,), (3, 0)], ids=["q2", "q3_q0"])
+    def test_expand_unitary_matches_kron(self, targets):
         rng = np.random.default_rng(15)
-        u = haar_unitary(2, rng)
-        full = expand_unitary(u, (2,), 4)
-        expected = np.kron(np.kron(np.eye(4), u), np.eye(2))
+        u = haar_unitary(1 << len(targets), rng)
+        full = expand_unitary(u, targets, 4)
+        # Independent oracle: u kron identity with the qubits ordered
+        # (targets..., others...), then rows and columns relabelled to
+        # layout order bit by bit.
+        order = list(targets) + [q for q in range(4) if q not in targets]
+        kron = np.kron(u, np.eye(1 << (4 - len(targets))))
+        perm = [int("".join(format(i, "04b")[q] for q in order), 2) for i in range(16)]
+        expected = kron[np.ix_(perm, perm)]
         assert np.max(np.abs(full - expected)) < 1e-12
 
 
