@@ -3,9 +3,12 @@
 Register B (2 qubits) holds the problem setting, register A (1 qubit) the
 function argument, register V (1 qubit) the evaluation target.  A run is
 the pipeline ``H on A, function evaluation, H on A`` applied to the input
-``|b>_B |a>_A (|0>_V - |1>_V)/sqrt(2)``; the final A outcome encodes
-whether the setting's function is constant or balanced after a single
-oracle application.
+``|b>_B |a>_A (|0>_V - |1>_V)/sqrt(2)``.
+
+Every verdict is read by one rule: after the single oracle application,
+register A reads back the label it was prepared in with probability 1 when
+the function is constant and 0 when it is balanced (the n-bit Deutsch-Jozsa
+run prepares ``|0...0>``); any other probability raises BlockStructureError.
 
 The V-register minus state is produced by preparing ``|1>_V`` and applying
 a Hadamard, so every stage is reachable by unitaries from a basis state.
@@ -132,15 +135,15 @@ def _check_initial_a(initial_a: int) -> int:
     return initial_a
 
 
-def _point_mass(state: StateVector, register: str) -> tuple[str, float]:
-    """The dominant outcome of ``register``; error if it is not (nearly) certain."""
-    probs = outcome_distribution(state, register).probs
-    outcome, p = max(probs.items(), key=lambda kv: kv[1])
-    if 1.0 - p > ATOL_STATE:
-        raise BlockStructureError(
-            f"register {register!r} outcome is not deterministic (max p = {p})"
-        )
-    return outcome, p
+def _classify(state: StateVector, prepared_a: str) -> Classification:
+    """The readout rule: register A reads back its prepared label ``prepared_a``
+    with certainty for a constant function and never for a balanced one."""
+    p = outcome_distribution(state, "A").probs.get(prepared_a, 0.0)
+    if p > 1.0 - ATOL_STATE:
+        return Classification.CONSTANT
+    if p < ATOL_STATE:
+        return Classification.BALANCED
+    raise BlockStructureError(f"p(A={prepared_a}) = {p} is neither 0 nor 1")
 
 
 def run_deutsch(b: str, initial_a: int = 0) -> tuple[StageTrace, Verdict]:
@@ -155,14 +158,8 @@ def run_deutsch(b: str, initial_a: int = 0) -> tuple[StageTrace, Verdict]:
     _check_initial_a(initial_a)
     oracle = CountedOracle(oracle_with_setting(FunctionTable.canonical()))
     trace = _run_pipeline(CANONICAL_LAYOUT, [b + str(initial_a) + "1"], oracle)
-    outcome, _ = _point_mass(trace.final, "A")
-    outcome_bit = int(outcome, 2)
-    balanced_bit = 1 - initial_a
-    classification = (
-        Classification.BALANCED
-        if outcome_bit == balanced_bit
-        else Classification.CONSTANT
-    )
+    classification = _classify(trace.final, str(initial_a))
+    outcome_bit = initial_a ^ (classification is Classification.BALANCED)
     return trace, Verdict(outcome_bit, classification, oracle.calls)
 
 
@@ -186,12 +183,7 @@ def solution_correlation(
     result = {}
     for b in sorted(outcome_distribution(final, "B").probs):
         branch = measure(final, "B", b).post_state
-        outcome, _ = _point_mass(branch, "A")
-        result[b] = (
-            Classification.BALANCED
-            if int(outcome, 2) == balanced_bit
-            else Classification.CONSTANT
-        )
+        result[b] = _classify(branch, str(1 - balanced_bit))
     return result
 
 
@@ -215,16 +207,8 @@ def run_deutsch_jozsa(values: Sequence[int]) -> Verdict:
     layout = RegisterLayout((("A", n), ("V", 1)))
     oracle = CountedOracle(oracle_fixed(values))
     trace = _run_pipeline(layout, ["0" * n + "1"], oracle)
-    p_zero = outcome_distribution(trace.final, "A").probs.get("0" * n, 0.0)
-    if p_zero > 1.0 - ATOL_STATE:
-        classification = Classification.CONSTANT
-    elif p_zero < ATOL_STATE:
-        classification = Classification.BALANCED
-    else:
-        raise BlockStructureError(
-            f"all-zero argument probability {p_zero} is neither 0 nor 1"
-        )
-    outcome_bit = 0 if classification is Classification.CONSTANT else 1
+    classification = _classify(trace.final, "0" * n)
+    outcome_bit = int(classification is Classification.BALANCED)
     return Verdict(outcome_bit, classification, oracle.calls)
 
 

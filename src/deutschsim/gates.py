@@ -31,6 +31,9 @@ class Classification(enum.Enum):
 
 def _validate_values(values: Sequence[int]) -> tuple[int, ...]:
     vals = tuple(int(v) for v in values)
+    # int() truncates 0.9 but rejects the text "0.9": only numbers need this.
+    if any(not isinstance(v, str) and v != i for v, i in zip(values, vals)):
+        raise ValueError(f"function values must be integers, got {list(values)}")
     if any(v not in (0, 1) for v in vals):
         raise ValueError(f"function values must be 0 or 1, got {vals}")
     m = len(vals)

@@ -64,19 +64,21 @@ def _register_values(layout: RegisterLayout, register: str) -> np.ndarray:
 
 
 def _marginal(state: StateVector, register: str) -> np.ndarray:
-    """Probability of each register outcome, indexed by outcome value."""
+    """Probability of each register outcome, indexed by outcome value;
+    DegenerateStateError if the state is not normalized."""
     width = state.layout.width(register)
     values = _register_values(state.layout, register)
     probs = np.abs(state.amps) ** 2
-    return np.bincount(values, weights=probs, minlength=1 << width)
+    marg = np.bincount(values, weights=probs, minlength=1 << width)
+    if abs(marg.sum() - 1.0) > ATOL_STATE:
+        raise DegenerateStateError(f"state is not normalized (norm^2 {marg.sum()})")
+    return marg
 
 
 def outcome_distribution(state: StateVector, register: str) -> OutcomeDistribution:
     """Probability of each outcome of ``register``: sum of |amplitude|^2
     over the basis labels carrying that outcome."""
     marg = _marginal(state, register)
-    if abs(marg.sum() - 1.0) > ATOL_STATE:
-        raise DegenerateStateError(f"state is not normalized (norm^2 {marg.sum()})")
     width = state.layout.width(register)
     probs = {
         format(i, f"0{width}b"): float(p)
@@ -114,7 +116,7 @@ def sample(
         raise ValueError(f"shots must be >= 1, got {shots}")
     marg = _marginal(state, register)
     rng = np.random.default_rng(seed)
-    drawn = rng.choice(marg.size, size=shots, p=marg / marg.sum())
+    drawn = rng.choice(marg.size, size=shots, p=marg)
     width = state.layout.width(register)
     values, counts = np.unique(drawn, return_counts=True)
     return {format(v, f"0{width}b"): int(c) for v, c in zip(values, counts)}

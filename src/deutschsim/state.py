@@ -51,10 +51,7 @@ class RegisterLayout:
         return tuple(n for n, _ in self.groups)
 
     def width(self, register: str) -> int:
-        for n, w in self.groups:
-            if n == register:
-                return w
-        raise LayoutError(f"unknown register {register!r}; have {self.names}")
+        return len(self.qubit_positions(register))
 
     def qubit_positions(self, register: str) -> tuple[int, ...]:
         """Global qubit positions of ``register``, most significant bit first."""
@@ -86,13 +83,6 @@ class RegisterLayout:
         )
         pos = self.qubit_positions(register)
         return "".join(label[p] for p in pos)
-
-    def labels(self) -> list[str]:
-        return [self.label_of_index(i) for i in range(self.dim)]
-
-    def register_labels(self, register: str) -> list[str]:
-        w = self.width(register)
-        return [format(i, f"0{w}b") for i in range(1 << w)]
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ from deutschsim import (
     classify_function,
     deutsch_circuit,
     enumerate_promise_functions,
+    expand_unitary,
+    hadamard,
     measure,
     outcome_distribution,
     rho_B_invariance,
@@ -236,6 +238,29 @@ class TestRunDeutschJozsa:
     def test_promise_violation_raised_before_running(self):
         with pytest.raises(PromiseViolationError):
             run_deutsch_jozsa([0, 0, 0, 1])
+
+    def test_non_integral_values_rejected(self):
+        with pytest.raises(ValueError):
+            run_deutsch_jozsa([0.9, 1.2])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_indeterminate_readout_rejected_after_one_call(self, n, monkeypatch):
+        # H on the first argument qubit as the "oracle" leaves p(A=0...0) at 1/2.
+        monkeypatch.setattr(
+            "deutschsim.deutsch.oracle_fixed",
+            lambda values: expand_unitary(hadamard(), (0,), n + 1),
+        )
+        oracles = []
+
+        class RecordedOracle(CountedOracle):
+            def __init__(self, matrix):
+                super().__init__(matrix)
+                oracles.append(self)
+
+        monkeypatch.setattr("deutschsim.deutsch.CountedOracle", RecordedOracle)
+        with pytest.raises(BlockStructureError):
+            run_deutsch_jozsa([0, 1] * (1 << (n - 1)))
+        assert [oracle.calls for oracle in oracles] == [1]
 
     def test_oversized_argument_register_rejected(self):
         values = [0] * 256 + [1] * 256

@@ -17,6 +17,9 @@ from deutschsim import (
 
 from conftest import TRUTH_TABLE, brute_oracle_16
 
+# int() would truncate each of these onto a valid 0/1 list.
+NON_INTEGRAL_VALUES = ([0.9, 1.2], [0, 1.5], [np.float64(0.5), 1])
+
 
 class TestHadamard:
     def test_rows(self):
@@ -114,8 +117,9 @@ class TestOracleFixed:
         assert np.array_equal(u @ u, np.eye(8))
 
     def test_non_binary_values_rejected(self):
-        with pytest.raises(ValueError):
-            oracle_fixed([0, 2])
+        for values in ([0, 2], *NON_INTEGRAL_VALUES):
+            with pytest.raises(ValueError):
+                oracle_fixed(values)
 
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
@@ -133,6 +137,15 @@ class TestClassifyFunction:
 
     def test_neither(self):
         assert classify_function([0, 0, 0, 1]) is Classification.NEITHER
+
+    def test_non_binary_values_rejected(self):
+        for values in ([0, 2], *NON_INTEGRAL_VALUES):
+            with pytest.raises(ValueError):
+                classify_function(values)
+
+    def test_integral_numbers_accepted(self):
+        values = [np.int64(0), True, 1.0, np.float64(0.0)]
+        assert classify_function(values) is Classification.BALANCED
 
     def test_partition_of_all_one_bit_functions(self):
         got = {
@@ -165,8 +178,9 @@ class TestFunctionTable:
             FunctionTable(arg_bits=1, settings={"x1": (0, 1)})
 
     def test_non_binary_values_rejected(self):
-        with pytest.raises(ValueError):
-            FunctionTable(arg_bits=1, settings={"0": (0, 7)})
+        for values in ((0, 7), *NON_INTEGRAL_VALUES):
+            with pytest.raises(ValueError):
+                FunctionTable(arg_bits=1, settings={"0": values})
 
 
 class TestParseFunctionTable:

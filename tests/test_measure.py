@@ -65,11 +65,20 @@ class TestOutcomeDistribution:
             assert dist.probs[b] == pytest.approx(p, abs=1e-15)
             assert dist.probs[b] == pytest.approx(0.25, abs=1e-12)
 
-    def test_unnormalized_state_rejected(self):
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda s: outcome_distribution(s, "A"),
+            lambda s: sample(s, "V", shots=10, seed=1),
+            lambda s: deferred_equivalence(deutsch_circuit(), s, "B"),
+        ],
+        ids=["outcome_distribution", "sample", "deferred_equivalence"],
+    )
+    def test_unnormalized_state_rejected(self, read):
         amps = np.zeros(16)
-        amps[0] = 2.0
+        amps[:2] = [2.0, 1.0]
         with pytest.raises(DegenerateStateError):
-            outcome_distribution(StateVector(CANONICAL_LAYOUT, amps), "A")
+            read(StateVector(CANONICAL_LAYOUT, amps))
 
     def test_completeness_for_random_states(self):
         rng = np.random.default_rng(21)
