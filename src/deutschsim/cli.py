@@ -66,12 +66,11 @@ def state_dump(state: StateVector, stage: str, meta: dict | None = None) -> dict
     """JSON-safe dump of the nonzero amplitudes, sorted by basis index."""
     entries = [
         {
-            "basis": state.layout.label_of_index(i),
+            "basis": basis,
             "re": _sig15(a.real),
             "im": _sig15(a.imag),
         }
-        for i, a in enumerate(state.amps)
-        if abs(a) > 1e-12
+        for basis, a in state.nonzero().items()
     ]
     return {
         "layout": [[name, width] for name, width in state.layout.groups],
@@ -94,12 +93,7 @@ def load_state_dump(dump: dict) -> StateVector:
 
 
 def _grouped_label(layout: RegisterLayout, label: str) -> str:
-    parts = []
-    offset = 0
-    for _, width in layout.groups:
-        parts.append(label[offset : offset + width])
-        offset += width
-    return " ".join(parts)
+    return " ".join(layout.register_bits(label, name) for name in layout.names)
 
 
 def _print_trace(trace: StageTrace) -> None:
@@ -174,22 +168,18 @@ def _stage_state(which: str, stage: str, initial_a: int) -> StateVector:
 def _cmd_sample(args: argparse.Namespace) -> int:
     state = _stage_state(args.which, args.stage, args.initial_a)
     counts = sample(state, args.register, shots=args.shots, seed=args.seed)
+    fields = {
+        "rng": RNG_ALGORITHM,
+        "seed": args.seed,
+        "which": args.which,
+        "stage": args.stage,
+        "register": args.register,
+        "shots": args.shots,
+    }
     if args.json:
-        doc = {
-            "rng": RNG_ALGORITHM,
-            "seed": args.seed,
-            "which": args.which,
-            "stage": args.stage,
-            "register": args.register,
-            "shots": args.shots,
-            "counts": counts,
-        }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps({**fields, "counts": counts}, indent=2))
         return EXIT_OK
-    print(
-        f"rng={RNG_ALGORITHM} seed={args.seed} which={args.which}"
-        f" stage={args.stage} register={args.register} shots={args.shots}"
-    )
+    print(" ".join(f"{key}={value}" for key, value in fields.items()))
     for outcome in sorted(counts):
         print(f"{outcome} {counts[outcome]}")
     return EXIT_OK

@@ -67,10 +67,7 @@ class StageTrace:
             raise ValueError(f"stage labels must be {STAGES}, got {labels}")
 
     def state(self, label: str) -> StateVector:
-        for name, state in self.stages:
-            if name == label:
-                return state
-        raise KeyError(label)
+        return dict(self.stages)[label]
 
     @property
     def final(self) -> StateVector:
@@ -98,13 +95,13 @@ class CountedOracle:
         return apply_unitary(state, self.matrix, targets)
 
 
-def deutsch_circuit(table: FunctionTable | None = None) -> list[CircuitOp]:
-    """The unitary part of a run as (matrix, targets) ops on the canonical layout."""
-    table = table if table is not None else FunctionTable.canonical()
+def deutsch_circuit() -> list[CircuitOp]:
+    """The unitary part of a canonical run as (matrix, targets) ops."""
     h = hadamard()
     a_pos = CANONICAL_LAYOUT.qubit_positions("A")
     all_pos = tuple(range(CANONICAL_LAYOUT.total_qubits))
-    return [(h, a_pos), (oracle_with_setting(table), all_pos), (h, a_pos)]
+    oracle = oracle_with_setting(FunctionTable.canonical())
+    return [(h, a_pos), (oracle, all_pos), (h, a_pos)]
 
 
 def _run_pipeline(
@@ -129,10 +126,9 @@ def _run_pipeline(
     return StageTrace(tuple(zip(STAGES, (s0, s1, s2, s3))))
 
 
-def _check_initial_a(initial_a: int) -> int:
-    if initial_a not in (0, 1):
-        raise ValueError(f"initial A state must be 0 or 1, got {initial_a}")
-    return initial_a
+def _check_bit(value: int, name: str) -> None:
+    if value not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {value}")
 
 
 def _classify(state: StateVector, prepared_a: str) -> Classification:
@@ -155,7 +151,7 @@ def run_deutsch(b: str, initial_a: int = 0) -> tuple[StageTrace, Verdict]:
     """
     if b not in SETTING_LABELS:
         raise ValueError(f"unknown setting {b!r}; choose one of {SETTING_LABELS}")
-    _check_initial_a(initial_a)
+    _check_bit(initial_a, "initial A state")
     oracle = CountedOracle(oracle_with_setting(FunctionTable.canonical()))
     trace = _run_pipeline(CANONICAL_LAYOUT, [b + str(initial_a) + "1"], oracle)
     classification = _classify(trace.final, str(initial_a))
@@ -165,7 +161,7 @@ def run_deutsch(b: str, initial_a: int = 0) -> tuple[StageTrace, Verdict]:
 
 def run_deutsch_superposed(initial_a: int = 0) -> StageTrace:
     """The same pipeline on an equal superposition of all four settings."""
-    _check_initial_a(initial_a)
+    _check_bit(initial_a, "initial A state")
     labels = [b + str(initial_a) + "1" for b in SETTING_LABELS]
     oracle = CountedOracle(oracle_with_setting(FunctionTable.canonical()))
     return _run_pipeline(CANONICAL_LAYOUT, labels, oracle)
@@ -178,8 +174,10 @@ def solution_correlation(
 
     Conditions on each setting outcome of register B in turn and reads the
     then-deterministic A bit.  ``balanced_bit`` is the A value that means
-    balanced (0 when the run was prepared with ``|1>_A``).
+    balanced (0 when the run was prepared with ``|1>_A``); anything but 0
+    or 1 raises ValueError.
     """
+    _check_bit(balanced_bit, "balanced_bit")
     result = {}
     for b in sorted(outcome_distribution(final, "B").probs):
         branch = measure(final, "B", b).post_state

@@ -30,9 +30,12 @@ class Classification(enum.Enum):
 
 
 def _validate_values(values: Sequence[int]) -> tuple[int, ...]:
-    vals = tuple(int(v) for v in values)
-    # int() truncates 0.9 but rejects the text "0.9": only numbers need this.
-    if any(not isinstance(v, str) and v != i for v, i in zip(values, vals)):
+    try:  # int(0.9) truncates and int(inf) overflows; int("0.9") raises itself
+        vals = tuple(int(v) for v in values)
+        whole = all(isinstance(v, str) or v == i for v, i in zip(values, vals))
+    except OverflowError:
+        whole = False
+    if not whole:
         raise ValueError(f"function values must be integers, got {list(values)}")
     if any(v not in (0, 1) for v in vals):
         raise ValueError(f"function values must be 0 or 1, got {vals}")

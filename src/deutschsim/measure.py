@@ -28,7 +28,6 @@ from .state import (
     RegisterLayout,
     StateVector,
     apply_unitary,
-    expand_unitary,
 )
 
 RNG_ALGORITHM = "pcg64"
@@ -140,8 +139,8 @@ class BranchReport:
     ``project_first`` measures the deferred register before the circuit
     (the problem setter's account); ``project_last`` runs the circuit on the
     unprojected state and conditions afterwards (the solver's account).
-    Joint distributions are over the full basis, so agreement covers every
-    register marginal as well.
+    The states are over the full basis, so agreement covers every register
+    marginal as well.
     """
 
     outcome: str
@@ -149,8 +148,6 @@ class BranchReport:
     probability_project_last: float
     state_project_first: StateVector
     state_project_last: StateVector
-    joint_project_first: dict[str, float]
-    joint_project_last: dict[str, float]
     max_deviation: float
 
 
@@ -174,8 +171,8 @@ class DeferredEquivalenceReport:
                     "outcome": b.outcome,
                     "probability_project_first": b.probability_project_first,
                     "probability_project_last": b.probability_project_last,
-                    "joint_project_first": b.joint_project_first,
-                    "joint_project_last": b.joint_project_last,
+                    "joint_project_first": _joint_probs(b.state_project_first),
+                    "joint_project_last": _joint_probs(b.state_project_last),
                     "max_deviation": b.max_deviation,
                 }
                 for b in self.branches
@@ -186,11 +183,16 @@ class DeferredEquivalenceReport:
 def _check_block_diagonal(
     circuit: Sequence[CircuitOp], layout: RegisterLayout, register: str
 ) -> None:
-    values = _register_values(layout, register)
-    off_block = values[:, None] != values[None, :]
+    """Reject an op whose own matrix links indices with different register bits."""
+    in_register = set(layout.qubit_positions(register))
     for k, (u, targets) in enumerate(circuit):
-        full = expand_unitary(u, targets, layout.total_qubits)
-        leak = float(np.max(np.abs(full[off_block]))) if off_block.any() else 0.0
+        u = np.asarray(u, dtype=np.complex128)
+        mask = 0
+        for t in targets:
+            mask = (mask << 1) | (t in in_register)
+        idx = np.arange(len(u)) & mask
+        off_block = idx[:, None] != idx[None, :]
+        leak = float(np.max(np.abs(u[off_block]), initial=0.0))
         if leak > ATOL_STATE:
             raise BlockDiagonalityError(
                 f"circuit op {k} does not preserve register {register!r} "
@@ -216,20 +218,13 @@ def deferred_equivalence(
     every circuit unitary preserves the register's basis vectors; that
     precondition is checked explicitly, not assumed, and its violation
     raises BlockDiagonalityError.  For each register outcome of nonzero
-    probability the report carries the final joint distribution computed
-    both ways and the verdict that they agree within 1e-12.
+    probability the report carries the final state computed both ways and
+    the verdict that their joint distributions (``to_dict``) agree to 1e-12.
     """
-    layout = initial.layout
-    _check_block_diagonal(circuit, layout, register)
     evolved = apply_circuit(initial, circuit)
-    pre_marginal = _marginal(initial, register)
-    width = layout.width(register)
-
+    _check_block_diagonal(circuit, initial.layout, register)
     branches = []
-    for value, p_pre in enumerate(pre_marginal):
-        if p_pre <= PROB_EPS:
-            continue
-        outcome = format(value, f"0{width}b")
+    for outcome in outcome_distribution(initial, register).probs:
         first = measure(initial, register, outcome)
         state_first = apply_circuit(first.post_state, circuit)
         last = measure(evolved, register, outcome)
@@ -245,8 +240,6 @@ def deferred_equivalence(
                 probability_project_last=last.probability,
                 state_project_first=state_first,
                 state_project_last=last.post_state,
-                joint_project_first=_joint_probs(state_first),
-                joint_project_last=_joint_probs(last.post_state),
                 max_deviation=deviation,
             )
         )

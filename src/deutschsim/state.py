@@ -109,12 +109,12 @@ class StateVector:
     def amplitude(self, label: str) -> complex:
         return complex(self.amps[self.layout.index_of_label(label)])
 
-    def nonzero(self, tol: float = ATOL_STATE) -> dict[str, complex]:
-        """Labels with |amplitude| > tol, in index order."""
+    def nonzero(self) -> dict[str, complex]:
+        """Labels with |amplitude| > ATOL_STATE, in index order."""
         return {
             self.layout.label_of_index(i): complex(a)
             for i, a in enumerate(self.amps)
-            if abs(a) > tol
+            if abs(a) > ATOL_STATE
         }
 
     def max_delta(self, other: StateVector) -> float:

@@ -208,6 +208,11 @@ class TestSolutionCorrelation:
         with pytest.raises(BlockStructureError):
             solution_correlation(state_from(SUPERPOSED_STAGES["after_H_A"]))
 
+    @pytest.mark.parametrize("bit", [2, -1])
+    def test_bad_balanced_bit_rejected(self, bit):
+        with pytest.raises(ValueError, match="balanced_bit must be 0 or 1"):
+            solution_correlation(run_deutsch_superposed().final, balanced_bit=bit)
+
 
 class TestRunDeutschJozsa:
     def test_one_bit_balanced_matches_fixed_run(self):
@@ -240,8 +245,9 @@ class TestRunDeutschJozsa:
             run_deutsch_jozsa([0, 0, 0, 1])
 
     def test_non_integral_values_rejected(self):
-        with pytest.raises(ValueError):
-            run_deutsch_jozsa([0.9, 1.2])
+        for values in ([0.9, 1.2], [float("-inf"), 0]):
+            with pytest.raises(ValueError, match="must be integers"):
+                run_deutsch_jozsa(values)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_indeterminate_readout_rejected_after_one_call(self, n, monkeypatch):

@@ -223,12 +223,13 @@ class TestDeferredEquivalence:
         report = deferred_equivalence(
             deutsch_circuit(), state_from(SUPERPOSED_STAGES["input"]), "B"
         )
-        branch = next(b for b in report.branches if b.outcome == "00")
+        branch = next(b for b in report.to_dict()["branches"] if b["outcome"] == "00")
         for i in range(16):
             label = format(i, "04b")
-            expected = abs(project_first[i]) ** 2
-            got = branch.joint_project_first.get(label, 0.0)
-            assert got == pytest.approx(expected, abs=1e-12)
+            for key, brute in (("joint_project_first", project_first),
+                               ("joint_project_last", project_last)):
+                got = branch[key].get(label, 0.0)
+                assert got == pytest.approx(abs(brute[i]) ** 2, abs=1e-12)
 
     def test_non_block_diagonal_circuit_rejected(self):
         circuit = [(hadamard(), (0,))]
