@@ -27,13 +27,16 @@ from .errors import (
     LayoutError,
     PromiseViolationError,
     SimulatorError,
+    UnitarityError,
 )
 from .gates import (
     Classification,
     FunctionTable,
-    classify_function,
+    _classification,
+    _permutation,
+    _setting_values,
+    _validate_values,
     hadamard,
-    oracle_fixed,
     oracle_with_setting,
 )
 from .measure import CircuitOp, measure, outcome_distribution
@@ -42,6 +45,8 @@ from .state import (
     DensityMatrix,
     RegisterLayout,
     StateVector,
+    _inverse_permutation,
+    apply_permutation,
     apply_unitary,
     partial_trace,
     superpose,
@@ -51,7 +56,9 @@ CANONICAL_LAYOUT = RegisterLayout((("B", 2), ("A", 1), ("V", 1)))
 SETTING_LABELS = ("00", "01", "10", "11")
 STAGES = ("input", "after_H_A", "after_H_f", "after_H_A_2")
 
-# Dense representation cap for the generalized argument register.
+# Cap on the generalized argument register: at 8 bits the state holds 512
+# amplitudes.  The oracle is an index array, so the cap bounds the state
+# and the per-qubit Hadamards rather than a dense oracle matrix.
 MAX_ARG_BITS = 8
 
 
@@ -84,15 +91,26 @@ class Verdict:
 
 
 class CountedOracle:
-    """Oracle matrix wrapper that counts how many times it is applied."""
+    """An oracle's index permutation, counting how many times it is applied.
 
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = np.asarray(matrix, dtype=np.complex128)
+    ``perm[j]`` is the basis index that |j> goes to.  The constructor checks
+    exactly that ``perm`` is a permutation that is its own inverse, as every
+    |x,v> -> |x, v xor f(x)> is.
+    """
+
+    def __init__(self, perm: np.ndarray):
+        self.perm = np.asarray(perm)
+        if (_inverse_permutation(self.perm, self.perm.size) != self.perm).any():
+            raise UnitarityError("oracle permutation is not its own inverse")
         self.calls = 0
 
     def apply(self, state: StateVector, targets: Sequence[int]) -> StateVector:
         self.calls += 1
-        return apply_unitary(state, self.matrix, targets)
+        return apply_permutation(state, self.perm, targets)
+
+
+def _canonical_oracle() -> CountedOracle:
+    return CountedOracle(_permutation(_setting_values(FunctionTable.canonical())))
 
 
 def deutsch_circuit() -> list[CircuitOp]:
@@ -127,8 +145,10 @@ def _run_pipeline(
 
 
 def _check_bit(value: int, name: str) -> None:
-    if value not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {value}")
+    # Labels are spelled with str(value), so 1.0 or True would name no state.
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or value not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
 
 
 def _classify(state: StateVector, prepared_a: str) -> Classification:
@@ -152,7 +172,7 @@ def run_deutsch(b: str, initial_a: int = 0) -> tuple[StageTrace, Verdict]:
     if b not in SETTING_LABELS:
         raise ValueError(f"unknown setting {b!r}; choose one of {SETTING_LABELS}")
     _check_bit(initial_a, "initial A state")
-    oracle = CountedOracle(oracle_with_setting(FunctionTable.canonical()))
+    oracle = _canonical_oracle()
     trace = _run_pipeline(CANONICAL_LAYOUT, [b + str(initial_a) + "1"], oracle)
     classification = _classify(trace.final, str(initial_a))
     outcome_bit = initial_a ^ (classification is Classification.BALANCED)
@@ -163,8 +183,7 @@ def run_deutsch_superposed(initial_a: int = 0) -> StageTrace:
     """The same pipeline on an equal superposition of all four settings."""
     _check_bit(initial_a, "initial A state")
     labels = [b + str(initial_a) + "1" for b in SETTING_LABELS]
-    oracle = CountedOracle(oracle_with_setting(FunctionTable.canonical()))
-    return _run_pipeline(CANONICAL_LAYOUT, labels, oracle)
+    return _run_pipeline(CANONICAL_LAYOUT, labels, _canonical_oracle())
 
 
 def solution_correlation(
@@ -194,16 +213,16 @@ def run_deutsch_jozsa(values: Sequence[int]) -> Verdict:
     PromiseViolationError before touching the oracle if ``values`` is
     neither.
     """
-    promised = classify_function(values)
-    if promised is Classification.NEITHER:
+    vals = _validate_values(values)
+    if _classification(vals) is Classification.NEITHER:
         raise PromiseViolationError(
             f"function {list(values)} is neither constant nor balanced"
         )
-    n = len(values).bit_length() - 1
+    n = len(vals).bit_length() - 1
     if n > MAX_ARG_BITS:
         raise LayoutError(f"argument register capped at {MAX_ARG_BITS} qubits")
     layout = RegisterLayout((("A", n), ("V", 1)))
-    oracle = CountedOracle(oracle_fixed(values))
+    oracle = CountedOracle(_permutation(vals))
     trace = _run_pipeline(layout, ["0" * n + "1"], oracle)
     classification = _classify(trace.final, "0" * n)
     outcome_bit = int(classification is Classification.BALANCED)

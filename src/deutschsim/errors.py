@@ -14,7 +14,9 @@ class DegenerateStateError(SimulatorError):
 
 
 class UnitarityError(SimulatorError):
-    """Matrix handed to apply_unitary fails the unitarity check or drifts the norm."""
+    """Operator that fails its check (a matrix that is not unitary, an index
+    array that is not a permutation, an oracle that is not its own inverse)
+    or drifts the norm."""
 
 
 class IncompleteOracleError(SimulatorError):

@@ -1,8 +1,10 @@
 """Unitaries for oracle problems: Hadamard and black-box function evaluation.
 
-Oracles are materialized as explicit permutation matrices so unitarity and
-self-inverseness are directly checkable; at dimension <= 2^12 the cost is
-negligible.
+A black box |a,v> -> |a, v xor f(a)> permutes basis indices, so its native
+form is one index array, perm[j] = j xor f(j >> 1), that the drivers apply
+by gather and check exactly as a self-inverse permutation.
+``oracle_fixed`` and ``oracle_with_setting`` scatter that array into the
+dense 0/1 matrix for callers that expand or check matrices.
 """
 
 from __future__ import annotations
@@ -29,13 +31,21 @@ class Classification(enum.Enum):
     NEITHER = "neither"
 
 
+def _integer(v) -> int | None:
+    """``int(v)`` for a digit string or a number equal to an integer, else
+    None; int(0.9) would truncate, and int(inf) and int(nan) raise."""
+    if isinstance(v, str):
+        return int(v)  # raises on its own for "0.9" or "x"
+    try:
+        i = int(v)
+    except (OverflowError, ValueError):
+        return None
+    return i if v == i else None
+
+
 def _validate_values(values: Sequence[int]) -> tuple[int, ...]:
-    try:  # int(0.9) truncates and int(inf) overflows; int("0.9") raises itself
-        vals = tuple(int(v) for v in values)
-        whole = all(isinstance(v, str) or v == i for v, i in zip(values, vals))
-    except OverflowError:
-        whole = False
-    if not whole:
+    vals = tuple(_integer(v) for v in values)
+    if None in vals:
         raise ValueError(f"function values must be integers, got {list(values)}")
     if any(v not in (0, 1) for v in vals):
         raise ValueError(f"function values must be 0 or 1, got {vals}")
@@ -45,15 +55,18 @@ def _validate_values(values: Sequence[int]) -> tuple[int, ...]:
     return vals
 
 
-def classify_function(values: Sequence[int]) -> Classification:
-    """Constant if all outputs equal, balanced if exactly half are 1, else neither."""
-    vals = _validate_values(values)
+def _classification(vals: tuple[int, ...]) -> Classification:
     ones = sum(vals)
     if ones in (0, len(vals)):
         return Classification.CONSTANT
     if 2 * ones == len(vals):
         return Classification.BALANCED
     return Classification.NEITHER
+
+
+def classify_function(values: Sequence[int]) -> Classification:
+    """Constant if all outputs equal, balanced if exactly half are 1, else neither."""
+    return _classification(_validate_values(values))
 
 
 @dataclass(frozen=True)
@@ -138,30 +151,43 @@ def parse_function_table(text: str) -> FunctionTable:
     return FunctionTable(arg_bits=n, settings=settings)
 
 
-def oracle_fixed(values: Sequence[int]) -> np.ndarray:
-    """Black box for one function: permutation |a,v> -> |a, v xor f(a)>.
-
-    Basis order is argument bits then value bit, big endian.
-    """
-    vals = np.array(_validate_values(values))
-    cols = np.arange(2 * len(vals))
-    u = np.zeros((cols.size, cols.size), dtype=np.complex128)
-    u[cols ^ vals[cols >> 1], cols] = 1.0
-    return u
+def _permutation(vals: Sequence[int]) -> np.ndarray:
+    """The black box |a,v> -> |a, v xor f(a)> of validated values as an
+    index array: basis index j goes to perm[j] = j xor f(j >> 1), with the
+    argument bits then the value bit, big endian."""
+    vals = np.array(vals, dtype=np.intp)
+    cols = np.arange(2 * vals.size)
+    return cols ^ vals[cols >> 1]
 
 
-def oracle_with_setting(table: FunctionTable) -> np.ndarray:
-    """Function evaluation keyed by the setting register.
-
-    Permutation on the (setting, argument, value) basis mapping
-    |b,a,v> -> |b,a, v xor f_b(a)>; the setting and argument bits pass
-    through unaltered.  That is the fixed oracle of g(b||a) = f_b(a), the
-    settings' value lists concatenated in label order.
-    """
+def _setting_values(table: FunctionTable) -> tuple[int, ...]:
+    """The values of g(b||a) = f_b(a): the settings' value lists
+    concatenated in label order.  Every label of the width must be set."""
     w = table.setting_bits
     if len(table.settings) != 1 << w:
         missing = sorted(
             set(format(i, f"0{w}b") for i in range(1 << w)) - set(table.settings)
         )
         raise IncompleteOracleError(f"settings missing labels {missing}")
-    return oracle_fixed([v for b in sorted(table.settings) for v in table.settings[b]])
+    return tuple(v for b in sorted(table.settings) for v in table.settings[b])
+
+
+def oracle_fixed(values: Sequence[int]) -> np.ndarray:
+    """Black box for one function: permutation matrix of |a,v> -> |a, v xor f(a)>.
+
+    Basis order is argument bits then value bit, big endian.
+    """
+    perm = _permutation(_validate_values(values))
+    u = np.zeros((perm.size, perm.size), dtype=np.complex128)
+    u[perm, np.arange(perm.size)] = 1.0
+    return u
+
+
+def oracle_with_setting(table: FunctionTable) -> np.ndarray:
+    """Function evaluation keyed by the setting register.
+
+    Permutation matrix on the (setting, argument, value) basis mapping
+    |b,a,v> -> |b,a, v xor f_b(a)>; the setting and argument bits pass
+    through unaltered.  That is the fixed oracle of g(b||a) = f_b(a).
+    """
+    return oracle_fixed(_setting_values(table))

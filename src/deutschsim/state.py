@@ -207,19 +207,28 @@ def _validate_unitary(u: np.ndarray, n_targets: int) -> np.ndarray:
     return u
 
 
-def _apply_matrix(amps: np.ndarray, u: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply ``u`` on ``targets`` of an n-qubit amplitude array.
+def _on_targets(amps: np.ndarray, targets: tuple[int, ...], n: int, op) -> np.ndarray:
+    """Apply ``op`` to the targets' index of an n-qubit amplitude array.
 
-    The first target is the most significant bit of u's own index.  Axes of
-    ``amps`` after the first are a batch: each column is transformed alone.
+    ``op`` maps a 2^k-row array, whose row index is the targets' basis index
+    with the first target as its most significant bit, to one of the same
+    shape.  Axes of ``amps`` after the first are a batch: each column is
+    transformed alone.
     """
     k = len(targets)
     psi = amps.reshape([2] * n + list(amps.shape[1:]))
     psi = np.moveaxis(psi, targets, range(k))
     rest = psi.shape[k:]
-    psi = u @ psi.reshape(1 << k, -1)
+    psi = op(psi.reshape(1 << k, -1))
     psi = np.moveaxis(psi.reshape([2] * k + list(rest)), range(k), targets)
     return psi.reshape(amps.shape)
+
+
+def _checked_norm(state: StateVector, out: np.ndarray) -> StateVector:
+    drift = abs(np.linalg.norm(out) - np.linalg.norm(state.amps))
+    if drift > ATOL_STATE:
+        raise UnitarityError(f"unitary application drifted the norm by {drift:.3e}")
+    return StateVector(state.layout, out)
 
 
 def apply_unitary(
@@ -229,11 +238,36 @@ def apply_unitary(
     n = state.layout.total_qubits
     targets = _validate_targets(targets, n)
     u = _validate_unitary(u, len(targets))
-    out = _apply_matrix(state.amps, u, targets, n)
-    drift = abs(np.linalg.norm(out) - np.linalg.norm(state.amps))
-    if drift > ATOL_STATE:
-        raise UnitarityError(f"unitary application drifted the norm by {drift:.3e}")
-    return StateVector(state.layout, out)
+    return _checked_norm(state, _on_targets(state.amps, targets, n, lambda m: u @ m))
+
+
+def _inverse_permutation(perm: np.ndarray, dim: int) -> np.ndarray:
+    """The inverse of ``perm``, checked exactly in O(dim) to be a bijection
+    of range(dim) held in an integer dtype."""
+    perm = np.asarray(perm)
+    if perm.shape != (dim,):
+        raise LayoutError(f"permutation shape {perm.shape} does not match dim {dim}")
+    if perm.dtype.kind not in "iu":
+        raise UnitarityError(f"permutation has non-integer dtype {perm.dtype}")
+    if dim and (perm.min() < 0 or perm.max() >= dim):
+        raise UnitarityError(f"permutation entries out of range({dim})")
+    inverse = np.full(dim, -1, dtype=np.intp)
+    inverse[perm] = np.arange(dim)
+    if (inverse < 0).any():
+        raise UnitarityError("permutation is not a bijection")
+    return inverse
+
+
+def apply_permutation(
+    state: StateVector, perm: np.ndarray, targets: Sequence[int]
+) -> StateVector:
+    """Send each basis state |j> of ``targets`` to |perm[j]>, identity on
+    every other qubit: ``apply_unitary`` of the 0/1 matrix with
+    u[perm[j], j] = 1, done as an exact gather with no matrix."""
+    n = state.layout.total_qubits
+    targets = _validate_targets(targets, n)
+    inverse = _inverse_permutation(perm, 1 << len(targets))
+    return _checked_norm(state, _on_targets(state.amps, targets, n, lambda m: m[inverse]))
 
 
 def expand_unitary(u: np.ndarray, targets: Sequence[int], total_qubits: int) -> np.ndarray:
@@ -241,7 +275,7 @@ def expand_unitary(u: np.ndarray, targets: Sequence[int], total_qubits: int) -> 
     targets = _validate_targets(targets, total_qubits)
     u = _validate_unitary(u, len(targets))
     identity = np.eye(1 << total_qubits, dtype=np.complex128)
-    return _apply_matrix(identity, u, targets, total_qubits)
+    return _on_targets(identity, targets, total_qubits, lambda m: u @ m)
 
 
 def inner_product(s1: StateVector, s2: StateVector) -> complex:

@@ -13,19 +13,23 @@ from deutschsim import (
     BlockStructureError,
     Classification,
     CountedOracle,
+    FunctionTable,
     LayoutError,
     PromiseViolationError,
+    RegisterLayout,
     StageTrace,
     StateVector,
+    UnitarityError,
     apply_circuit,
+    apply_unitary,
     basis_state,
     classical_query_count,
     classify_function,
     deutsch_circuit,
     enumerate_promise_functions,
-    expand_unitary,
-    hadamard,
     measure,
+    oracle_fixed,
+    oracle_with_setting,
     outcome_distribution,
     rho_B_invariance,
     run_deutsch,
@@ -33,6 +37,8 @@ from deutschsim import (
     run_deutsch_superposed,
     solution_correlation,
 )
+from deutschsim.deutsch import _run_pipeline
+from deutschsim.gates import _permutation
 
 from conftest import (
     FIXED_01_STAGES,
@@ -46,6 +52,23 @@ from conftest import (
 
 def state_from(golden: dict[str, float]) -> StateVector:
     return StateVector(CANONICAL_LAYOUT, golden_vector(golden))
+
+
+class DenseOracle:
+    """A counted oracle applied as a dense matrix by apply_unitary."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.calls = 0
+
+    def apply(self, state: StateVector, targets) -> StateVector:
+        self.calls += 1
+        return apply_unitary(state, self.matrix, targets)
+
+
+def assert_same_stages(got: StageTrace, expected: StageTrace) -> None:
+    for (label, state), (_, ref) in zip(got.stages, expected.stages):
+        assert np.array_equal(state.amps, ref.amps), f"stage {label} differs"
 
 
 class TestRunDeutsch:
@@ -90,8 +113,6 @@ class TestRunDeutsch:
             assert verdict.evaluations_used == 1
 
     def test_consecutive_stages_related_by_declared_unitaries(self):
-        from deutschsim import apply_unitary
-
         trace, _ = run_deutsch("11")
         ops = deutsch_circuit()
         for (_, prev), (_, nxt), (u, targets) in zip(
@@ -138,8 +159,10 @@ class TestInitialAFlag:
         }
 
     def test_bad_initial_a_rejected(self):
-        with pytest.raises(ValueError):
-            run_deutsch("01", initial_a=2)
+        # 1.0 and True equal 1 but would be spelled "1.0" and "True" in labels.
+        for bit in (2, 1.0, True):
+            with pytest.raises(ValueError, match="initial A state must be 0 or 1"):
+                run_deutsch("01", initial_a=bit)
 
 
 class TestRunDeutschSuperposed:
@@ -208,7 +231,7 @@ class TestSolutionCorrelation:
         with pytest.raises(BlockStructureError):
             solution_correlation(state_from(SUPERPOSED_STAGES["after_H_A"]))
 
-    @pytest.mark.parametrize("bit", [2, -1])
+    @pytest.mark.parametrize("bit", [2, -1, 1.0])
     def test_bad_balanced_bit_rejected(self, bit):
         with pytest.raises(ValueError, match="balanced_bit must be 0 or 1"):
             solution_correlation(run_deutsch_superposed().final, balanced_bit=bit)
@@ -245,28 +268,45 @@ class TestRunDeutschJozsa:
             run_deutsch_jozsa([0, 0, 0, 1])
 
     def test_non_integral_values_rejected(self):
-        for values in ([0.9, 1.2], [float("-inf"), 0]):
+        for values in ([0.9, 1.2], [float("-inf"), 0], [float("nan"), 0]):
             with pytest.raises(ValueError, match="must be integers"):
                 run_deutsch_jozsa(values)
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3])
     def test_indeterminate_readout_rejected_after_one_call(self, n, monkeypatch):
-        # H on the first argument qubit as the "oracle" leaves p(A=0...0) at 1/2.
+        # After the promise check passes, the oracle of a "neither" function
+        # with a single 1 is patched in; it leaves p(A=0...0) at
+        # ((2^n - 2) / 2^n)^2: 1/4 at n=2, 9/16 at n=3.  No permutation of
+        # the four basis states at n=1 leaves it strictly between 0 and 1.
+        neither = (0,) * ((1 << n) - 1) + (1,)
         monkeypatch.setattr(
-            "deutschsim.deutsch.oracle_fixed",
-            lambda values: expand_unitary(hadamard(), (0,), n + 1),
+            "deutschsim.deutsch._permutation", lambda vals: _permutation(neither)
         )
         oracles = []
 
         class RecordedOracle(CountedOracle):
-            def __init__(self, matrix):
-                super().__init__(matrix)
+            def __init__(self, perm):
+                super().__init__(perm)
                 oracles.append(self)
 
         monkeypatch.setattr("deutschsim.deutsch.CountedOracle", RecordedOracle)
-        with pytest.raises(BlockStructureError):
+        with pytest.raises(BlockStructureError, match="is neither 0 nor 1") as info:
             run_deutsch_jozsa([0, 1] * (1 << (n - 1)))
         assert [oracle.calls for oracle in oracles] == [1]
+        p = float(str(info.value).split(" = ")[1].split()[0])
+        assert p == pytest.approx(((1 << n) - 2) ** 2 / (1 << (2 * n)), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stages_equal_dense_oracle_pipeline(self, n):
+        # Every promise function: the gathered oracle gives the same four
+        # stages, bit for bit, as its dense oracle_fixed matrix.
+        layout = RegisterLayout((("A", n), ("V", 1)))
+        labels = ["0" * n + "1"]
+        for f in enumerate_promise_functions(n):
+            assert_same_stages(
+                _run_pipeline(layout, labels, CountedOracle(_permutation(f))),
+                _run_pipeline(layout, labels, DenseOracle(oracle_fixed(f))),
+            )
 
     def test_oversized_argument_register_rejected(self):
         values = [0] * 256 + [1] * 256
@@ -371,15 +411,50 @@ class TestTraceAndOracle:
             StageTrace((("start", s), ("mid", s), ("late", s), ("end", s)))
 
     def test_counted_oracle_tallies_applications(self):
-        from deutschsim import oracle_with_setting, FunctionTable
-
-        oracle = CountedOracle(oracle_with_setting(FunctionTable.canonical()))
+        # The index array read back from the dense matrix: u[perm[j], j] = 1.
+        perm = np.argmax(oracle_with_setting(FunctionTable.canonical()).real, axis=0)
+        oracle = CountedOracle(perm)
         s = state_from(FIXED_01_STAGES["after_H_A"])
         assert oracle.calls == 0
         s = oracle.apply(s, (0, 1, 2, 3))
         assert oracle.calls == 1
         oracle.apply(s, (0, 1, 2, 3))
         assert oracle.calls == 2
+
+    @pytest.mark.parametrize(
+        "perm",
+        [
+            np.array([0, 0, 2, 3]),  # not a bijection
+            np.array([0.0, 1.0, 2.0, 3.0]),  # float dtype
+            np.array([0, 1, 2, 4]),  # out of range
+            np.array([1, 2, 3, 0]),  # a 4-cycle: a bijection, not an involution
+        ],
+        ids=["duplicate", "float", "out_of_range", "not_involution"],
+    )
+    def test_counted_oracle_rejects_bad_permutations(self, perm):
+        with pytest.raises(UnitarityError):
+            CountedOracle(perm)
+
+    def test_counted_oracle_rejects_wrong_length(self):
+        oracle = CountedOracle(np.arange(8))
+        with pytest.raises(LayoutError):
+            oracle.apply(basis_state(CANONICAL_LAYOUT, "0000"), (0, 1, 2, 3))
+        assert oracle.calls == 1
+
+    def test_canonical_stages_equal_dense_oracle_pipeline(self):
+        dense = oracle_with_setting(FunctionTable.canonical())
+        for a in (0, 1):
+            for b in SETTING_LABELS:
+                labels = [b + str(a) + "1"]
+                assert_same_stages(
+                    run_deutsch(b, initial_a=a)[0],
+                    _run_pipeline(CANONICAL_LAYOUT, labels, DenseOracle(dense)),
+                )
+            labels = [b + str(a) + "1" for b in SETTING_LABELS]
+            assert_same_stages(
+                run_deutsch_superposed(initial_a=a),
+                _run_pipeline(CANONICAL_LAYOUT, labels, DenseOracle(dense)),
+            )
 
     def test_global_phase_changes_nothing(self):
         circuit = deutsch_circuit()

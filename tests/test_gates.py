@@ -17,9 +17,10 @@ from deutschsim import (
 
 from conftest import TRUTH_TABLE, brute_oracle_16
 
-# int() would truncate each of these onto a valid 0/1 list, or overflow on inf.
+# int() would truncate each of these onto a valid 0/1 list, or raise on inf and nan.
 NON_INTEGRAL_VALUES = (
-    [0.9, 1.2], [0, 1.5], [np.float64(0.5), 1], [float("inf"), 0], [0, float("-inf")]
+    [0.9, 1.2], [0, 1.5], [np.float64(0.5), 1], [float("inf"), 0], [0, float("-inf")],
+    [float("nan"), 0],
 )
 
 

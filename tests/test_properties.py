@@ -1,6 +1,7 @@
 """Property-based checks, each judged against a reference made here: the
 Deutsch-Jozsa verdict on drawn promise functions against a count of ones,
-and the deferred-measurement precondition on drawn ops against a dense
+the oracle index array of drawn function tables against one built bit by
+bit, and the deferred-measurement precondition on drawn ops against a dense
 expansion built with np.kron and int(label, 2) arithmetic."""
 
 import itertools
@@ -16,10 +17,14 @@ from deutschsim import (
     CANONICAL_LAYOUT,
     BlockDiagonalityError,
     Classification,
+    CountedOracle,
+    FunctionTable,
     StateVector,
     deferred_equivalence,
+    oracle_with_setting,
     run_deutsch_jozsa,
 )
+from deutschsim.gates import _permutation, _setting_values
 
 from conftest import haar_unitary, random_state_vector
 
@@ -50,6 +55,34 @@ def test_deutsch_jozsa_verdict_matches_count_of_ones(values):
     assert verdict.classification is expected
     assert verdict.outcome_bit == bit
     assert verdict.evaluations_used == 1
+
+
+@st.composite
+def function_tables(draw) -> FunctionTable:
+    """A complete table with 1 to 3 setting bits and 1 to 3 argument bits."""
+    w = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=3))
+    values = st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n)
+    settings = {format(b, f"0{w}b"): tuple(draw(values)) for b in range(1 << w)}
+    return FunctionTable(arg_bits=n, settings=settings)
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(function_tables())
+def test_oracle_permutation_is_self_inverse_and_scatters_to_the_matrix(table):
+    n = table.arg_bits
+    perm = _permutation(_setting_values(table))
+    expected = []
+    for i in range(perm.size):
+        b, a, v = i >> (n + 1), (i >> 1) & ((1 << n) - 1), i & 1
+        f = table.settings[format(b, f"0{table.setting_bits}b")][a]
+        expected.append((b << (n + 1)) | (a << 1) | (v ^ f))
+    assert perm.tolist() == expected
+    assert np.array_equal(perm[perm], np.arange(perm.size))
+    CountedOracle(perm)  # its own exact bijection and involution checks
+    u = np.zeros((perm.size, perm.size))
+    u[perm, np.arange(perm.size)] = 1.0
+    assert np.array_equal(u, oracle_with_setting(table))
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """Register layout, state construction, unitary application, partial trace."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from deutschsim import (
     RegisterLayout,
     StateVector,
     UnitarityError,
+    apply_permutation,
     apply_unitary,
     basis_state,
     expand_unitary,
@@ -219,6 +222,46 @@ class TestApplyUnitary:
         perm = [int("".join(format(i, "04b")[q] for q in order), 2) for i in range(16)]
         expected = kron[np.ix_(perm, perm)]
         assert np.max(np.abs(full - expected)) < 1e-12
+
+
+class TestApplyPermutation:
+    def test_matches_dense_scatter_on_every_target_tuple(self):
+        # Each ordered tuple of 1-4 canonical qubits, a seeded random
+        # bijection and state: the gather equals apply_unitary of the 0/1
+        # matrix with u[perm[j], j] = 1, exactly.
+        rng = np.random.default_rng(16)
+        tuples = [t for k in range(1, 5) for t in permutations(range(4), k)]
+        assert len(tuples) == 64
+        for targets in tuples:
+            d = 1 << len(targets)
+            perm = rng.permutation(d)
+            u = np.zeros((d, d))
+            u[perm, np.arange(d)] = 1.0
+            s = StateVector(CANONICAL_LAYOUT, random_state_vector(16, rng))
+            got = apply_permutation(s, perm, targets)
+            assert np.array_equal(got.amps, apply_unitary(s, u, targets).amps)
+
+    @pytest.mark.parametrize(
+        "perm, error",
+        [
+            (np.array([0, 0, 2, 3]), UnitarityError),  # not a bijection
+            (np.arange(8), LayoutError),  # wrong length for 2 targets
+            (np.array([0.0, 1.0, 2.0, 3.0]), UnitarityError),  # float dtype
+            (np.array([True, False, True, False]), UnitarityError),  # bool dtype
+            (np.array([0, 1, 2, 4]), UnitarityError),  # out of range
+            (np.array([-1, 1, 2, 3]), UnitarityError),  # out of range
+        ],
+        ids=["duplicate", "length", "float", "bool", "above", "negative"],
+    )
+    def test_malformed_permutation_rejected(self, perm, error):
+        s = basis_state(CANONICAL_LAYOUT, "0000")
+        with pytest.raises(error):
+            apply_permutation(s, perm, (1, 2))
+
+    def test_bad_targets_rejected(self):
+        s = basis_state(CANONICAL_LAYOUT, "0000")
+        with pytest.raises(LayoutError):
+            apply_permutation(s, np.arange(4), (1, 1))
 
 
 class TestInnerProduct:
