@@ -28,7 +28,7 @@ from .deutsch import (
 from .errors import PromiseViolationError, SimulatorError
 from .gates import parse_function_table
 from .measure import RNG_ALGORITHM, sample
-from .state import RegisterLayout, StateVector
+from .state import ATOL_STATE, RegisterLayout, StateVector
 from . import verify as verify_mod
 
 TOOL_NAME = "deutschsim"
@@ -81,13 +81,14 @@ def state_dump(state: StateVector, stage: str, meta: dict | None = None) -> dict
 
 
 def load_state_dump(dump: dict) -> StateVector:
-    """Rebuild a state from its dump; rejects dumps that lost weight."""
+    """Rebuild a state from its dump; rejects a dump whose squared
+    magnitudes do not sum to 1 within 1e-12."""
     layout = RegisterLayout(tuple((name, width) for name, width in dump["layout"]))
     amps = np.zeros(layout.dim, dtype=np.complex128)
     for entry in dump["entries"]:
         amps[layout.index_of_label(entry["basis"])] = entry["re"] + 1j * entry["im"]
     total = float(np.sum(np.abs(amps) ** 2))
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > ATOL_STATE:
         raise ValueError(f"dump squared magnitudes sum to {total}, not 1")
     return StateVector(layout, amps)
 

@@ -32,10 +32,15 @@ class Classification(enum.Enum):
 
 
 def _integer(v) -> int | None:
-    """``int(v)`` for a digit string or a number equal to an integer, else
-    None; int(0.9) would truncate, and int(inf) and int(nan) raise."""
+    """``int(v)`` for the text "0" or "1" or a number equal to an integer,
+    else None; int(0.9) would truncate, and int(inf) and int(nan) raise.
+    Other text raises ValueError: int() would also read "0_1", "+1", "-0"
+    and full-width or other non-ASCII digits as 0/1 values."""
     if isinstance(v, str):
-        return int(v)  # raises on its own for "0.9" or "x"
+        text = v.strip()
+        if text not in ("0", "1"):
+            raise ValueError(f"function value {text!r} is not 0 or 1")
+        return int(text)
     try:
         i = int(v)
     except (OverflowError, ValueError):

@@ -27,6 +27,10 @@ from .state import (
     PROB_EPS,
     RegisterLayout,
     StateVector,
+    _check_drift,
+    _on_targets,
+    _validate_targets,
+    _validate_unitary,
     apply_unitary,
 )
 
@@ -98,13 +102,21 @@ def measure(state: StateVector, register: str, outcome: str) -> MeasurementRecor
     if len(outcome) != width or set(outcome) - {"0", "1"}:
         raise LayoutError(f"outcome {outcome!r} is not a {width}-bit string")
     mask = _register_values(layout, register) == int(outcome, 2)
-    probability = float(np.sum(np.abs(state.amps[mask]) ** 2))
+    probability, post = _project(state.amps, mask, register, outcome)
+    return MeasurementRecord(register, outcome, probability, StateVector(layout, post))
+
+
+def _project(
+    amps: np.ndarray, mask: np.ndarray, register: str, outcome: str
+) -> tuple[float, np.ndarray]:
+    """Probability of the basis indices in ``mask`` and the renormalized
+    projection onto them; ImpossibleOutcomeError if it is zero."""
+    probability = float(np.sum(np.abs(amps[mask]) ** 2))
     if probability < PROB_EPS:
         raise ImpossibleOutcomeError(
             f"outcome {outcome!r} of register {register!r} has probability 0"
         )
-    post = np.where(mask, state.amps, 0.0) / np.sqrt(probability)
-    return MeasurementRecord(register, outcome, probability, StateVector(layout, post))
+    return probability, np.where(mask, amps, 0.0) / np.sqrt(probability)
 
 
 def sample(
@@ -186,7 +198,6 @@ def _check_block_diagonal(
     """Reject an op whose own matrix links indices with different register bits."""
     in_register = set(layout.qubit_positions(register))
     for k, (u, targets) in enumerate(circuit):
-        u = np.asarray(u, dtype=np.complex128)
         mask = 0
         for t in targets:
             mask = (mask << 1) | (t in in_register)
@@ -220,26 +231,52 @@ def deferred_equivalence(
     raises BlockDiagonalityError.  For each register outcome of nonzero
     probability the report carries the final state computed both ways and
     the verdict that their joint distributions (``to_dict``) agree to 1e-12.
+
+    Each op is validated once, in circuit order (targets, shape, unitarity),
+    before any block-diagonality verdict.  The initial state and every
+    projected branch then go through each op together, as the rows of one
+    array, with ``apply_unitary``'s per-row norm-drift check; the
+    project-last branches are read off the evolved row 0.
     """
-    evolved = apply_circuit(initial, circuit)
-    _check_block_diagonal(circuit, initial.layout, register)
+    layout = initial.layout
+    n = layout.total_qubits
+    ops = []
+    for u, targets in circuit:
+        targets = _validate_targets(targets, n)
+        ops.append((_validate_unitary(u, len(targets)), targets))
+    _check_block_diagonal(ops, layout, register)
+
+    outcomes = list(outcome_distribution(initial, register).probs)
+    values = _register_values(layout, register)
+    masks = [values == int(outcome, 2) for outcome in outcomes]
+    firsts = [
+        _project(initial.amps, mask, register, outcome)
+        for mask, outcome in zip(masks, outcomes)
+    ]
+    rows = np.stack([initial.amps] + [post for _, post in firsts])
+    norms = np.linalg.norm(rows, axis=-1)
+    for u, targets in ops:
+        rows = _on_targets(rows, targets, n, lambda m: u @ m)
+        before, norms = norms, np.linalg.norm(rows, axis=-1)
+        _check_drift(float(np.max(np.abs(norms - before))))
+
     branches = []
-    for outcome in outcome_distribution(initial, register).probs:
-        first = measure(initial, register, outcome)
-        state_first = apply_circuit(first.post_state, circuit)
-        last = measure(evolved, register, outcome)
+    for outcome, mask, (p_first, _), final in zip(outcomes, masks, firsts, rows[1:]):
+        p_last, post_last = _project(rows[0], mask, register, outcome)
+        state_first = StateVector(layout, final)
+        state_last = StateVector(layout, post_last)
         deviation = max(
             float(np.max(np.abs(np.abs(state_first.amps) ** 2
-                                - np.abs(last.post_state.amps) ** 2))),
-            abs(first.probability - last.probability),
+                                - np.abs(state_last.amps) ** 2))),
+            abs(p_first - p_last),
         )
         branches.append(
             BranchReport(
                 outcome=outcome,
-                probability_project_first=first.probability,
-                probability_project_last=last.probability,
+                probability_project_first=p_first,
+                probability_project_last=p_last,
                 state_project_first=state_first,
-                state_project_last=last.post_state,
+                state_project_last=state_last,
                 max_deviation=deviation,
             )
         )

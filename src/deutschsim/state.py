@@ -202,32 +202,37 @@ def _validate_unitary(u: np.ndarray, n_targets: int) -> np.ndarray:
             f"matrix shape {u.shape} does not match {n_targets} target qubits"
         )
     defect = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-    if defect > ATOL_MATRIX:
+    if not defect <= ATOL_MATRIX:  # also rejects a NaN defect
         raise UnitarityError(f"matrix is not unitary (defect {defect:.3e})")
     return u
 
 
 def _on_targets(amps: np.ndarray, targets: tuple[int, ...], n: int, op) -> np.ndarray:
-    """Apply ``op`` to the targets' index of an n-qubit amplitude array.
+    """Apply ``op`` to the targets' index of n-qubit amplitude rows.
 
-    ``op`` maps a 2^k-row array, whose row index is the targets' basis index
-    with the first target as its most significant bit, to one of the same
-    shape.  Axes of ``amps`` after the first are a batch: each column is
-    transformed alone.
+    The last axis of ``amps`` is a 2^n amplitude index; any axes before it
+    are a batch, and each row is transformed alone.  ``op`` maps a
+    (..., 2^k, r) array, whose 2^k index is the targets' basis index with
+    the first target as its most significant bit, to one of the same shape,
+    so ``u @ m`` runs one (2^k, 2^k) by (2^k, r) product per row.
     """
     k = len(targets)
-    psi = amps.reshape([2] * n + list(amps.shape[1:]))
-    psi = np.moveaxis(psi, targets, range(k))
-    rest = psi.shape[k:]
-    psi = op(psi.reshape(1 << k, -1))
-    psi = np.moveaxis(psi.reshape([2] * k + list(rest)), range(k), targets)
+    batch = amps.shape[:-1]
+    moved = [len(batch) + t for t in targets]
+    front = range(len(batch), len(batch) + k)
+    psi = np.moveaxis(amps.reshape(batch + (2,) * n), moved, front)
+    psi = op(psi.reshape(batch + (1 << k, -1)))
+    psi = np.moveaxis(psi.reshape(batch + (2,) * n), front, moved)
     return psi.reshape(amps.shape)
 
 
-def _checked_norm(state: StateVector, out: np.ndarray) -> StateVector:
-    drift = abs(np.linalg.norm(out) - np.linalg.norm(state.amps))
+def _check_drift(drift: float) -> None:
     if drift > ATOL_STATE:
         raise UnitarityError(f"unitary application drifted the norm by {drift:.3e}")
+
+
+def _checked_norm(state: StateVector, out: np.ndarray) -> StateVector:
+    _check_drift(abs(np.linalg.norm(out) - np.linalg.norm(state.amps)))
     return StateVector(state.layout, out)
 
 
@@ -267,15 +272,17 @@ def apply_permutation(
     n = state.layout.total_qubits
     targets = _validate_targets(targets, n)
     inverse = _inverse_permutation(perm, 1 << len(targets))
-    return _checked_norm(state, _on_targets(state.amps, targets, n, lambda m: m[inverse]))
+    out = _on_targets(state.amps, targets, n, lambda m: m[..., inverse, :])
+    return _checked_norm(state, out)
 
 
 def expand_unitary(u: np.ndarray, targets: Sequence[int], total_qubits: int) -> np.ndarray:
     """The full 2^n x 2^n matrix of ``u`` on ``targets`` tensored with identity."""
     targets = _validate_targets(targets, total_qubits)
     u = _validate_unitary(u, len(targets))
+    # Row j of the batch is basis state j, so it comes out as column j.
     identity = np.eye(1 << total_qubits, dtype=np.complex128)
-    return _on_targets(identity, targets, total_qubits, lambda m: u @ m)
+    return _on_targets(identity, targets, total_qubits, lambda m: u @ m).T
 
 
 def inner_product(s1: StateVector, s2: StateVector) -> complex:

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 import deutschsim
-from deutschsim import CANONICAL_LAYOUT, RNG_ALGORITHM, run_deutsch
+from deutschsim import (
+    CANONICAL_LAYOUT,
+    RNG_ALGORITHM,
+    SETTING_LABELS,
+    run_deutsch,
+    run_deutsch_superposed,
+)
 from deutschsim.cli import format_amplitude, load_state_dump, main, state_dump
 from deutschsim.verify import CHECK_MANIFEST
 
@@ -227,6 +233,17 @@ class TestDjCommand:
         assert code == 2
         assert "power of two" in err
 
+    @pytest.mark.parametrize("value", ["0_1", "+1", "-0", "\uff10", "\u0661"])
+    def test_non_0_1_spelling_exits_2(self, capsys, tmp_path, value):
+        # int() reads each of these as 0 or 1; the format takes only the
+        # ASCII tokens 0 and 1.
+        path = tmp_path / "f.txt"
+        path.write_text(f"00: 0,0\n01: 1, {value}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "dj", "--function-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert "line 2: " in err and "not 0 or 1" in err
+
     def test_promise_violation_exits_3_and_echoes_function(self, capsys, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text("00: 0,0\n01: 0,0,0,1\n")
@@ -273,12 +290,24 @@ class TestDjCommand:
 
 class TestStateDumpRoundTrip:
     def test_stage_dumps_round_trip_within_tolerance(self):
+        traces = [
+            run_deutsch(b, initial_a=a)[0] for b in SETTING_LABELS for a in (0, 1)
+        ]
+        traces.append(run_deutsch_superposed())
+        for trace in traces:
+            for label, state in trace.stages:
+                dump = json.loads(json.dumps(state_dump(state, label)))
+                rebuilt = load_state_dump(dump)
+                assert rebuilt.layout == CANONICAL_LAYOUT
+                assert rebuilt.max_delta(state) < 1e-12
+
+    def test_loader_rejects_weight_off_by_1e_10(self):
         trace, _ = run_deutsch("01")
-        for label, state in trace.stages:
-            dump = json.loads(json.dumps(state_dump(state, label)))
-            rebuilt = load_state_dump(dump)
-            assert rebuilt.layout == CANONICAL_LAYOUT
-            assert rebuilt.max_delta(state) < 1e-12
+        dump = state_dump(trace.final, "after_H_A_2")
+        # The first of two entries of weight 1/2 scaled to 1/2 + 1e-10.
+        dump["entries"][0]["re"] *= np.sqrt(1.0 + 2e-10)
+        with pytest.raises(ValueError, match="sum to"):
+            load_state_dump(dump)
 
     def test_loader_rejects_underweight_dump(self):
         trace, _ = run_deutsch("01")

@@ -214,6 +214,12 @@ class TestParseFunctionTable:
         with pytest.raises(FunctionFormatError, match="line 1: .*0 or 1"):
             parse_function_table("00: 0,3\n")
 
+    @pytest.mark.parametrize("value", ["0_1", "+1", "-0", "\uff10", "\u0661", "1.0"])
+    def test_only_0_and_1_tokens_accepted(self, value):
+        # int() accepts underscores, signs and non-ASCII digits.
+        with pytest.raises(FunctionFormatError, match="line 1: .*not 0 or 1"):
+            parse_function_table(f"00: {value}, 0\n")
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(FunctionFormatError):
             parse_function_table("00: 0,0\n00: 1,1\n")

@@ -1,6 +1,7 @@
 """Born-rule distributions, projective measurement, sampling, and the
 project-first versus project-last equivalence harness."""
 
+import importlib
 import json
 
 import numpy as np
@@ -9,12 +10,16 @@ import pytest
 from deutschsim import (
     CANONICAL_LAYOUT,
     BlockDiagonalityError,
+    BranchReport,
+    DeferredEquivalenceReport,
     DegenerateStateError,
     ImpossibleOutcomeError,
     LayoutError,
     RegisterLayout,
     StateVector,
+    UnitarityError,
     apply_circuit,
+    apply_unitary,
     basis_state,
     deferred_equivalence,
     deutsch_circuit,
@@ -170,6 +175,48 @@ def _block_diagonal_16(rng: np.random.Generator) -> np.ndarray:
     return full
 
 
+def _random_block_diagonal_circuit(rng: np.random.Generator, max_ops: int) -> list:
+    ops = []
+    for _ in range(int(rng.integers(1, max_ops + 1))):
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            ops.append((haar_unitary(2, rng), (int(rng.integers(2, 4)),)))
+        elif kind == 1:
+            ops.append((haar_unitary(4, rng), (2, 3)))
+        else:
+            ops.append((_block_diagonal_16(rng), (0, 1, 2, 3)))
+    return ops
+
+
+def _sequential_report(circuit, initial: StateVector, register: str) -> dict:
+    """The harness done one state at a time: the circuit by ``apply_unitary``
+    on the initial state and on each branch, every projection by ``measure``."""
+
+    def run(state):
+        for u, targets in circuit:
+            state = apply_unitary(state, u, targets)
+        return state
+
+    evolved = run(initial)
+    branches = []
+    for outcome in outcome_distribution(initial, register).probs:
+        first = measure(initial, register, outcome)
+        state_first = run(first.post_state)
+        last = measure(evolved, register, outcome)
+        deviation = max(
+            float(np.max(np.abs(np.abs(state_first.amps) ** 2
+                                - np.abs(last.post_state.amps) ** 2))),
+            abs(first.probability - last.probability),
+        )
+        branches.append(BranchReport(
+            outcome, first.probability, last.probability,
+            state_first, last.post_state, deviation,
+        ))
+    return DeferredEquivalenceReport(
+        register, tuple(branches), max(b.max_deviation for b in branches)
+    ).to_dict()
+
+
 class TestDeferredEquivalence:
     def test_pipeline_branches_agree(self):
         report = deferred_equivalence(
@@ -241,15 +288,7 @@ class TestDeferredEquivalence:
     def test_random_block_diagonal_circuits_property(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
-            ops = []
-            for _ in range(int(rng.integers(1, 4))):
-                kind = rng.integers(0, 3)
-                if kind == 0:
-                    ops.append((haar_unitary(2, rng), (int(rng.integers(2, 4)),)))
-                elif kind == 1:
-                    ops.append((haar_unitary(4, rng), (2, 3)))
-                else:
-                    ops.append((_block_diagonal_16(rng), (0, 1, 2, 3)))
+            ops = _random_block_diagonal_circuit(rng, max_ops=3)
             initial = StateVector(CANONICAL_LAYOUT, random_state_vector(16, rng))
             report = deferred_equivalence(ops, initial, "B")
             assert report.equivalent
@@ -262,6 +301,81 @@ class TestDeferredEquivalence:
         assert doc["register"] == "B"
         assert doc["equivalent"] is True
         assert len(doc["branches"]) == 4
+
+
+class TestBatchedHarness:
+    """The harness validates each op once and runs the evolved state and
+    every projected branch as the rows of one array; that must change
+    nothing against running them one state at a time."""
+
+    def test_matches_sequential_reference_byte_for_byte(self):
+        rng = np.random.default_rng(1907)
+        cases = [
+            (deutsch_circuit(), state_from(SUPERPOSED_STAGES["input"])),
+            ([], state_from(SUPERPOSED_STAGES["input"])),
+        ]
+        for _ in range(20):
+            initial = StateVector(CANONICAL_LAYOUT, random_state_vector(16, rng))
+            cases.append((_random_block_diagonal_circuit(rng, max_ops=4), initial))
+        for circuit, initial in cases:
+            got = deferred_equivalence(circuit, initial, "B").to_dict()
+            want = _sequential_report(circuit, initial, "B")
+            assert json.dumps(got) == json.dumps(want)
+
+    def test_each_op_validated_once(self, monkeypatch):
+        # The package re-exports the function ``measure``, so the module
+        # is fetched by name.
+        modules = [
+            importlib.import_module(f"deutschsim.{m}") for m in ("state", "measure")
+        ]
+        calls = []
+        real = modules[0]._validate_unitary
+
+        def counting(u, n_targets):
+            calls.append(n_targets)
+            return real(u, n_targets)
+
+        for module in modules:
+            monkeypatch.setattr(module, "_validate_unitary", counting)
+        rng = np.random.default_rng(5)
+        for circuit in (deutsch_circuit(), _random_block_diagonal_circuit(rng, 4)):
+            calls.clear()
+            deferred_equivalence(circuit, state_from(SUPERPOSED_STAGES["input"]), "B")
+            assert len(calls) == len(circuit)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ((np.eye(4), (2,)), LayoutError),
+            ((np.eye(2), (4,)), LayoutError),
+            ((np.eye(2), (2, 2)), LayoutError),
+            ((np.array([[1.0, 1.0], [0.0, 1.0]]), (2,)), UnitarityError),
+            ((np.array([[np.nan, 0.0], [0.0, 1.0]]), (2,)), UnitarityError),
+            ((np.array([[np.inf, 0.0], [0.0, 1.0]]), (2,)), UnitarityError),
+        ],
+        ids=["shape", "range", "duplicate", "non_unitary", "nan", "inf"],
+    )
+    @pytest.mark.parametrize("index", [0, 2])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_malformed_op_raises_before_block_diagonality(self, bad, error, index):
+        # Op 0 of the well-formed part mixes B's basis vectors; the
+        # malformed op must still be what is reported, wherever it sits.
+        circuit = [(hadamard(), (0,)), (hadamard(), (2,)), (hadamard(), (3,))]
+        circuit.insert(index, bad)
+        with pytest.raises(error):
+            deferred_equivalence(circuit, state_from(SUPERPOSED_STAGES["input"]), "B")
+
+    def test_norm_drift_rejected(self):
+        # Unitary to within 1e-10, yet it scales every row's norm by
+        # 1 + 2e-11 (A is 0 throughout the input), past 1e-12.
+        circuit = [(hadamard(), (3,)), (np.diag([1.0 + 2e-11, 1.0]), (2,))]
+        with pytest.raises(UnitarityError, match="norm"):
+            deferred_equivalence(circuit, state_from(SUPERPOSED_STAGES["input"]), "B")
+
+    def test_unnormalized_initial_state_rejected(self):
+        initial = StateVector(CANONICAL_LAYOUT, np.eye(16)[0] * 2.0)
+        with pytest.raises(DegenerateStateError):
+            deferred_equivalence(deutsch_circuit(), initial, "B")
 
 
 class TestCircuitHelpers:

@@ -22,6 +22,7 @@ from deutschsim import (
     partial_trace,
     superpose,
 )
+from deutschsim.state import _on_targets
 
 from conftest import (
     FIXED_01_STAGES,
@@ -208,6 +209,29 @@ class TestApplyUnitary:
         s = basis_state(CANONICAL_LAYOUT, "0000")
         with pytest.raises(UnitarityError, match="norm"):
             apply_unitary(s, np.diag([1.0 + 2e-11, 1.0]), (0,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_matrix_rejected(self, bad):
+        # A NaN defect compares False against any tolerance; the check
+        # must still fail rather than hand back an all-NaN result.  (inf
+        # times 0 in U^dagger U warns, and is NaN.)
+        u = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(UnitarityError, match="not unitary"):
+            apply_unitary(basis_state(CANONICAL_LAYOUT, "0000"), u, (0,))
+        with pytest.raises(UnitarityError, match="not unitary"):
+            expand_unitary(u, (0,), 2)
+
+    @pytest.mark.parametrize("targets", [(2,), (3, 0), (0, 1, 2, 3)])
+    def test_kernel_rows_match_single_state_calls(self, targets):
+        # Leading axes are a batch: each row of a stack comes out
+        # bit-identical to the same amplitudes transformed alone.
+        rng = np.random.default_rng(31)
+        u = haar_unitary(1 << len(targets), rng)
+        stack = np.stack([random_state_vector(16, rng) for _ in range(5)])
+        batched = _on_targets(stack, targets, 4, lambda m: u @ m)
+        for row, out in zip(stack, batched):
+            assert np.array_equal(out, _on_targets(row, targets, 4, lambda m: u @ m))
 
     @pytest.mark.parametrize("targets", [(2,), (3, 0)], ids=["q2", "q3_q0"])
     def test_expand_unitary_matches_kron(self, targets):
