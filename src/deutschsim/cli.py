@@ -29,7 +29,6 @@ from .errors import PromiseViolationError, SimulatorError
 from .gates import parse_function_table
 from .measure import RNG_ALGORITHM, sample
 from .state import ATOL_STATE, RegisterLayout, StateVector
-from . import verify as verify_mod
 
 TOOL_NAME = "deutschsim"
 EXIT_OK = 0
@@ -80,15 +79,32 @@ def state_dump(state: StateVector, stage: str, meta: dict | None = None) -> dict
     }
 
 
+def _field(obj, key: str):
+    try:
+        return obj[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"dump has no {key!r} field") from None
+
+
+def _number(entry: dict, key: str) -> float:
+    value = _field(entry, key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"dump entry {key!r} is not a number: {value!r}")
+    return float(value)
+
+
 def load_state_dump(dump: dict) -> StateVector:
-    """Rebuild a state from its dump; rejects a dump whose squared
-    magnitudes do not sum to 1 within 1e-12."""
-    layout = RegisterLayout(tuple((name, width) for name, width in dump["layout"]))
+    """Rebuild a state from its dump.  A missing field, a non-numeric
+    amplitude part, or squared magnitudes that do not sum to 1 within 1e-12
+    (as with any NaN or inf part) raise ``ValueError``."""
+    groups = _field(dump, "layout")
+    layout = RegisterLayout(tuple((name, width) for name, width in groups))
     amps = np.zeros(layout.dim, dtype=np.complex128)
-    for entry in dump["entries"]:
-        amps[layout.index_of_label(entry["basis"])] = entry["re"] + 1j * entry["im"]
+    for entry in _field(dump, "entries"):
+        index = layout.index_of_label(_field(entry, "basis"))
+        amps[index] = complex(_number(entry, "re"), _number(entry, "im"))
     total = float(np.sum(np.abs(amps) ** 2))
-    if abs(total - 1.0) > ATOL_STATE:
+    if not abs(total - 1.0) <= ATOL_STATE:
         raise ValueError(f"dump squared magnitudes sum to {total}, not 1")
     return StateVector(layout, amps)
 
@@ -143,7 +159,10 @@ def _cmd_superposed(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = verify_mod.run_all()
+    # Imported here so that the other commands never load the checks.
+    from . import verify
+
+    results = verify.run_all()
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

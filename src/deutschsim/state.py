@@ -201,6 +201,8 @@ def _validate_unitary(u: np.ndarray, n_targets: int) -> np.ndarray:
         raise LayoutError(
             f"matrix shape {u.shape} does not match {n_targets} target qubits"
         )
+    if not np.isfinite(u).all():
+        raise UnitarityError("matrix is not unitary (non-finite entry)")
     defect = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
     if not defect <= ATOL_MATRIX:  # also rejects a NaN defect
         raise UnitarityError(f"matrix is not unitary (defect {defect:.3e})")

@@ -280,40 +280,67 @@ for _b in SETTING_LABELS:
     _deferred_branch_check(f"deferred_equivalence_b{_b}", _b)
 
 
-def _random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def _gaussian(shape, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian draw: all real parts, then all imaginary parts."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def _random_block_diagonal_circuit(rng: np.random.Generator) -> list:
-    """1 to 4 ops, each preserving register B's basis subspaces."""
+def _haar_each(draws: list[np.ndarray]) -> list[np.ndarray]:
+    """Haar-random unitaries from square Gaussian draws: Q of each QR times
+    the phases of R's diagonal, with one stacked QR per size."""
+    out: list = [None] * len(draws)
+    for dim in {z.shape[0] for z in draws}:
+        pick = [i for i, z in enumerate(draws) if z.shape[0] == dim]
+        q, r = np.linalg.qr(np.stack([draws[i] for i in pick]))
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        for i, u in zip(pick, q * (d / np.abs(d))[:, np.newaxis, :]):
+            out[i] = u
+    return out
+
+
+def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
+    dim = blocks[0].shape[0]
+    full = np.zeros((dim * len(blocks),) * 2, dtype=np.complex128)
+    for i, blk in enumerate(blocks):
+        full[dim * i : dim * i + dim, dim * i : dim * i + dim] = blk
+    return full
+
+
+def _random_block_diagonal_circuits(rng: np.random.Generator, count: int) -> list:
+    """``count`` (initial state, circuit) pairs.  Each circuit has 1 to 4
+    ops, each preserving register B's basis subspaces: a 2x2 unitary on A
+    or V, a 4x4 one on (A, V), or one 4x4 block per B value."""
     layout = CANONICAL_LAYOUT
-    ops = []
-    for _ in range(rng.integers(1, 5)):
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            ops.append((_random_unitary(2, rng), (int(rng.integers(2, 4)),)))
-        elif kind == 1:
-            ops.append((_random_unitary(4, rng), (2, 3)))
-        else:
-            blocks = [_random_unitary(4, rng) for _ in SETTING_LABELS]
-            full = np.zeros((layout.dim, layout.dim), dtype=np.complex128)
-            for i, blk in enumerate(blocks):
-                full[4 * i : 4 * i + 4, 4 * i : 4 * i + 4] = blk
-            ops.append((full, tuple(range(layout.total_qubits))))
-    return ops
+    cases, draws = [], []
+    for _ in range(count):
+        amps = _gaussian(layout.dim, rng)
+        ops = []  # (number of diagonal blocks, targets)
+        for _ in range(rng.integers(1, 5)):
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                draws.append(_gaussian((2, 2), rng))
+                ops.append((1, (int(rng.integers(2, 4)),)))
+            elif kind == 1:
+                draws.append(_gaussian((4, 4), rng))
+                ops.append((1, (2, 3)))
+            else:
+                draws += [_gaussian((4, 4), rng) for _ in SETTING_LABELS]
+                ops.append((len(SETTING_LABELS), tuple(range(layout.total_qubits))))
+        cases.append((StateVector(layout, amps / np.linalg.norm(amps)), ops))
+    unitaries = iter(_haar_each(draws))
+    return [
+        (initial, [(_block_diagonal([next(unitaries) for _ in range(n)]), t) for n, t in ops])
+        for initial, ops in cases
+    ]
 
 
 @_check("deferred_equivalence_random_circuits")
 def _deferred_random() -> CheckResult:
-    rng = np.random.default_rng(1905)
     n_circuits = 120
+    cases = _random_block_diagonal_circuits(np.random.default_rng(1905), n_circuits)
     dev = 0.0
-    for _ in range(n_circuits):
-        amps = rng.normal(size=CANONICAL_LAYOUT.dim) + 1j * rng.normal(size=CANONICAL_LAYOUT.dim)
-        initial = StateVector(CANONICAL_LAYOUT, amps / np.linalg.norm(amps))
-        report = deferred_equivalence(_random_block_diagonal_circuit(rng), initial, "B")
+    for initial, circuit in cases:
+        report = deferred_equivalence(circuit, initial, "B")
         dev = max(dev, report.max_deviation)
     return CheckResult(
         "deferred_equivalence_random_circuits", dev <= ATOL_STATE, dev, ATOL_STATE,
@@ -416,7 +443,7 @@ def _oracle_self_inverse() -> CheckResult:
     ok = True
     for u in mats:
         dev = max(dev, float(np.max(np.abs(u @ u - np.eye(u.shape[0])))))
-        ok = ok and set(np.unique(u.real)) <= {0.0, 1.0} and not u.imag.any()
+        ok = ok and ((u.real == 0) | (u.real == 1)).all() and not u.imag.any()
         ok = ok and np.all(u.sum(axis=0) == 1.0) and np.all(u.sum(axis=1) == 1.0)
     return CheckResult(
         "oracle_self_inverse", ok and dev == 0.0, dev, 0.0,
@@ -424,16 +451,23 @@ def _oracle_self_inverse() -> CheckResult:
     )
 
 
+def _norm_preservation_cases(rng: np.random.Generator, count: int) -> list:
+    """``count`` (state, unitary, targets) triples on 1 to 3 random qubits."""
+    states, draws, target_sets = [], [], []
+    for _ in range(count):
+        amps = _gaussian(16, rng)
+        states.append(StateVector(CANONICAL_LAYOUT, amps / np.linalg.norm(amps)))
+        k = int(rng.integers(1, 4))
+        target_sets.append(tuple(rng.choice(4, size=k, replace=False).tolist()))
+        draws.append(_gaussian((1 << k, 1 << k), rng))
+    return list(zip(states, _haar_each(draws), target_sets))
+
+
 @_check("norm_preservation")
 def _norm_preservation() -> CheckResult:
-    rng = np.random.default_rng(77)
     dev = 0.0
-    for _ in range(50):
-        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-        state = StateVector(CANONICAL_LAYOUT, amps / np.linalg.norm(amps))
-        k = int(rng.integers(1, 4))
-        targets = tuple(rng.choice(4, size=k, replace=False).tolist())
-        out = apply_unitary(state, _random_unitary(1 << k, rng), targets)
+    for state, u, targets in _norm_preservation_cases(np.random.default_rng(77), 50):
+        out = apply_unitary(state, u, targets)
         dev = max(dev, abs(out.norm() - 1.0))
     return CheckResult(
         "norm_preservation", dev <= ATOL_STATE, dev, ATOL_STATE,

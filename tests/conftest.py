@@ -115,6 +115,25 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def random_block_diagonal_circuit(rng: np.random.Generator, max_ops: int) -> list:
+    """1 to ``max_ops`` ops that each keep B's basis subspaces: a 2x2 on A
+    or V, a 4x4 on (A, V), or a 16x16 of four 4x4 blocks, one per B value;
+    each unitary drawn by its own ``haar_unitary`` call."""
+    ops = []
+    for _ in range(int(rng.integers(1, max_ops + 1))):
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            ops.append((haar_unitary(2, rng), (int(rng.integers(2, 4)),)))
+        elif kind == 1:
+            ops.append((haar_unitary(4, rng), (2, 3)))
+        else:
+            full = np.zeros((16, 16), dtype=np.complex128)
+            for i in range(4):
+                full[4 * i : 4 * i + 4, 4 * i : 4 * i + 4] = haar_unitary(4, rng)
+            ops.append((full, (0, 1, 2, 3)))
+    return ops
+
+
 def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return amps / np.linalg.norm(amps)

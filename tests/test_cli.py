@@ -141,10 +141,9 @@ class TestVerifyCommand:
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
         from deutschsim.verify import CheckResult
-        import deutschsim.cli as cli_mod
 
         fake = [CheckResult("eq5_final_state", False, 0.5, 1e-12, "forced")]
-        monkeypatch.setattr(cli_mod.verify_mod, "run_all", lambda: fake)
+        monkeypatch.setattr("deutschsim.verify.run_all", lambda: fake)
         code, out, err = run_cli(capsys, "verify")
         assert code == 1
         assert "[FAIL] eq5_final_state" in out
@@ -313,6 +312,32 @@ class TestStateDumpRoundTrip:
         trace, _ = run_deutsch("01")
         dump = state_dump(trace.final, "after_H_A_2")
         dump["entries"] = dump["entries"][:1]
+        with pytest.raises(ValueError):
+            load_state_dump(dump)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.pop("layout"),
+            lambda d: d.pop("entries"),
+            lambda d: d["entries"][0].pop("basis"),
+            lambda d: d["entries"][0].pop("re"),
+            lambda d: d["entries"][0].pop("im"),
+            lambda d: d["entries"][0].update(re=str(d["entries"][0]["re"])),
+            lambda d: d["entries"][0].update(im=None),
+            lambda d: d["entries"][0].update(re=True),
+            lambda d: d["entries"][0].update(re=float("nan")),
+            lambda d: d["entries"][0].update(im=float("inf")),
+        ],
+        ids=[
+            "no_layout", "no_entries", "no_basis", "no_re", "no_im",
+            "string_re", "null_im", "bool_re", "nan_re", "inf_im",
+        ],
+    )
+    def test_loader_rejects_malformed_dump(self, edit):
+        trace, _ = run_deutsch("01")
+        dump = json.loads(json.dumps(state_dump(trace.final, "after_H_A_2")))
+        edit(dump)
         with pytest.raises(ValueError):
             load_state_dump(dump)
 

@@ -37,7 +37,7 @@ from conftest import (
     brute_input_vector,
     brute_oracle_16,
     golden_vector,
-    haar_unitary,
+    random_block_diagonal_circuit,
     random_state_vector,
 )
 
@@ -168,26 +168,6 @@ class TestSample:
             sample(basis_state(CANONICAL_LAYOUT, "0000"), "B", 0, seed=1)
 
 
-def _block_diagonal_16(rng: np.random.Generator) -> np.ndarray:
-    full = np.zeros((16, 16), dtype=np.complex128)
-    for i in range(4):
-        full[4 * i : 4 * i + 4, 4 * i : 4 * i + 4] = haar_unitary(4, rng)
-    return full
-
-
-def _random_block_diagonal_circuit(rng: np.random.Generator, max_ops: int) -> list:
-    ops = []
-    for _ in range(int(rng.integers(1, max_ops + 1))):
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            ops.append((haar_unitary(2, rng), (int(rng.integers(2, 4)),)))
-        elif kind == 1:
-            ops.append((haar_unitary(4, rng), (2, 3)))
-        else:
-            ops.append((_block_diagonal_16(rng), (0, 1, 2, 3)))
-    return ops
-
-
 def _sequential_report(circuit, initial: StateVector, register: str) -> dict:
     """The harness done one state at a time: the circuit by ``apply_unitary``
     on the initial state and on each branch, every projection by ``measure``."""
@@ -288,7 +268,7 @@ class TestDeferredEquivalence:
     def test_random_block_diagonal_circuits_property(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
-            ops = _random_block_diagonal_circuit(rng, max_ops=3)
+            ops = random_block_diagonal_circuit(rng, max_ops=3)
             initial = StateVector(CANONICAL_LAYOUT, random_state_vector(16, rng))
             report = deferred_equivalence(ops, initial, "B")
             assert report.equivalent
@@ -316,7 +296,7 @@ class TestBatchedHarness:
         ]
         for _ in range(20):
             initial = StateVector(CANONICAL_LAYOUT, random_state_vector(16, rng))
-            cases.append((_random_block_diagonal_circuit(rng, max_ops=4), initial))
+            cases.append((random_block_diagonal_circuit(rng, max_ops=4), initial))
         for circuit, initial in cases:
             got = deferred_equivalence(circuit, initial, "B").to_dict()
             want = _sequential_report(circuit, initial, "B")
@@ -338,7 +318,7 @@ class TestBatchedHarness:
         for module in modules:
             monkeypatch.setattr(module, "_validate_unitary", counting)
         rng = np.random.default_rng(5)
-        for circuit in (deutsch_circuit(), _random_block_diagonal_circuit(rng, 4)):
+        for circuit in (deutsch_circuit(), random_block_diagonal_circuit(rng, 4)):
             calls.clear()
             deferred_equivalence(circuit, state_from(SUPERPOSED_STAGES["input"]), "B")
             assert len(calls) == len(circuit)
@@ -356,7 +336,6 @@ class TestBatchedHarness:
         ids=["shape", "range", "duplicate", "non_unitary", "nan", "inf"],
     )
     @pytest.mark.parametrize("index", [0, 2])
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_malformed_op_raises_before_block_diagonality(self, bad, error, index):
         # Op 0 of the well-formed part mixes B's basis vectors; the
         # malformed op must still be what is reported, wherever it sits.

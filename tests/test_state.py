@@ -211,11 +211,9 @@ class TestApplyUnitary:
             apply_unitary(s, np.diag([1.0 + 2e-11, 1.0]), (0,))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_matrix_rejected(self, bad):
-        # A NaN defect compares False against any tolerance; the check
-        # must still fail rather than hand back an all-NaN result.  (inf
-        # times 0 in U^dagger U warns, and is NaN.)
+        # Rejected before U^dagger U is formed, where a NaN defect would
+        # compare False against any tolerance and inf times 0 would warn.
         u = np.array([[bad, 0.0], [0.0, 1.0]])
         with pytest.raises(UnitarityError, match="not unitary"):
             apply_unitary(basis_state(CANONICAL_LAYOUT, "0000"), u, (0,))
