@@ -93,15 +93,28 @@ def _number(entry: dict, key: str) -> float:
     return float(value)
 
 
+def _typed(obj, key: str, kind: type | tuple[type, ...]):
+    value = _field(obj, key)
+    if not isinstance(value, kind):
+        raise ValueError(f"dump field {key!r} has the wrong type: {value!r}")
+    return value
+
+
 def load_state_dump(dump: dict) -> StateVector:
-    """Rebuild a state from its dump.  A missing field, a non-numeric
-    amplitude part, or squared magnitudes that do not sum to 1 within 1e-12
-    (as with any NaN or inf part) raise ``ValueError``."""
+    """Rebuild a state from its dump.  A missing or wrong-typed field, a
+    layout item that is not a (name, width) pair, a non-numeric amplitude
+    part, or squared magnitudes that do not sum to 1 within 1e-12 (as with
+    any NaN or inf part) raise ``ValueError``."""
     groups = _field(dump, "layout")
-    layout = RegisterLayout(tuple((name, width) for name, width in groups))
+    try:
+        layout = RegisterLayout(tuple((name, width) for name, width in groups))
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"dump layout {groups!r} is not a list of (name, width) pairs"
+        ) from None
     amps = np.zeros(layout.dim, dtype=np.complex128)
-    for entry in _field(dump, "entries"):
-        index = layout.index_of_label(_field(entry, "basis"))
+    for entry in _typed(dump, "entries", (list, tuple)):
+        index = layout.index_of_label(_typed(entry, "basis", str))
         amps[index] = complex(_number(entry, "re"), _number(entry, "im"))
     total = float(np.sum(np.abs(amps) ** 2))
     if not abs(total - 1.0) <= ATOL_STATE:

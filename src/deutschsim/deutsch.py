@@ -74,7 +74,10 @@ class StageTrace:
             raise ValueError(f"stage labels must be {STAGES}, got {labels}")
 
     def state(self, label: str) -> StateVector:
-        return dict(self.stages)[label]
+        for name, state in self.stages:
+            if name == label:
+                return state
+        raise ValueError(f"unknown stage {label!r}; stages are {STAGES}")
 
     @property
     def final(self) -> StateVector:

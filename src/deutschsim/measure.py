@@ -12,6 +12,7 @@ counts are reproducible for a fixed seed within this implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -56,13 +57,16 @@ class MeasurementRecord:
     post_state: StateVector
 
 
+@lru_cache(maxsize=64)
 def _register_values(layout: RegisterLayout, register: str) -> np.ndarray:
-    """Integer value of ``register``'s bits for every basis index."""
+    """Integer value of ``register``'s bits for every basis index, computed
+    once per layout and register and returned read-only."""
     n = layout.total_qubits
     idx = np.arange(layout.dim)
     val = np.zeros(layout.dim, dtype=np.int64)
     for p in layout.qubit_positions(register):
         val = (val << 1) | ((idx >> (n - 1 - p)) & 1)
+    val.flags.writeable = False
     return val
 
 

@@ -9,6 +9,7 @@ semantic: every operation returns a new, immutable ``StateVector``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,29 +39,39 @@ class RegisterLayout:
         if not groups or any(w < 1 for _, w in groups):
             raise LayoutError("every register needs width >= 1")
 
-    @property
+    # Geometry is computed once per instance and kept in its ``__dict__``;
+    # equality, hash and repr still read ``groups`` only.
+    @cached_property
     def total_qubits(self) -> int:
         return sum(w for _, w in self.groups)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return 1 << self.total_qubits
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.groups)
+
+    @cached_property
+    def _positions(self) -> dict[str, tuple[int, ...]]:
+        positions, offset = {}, 0
+        for n, w in self.groups:
+            positions[n] = tuple(range(offset, offset + w))
+            offset += w
+        return positions
 
     def width(self, register: str) -> int:
         return len(self.qubit_positions(register))
 
     def qubit_positions(self, register: str) -> tuple[int, ...]:
         """Global qubit positions of ``register``, most significant bit first."""
-        offset = 0
-        for n, w in self.groups:
-            if n == register:
-                return tuple(range(offset, offset + w))
-            offset += w
-        raise LayoutError(f"unknown register {register!r}; have {self.names}")
+        try:
+            return self._positions[register]
+        except (KeyError, TypeError):
+            raise LayoutError(
+                f"unknown register {register!r}; have {self.names}"
+            ) from None
 
     def index_of_label(self, label: str) -> int:
         if len(label) != self.total_qubits or set(label) - {"0", "1"}:
@@ -98,7 +109,7 @@ class StateVector:
             raise LayoutError(
                 f"amplitude array has shape {amps.shape}, layout needs ({self.layout.dim},)"
             )
-        if not np.all(np.isfinite(amps)):
+        if not np.isfinite(amps).all():
             raise DegenerateStateError("non-finite amplitude")
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
@@ -131,8 +142,9 @@ class StateVector:
 class DensityMatrix:
     """Reduced state of a kept register subset.
 
-    Constructor enforces the invariants: Hermitian within 1e-12, unit trace
-    within 1e-12, and positive semidefinite (smallest eigenvalue >= -1e-10).
+    Constructor enforces the invariants: finite entries, Hermitian within
+    1e-12, unit trace within 1e-12, and positive semidefinite (smallest
+    eigenvalue >= -1e-10).
     """
 
     layout: RegisterLayout
@@ -143,11 +155,14 @@ class DensityMatrix:
         d = self.layout.dim
         if m.shape != (d, d):
             raise LayoutError(f"matrix shape {m.shape} does not match layout dim {d}")
-        if np.max(np.abs(m - m.conj().T)) > ATOL_STATE:
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has a non-finite entry")
+        if not np.abs(m - m.conj().T).max() <= ATOL_STATE:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m) - 1.0) > ATOL_STATE:
-            raise ValueError(f"density matrix trace {np.trace(m)} != 1")
-        if np.min(np.linalg.eigvalsh(m)) < -ATOL_MATRIX:
+        trace = np.trace(m)
+        if not abs(trace - 1.0) <= ATOL_STATE:
+            raise ValueError(f"density matrix trace {trace} != 1")
+        if not np.linalg.eigvalsh(m).min() >= -ATOL_MATRIX:
             raise ValueError("density matrix is not positive semidefinite")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -201,12 +216,35 @@ def _validate_unitary(u: np.ndarray, n_targets: int) -> np.ndarray:
         raise LayoutError(
             f"matrix shape {u.shape} does not match {n_targets} target qubits"
         )
-    if not np.isfinite(u).all():
-        raise UnitarityError("matrix is not unitary (non-finite entry)")
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-    if not defect <= ATOL_MATRIX:  # also rejects a NaN defect
+    # A unitary's entries are at most 1 in magnitude, so this one reduction
+    # rejects NaN, inf and any entry large enough to overflow U†U.
+    peak = np.abs(u).max()
+    if not peak <= 1 + ATOL_MATRIX:
+        raise UnitarityError(f"matrix is not unitary (entry magnitude {peak:.3e})")
+    defect = np.abs(u.conj().T @ u - _identity(dim)).max()
+    if not defect <= ATOL_MATRIX:
         raise UnitarityError(f"matrix is not unitary (defect {defect:.3e})")
     return u
+
+
+@lru_cache(maxsize=16)
+def _identity(dim: int) -> np.ndarray:
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
+
+
+@lru_cache(maxsize=1024)
+def _axis_orders(
+    batch_rank: int, targets: tuple[int, ...], n: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transpose that brings the targets' axes of a (batch, 2, ..., 2)
+    array to the front of the qubit axes, in target order, with the other
+    qubits after them in their own order; and its inverse.  This is the
+    axis order ``np.moveaxis`` gives, so the views are the same."""
+    rest = [q for q in range(n) if q not in targets]
+    order = (*range(batch_rank), *(batch_rank + q for q in (*targets, *rest)))
+    return order, tuple(sorted(range(len(order)), key=order.__getitem__))
 
 
 def _on_targets(amps: np.ndarray, targets: tuple[int, ...], n: int, op) -> np.ndarray:
@@ -218,14 +256,12 @@ def _on_targets(amps: np.ndarray, targets: tuple[int, ...], n: int, op) -> np.nd
     the first target as its most significant bit, to one of the same shape,
     so ``u @ m`` runs one (2^k, 2^k) by (2^k, r) product per row.
     """
-    k = len(targets)
     batch = amps.shape[:-1]
-    moved = [len(batch) + t for t in targets]
-    front = range(len(batch), len(batch) + k)
-    psi = np.moveaxis(amps.reshape(batch + (2,) * n), moved, front)
-    psi = op(psi.reshape(batch + (1 << k, -1)))
-    psi = np.moveaxis(psi.reshape(batch + (2,) * n), front, moved)
-    return psi.reshape(amps.shape)
+    cube = batch + (2,) * n
+    order, inverse = _axis_orders(len(batch), targets, n)
+    psi = amps.reshape(cube).transpose(order)
+    psi = op(psi.reshape(batch + (1 << len(targets), -1)))
+    return psi.reshape(cube).transpose(inverse).reshape(amps.shape)
 
 
 def _check_drift(drift: float) -> None:
@@ -299,7 +335,7 @@ def partial_trace(state: StateVector, keep: str) -> DensityMatrix:
     pos = layout.qubit_positions(keep)
     n = layout.total_qubits
     k = len(pos)
-    psi = np.moveaxis(state.amps.reshape([2] * n), pos, range(k))
-    m = psi.reshape(1 << k, -1)
+    order, _ = _axis_orders(0, pos, n)
+    m = state.amps.reshape((2,) * n).transpose(order).reshape(1 << k, -1)
     rho = m @ m.conj().T
     return DensityMatrix(RegisterLayout(((keep, k),)), rho)

@@ -328,10 +328,17 @@ class TestStateDumpRoundTrip:
             lambda d: d["entries"][0].update(re=True),
             lambda d: d["entries"][0].update(re=float("nan")),
             lambda d: d["entries"][0].update(im=float("inf")),
+            lambda d: d.update(layout=5),
+            lambda d: d.update(entries=5),
+            lambda d: d["entries"][0].update(basis=5),
+            lambda d: d["layout"].append(["X"]),
+            lambda d: d["layout"].append(5),
         ],
         ids=[
             "no_layout", "no_entries", "no_basis", "no_re", "no_im",
             "string_re", "null_im", "bool_re", "nan_re", "inf_im",
+            "int_layout", "int_entries", "int_basis", "layout_item_not_pair",
+            "int_layout_item",
         ],
     )
     def test_loader_rejects_malformed_dump(self, edit):

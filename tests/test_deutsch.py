@@ -410,6 +410,12 @@ class TestTraceAndOracle:
         with pytest.raises(ValueError):
             StageTrace((("start", s), ("mid", s), ("late", s), ("end", s)))
 
+    def test_unknown_stage_names_the_stages(self):
+        trace, _ = run_deutsch("01")
+        with pytest.raises(ValueError, match="after_H_A_2"):
+            trace.state("bogus")
+        assert trace.state("after_H_f") is trace.stages[2][1]
+
     def test_counted_oracle_tallies_applications(self):
         # The index array read back from the dense matrix: u[perm[j], j] = 1.
         perm = np.argmax(oracle_with_setting(FunctionTable.canonical()).real, axis=0)

@@ -29,6 +29,7 @@ from deutschsim import (
     outcome_distribution,
     sample,
 )
+from deutschsim.measure import _register_values
 
 from conftest import (
     FIXED_01_STAGES,
@@ -96,6 +97,15 @@ class TestOutcomeDistribution:
     def test_unknown_register_rejected(self):
         with pytest.raises(LayoutError):
             outcome_distribution(basis_state(CANONICAL_LAYOUT, "0000"), "Q")
+
+    def test_cached_register_values_are_read_only(self):
+        state = state_from(SUPERPOSED_STAGES["after_H_A_2"])
+        before = outcome_distribution(state, "B")
+        values = _register_values(CANONICAL_LAYOUT, "B")
+        assert _register_values(RegisterLayout(CANONICAL_LAYOUT.groups), "B") is values
+        with pytest.raises(ValueError):
+            values[0] = 3
+        assert outcome_distribution(state, "B") == before
 
 
 class TestMeasure:

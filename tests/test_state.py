@@ -7,6 +7,7 @@ import pytest
 
 from deutschsim import (
     CANONICAL_LAYOUT,
+    SETTING_LABELS,
     DegenerateStateError,
     DensityMatrix,
     LayoutError,
@@ -16,10 +17,13 @@ from deutschsim import (
     apply_permutation,
     apply_unitary,
     basis_state,
+    deferred_equivalence,
     expand_unitary,
     hadamard,
     inner_product,
     partial_trace,
+    run_deutsch,
+    run_deutsch_superposed,
     superpose,
 )
 from deutschsim.state import _on_targets
@@ -71,6 +75,18 @@ class TestRegisterLayout:
     def test_unknown_register(self):
         with pytest.raises(LayoutError):
             CANONICAL_LAYOUT.qubit_positions("Z")
+
+    def test_unhashable_register(self):
+        with pytest.raises(LayoutError):
+            CANONICAL_LAYOUT.qubit_positions(["B"])
+
+    def test_equal_layouts_stay_equal_after_caching(self):
+        groups = (("B", 2), ("A", 1), ("V", 1))
+        used, fresh = RegisterLayout(groups), RegisterLayout(groups)
+        assert (used.dim, used.total_qubits, used.qubit_positions("A")) == (16, 4, (2,))
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == f"RegisterLayout(groups={groups!r})"
+        assert {fresh: 1}[used] == 1
 
 
 class TestBasisState:
@@ -220,6 +236,19 @@ class TestApplyUnitary:
         with pytest.raises(UnitarityError, match="not unitary"):
             expand_unitary(u, (0,), 2)
 
+    @pytest.mark.parametrize("bad", [1e200, 1e308 + 1e308j], ids=["1e200", "1e308_1e308j"])
+    def test_huge_matrix_entry_rejected(self, bad):
+        # Finite but past any unitary's entry bound: rejected before U^dagger U
+        # could overflow, so no numpy warning escapes (pytest makes it an error).
+        u = np.array([[bad, 0.0], [0.0, 1.0]])
+        s = basis_state(CANONICAL_LAYOUT, "0000")
+        with pytest.raises(UnitarityError, match="not unitary"):
+            apply_unitary(s, u, (0,))
+        with pytest.raises(UnitarityError, match="not unitary"):
+            expand_unitary(u, (0,), 2)
+        with pytest.raises(UnitarityError, match="not unitary"):
+            deferred_equivalence([(u, (2,))], s, "B")
+
     @pytest.mark.parametrize("targets", [(2,), (3, 0), (0, 1, 2, 3)])
     def test_kernel_rows_match_single_state_calls(self, targets):
         # Leading axes are a batch: each row of a stack comes out
@@ -244,6 +273,54 @@ class TestApplyUnitary:
         perm = [int("".join(format(i, "04b")[q] for q in order), 2) for i in range(16)]
         expected = kron[np.ix_(perm, perm)]
         assert np.max(np.abs(full - expected)) < 1e-12
+
+
+def moveaxis_reference(amps, targets, n, op):
+    """``_on_targets`` as written with two ``np.moveaxis`` calls."""
+    k = len(targets)
+    batch = amps.shape[:-1]
+    moved = [len(batch) + t for t in targets]
+    front = range(len(batch), len(batch) + k)
+    psi = np.moveaxis(amps.reshape(batch + (2,) * n), moved, front)
+    psi = op(psi.reshape(batch + (1 << k, -1)))
+    psi = np.moveaxis(psi.reshape(batch + (2,) * n), front, moved)
+    return psi.reshape(amps.shape)
+
+
+class TestCachedAxisOrders:
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["rank0", "rank1"])
+    def test_every_target_tuple_at_n4_matches_moveaxis(self, batch):
+        rng = np.random.default_rng(41)
+        amps = rng.normal(size=batch + (16,)) + 1j * rng.normal(size=batch + (16,))
+        for k in range(1, 5):
+            u = haar_unitary(1 << k, rng)
+            for targets in permutations(range(4), k):
+                got = _on_targets(amps, targets, 4, lambda m: u @ m)
+                want = moveaxis_reference(amps, targets, 4, lambda m: u @ m)
+                assert np.array_equal(got, want), targets
+
+    @pytest.mark.parametrize("batch", [(), (2,), (2, 3)], ids=["rank0", "rank1", "rank2"])
+    @pytest.mark.parametrize(
+        "targets", [(0,), (8,), (4, 1), (8, 0, 5), (3, 7, 1, 8, 0), tuple(range(8, -1, -1))]
+    )
+    def test_target_tuples_at_n9_match_moveaxis(self, targets, batch):
+        rng = np.random.default_rng(43)
+        amps = rng.normal(size=batch + (512,)) + 1j * rng.normal(size=batch + (512,))
+        u = haar_unitary(1 << len(targets), rng)
+        got = _on_targets(amps, targets, 9, lambda m: u @ m)
+        assert np.array_equal(got, moveaxis_reference(amps, targets, 9, lambda m: u @ m))
+
+    def test_partial_trace_matches_moveaxis_on_canonical_runs(self):
+        traces = [run_deutsch(b, initial_a=a)[0] for b in SETTING_LABELS for a in (0, 1)]
+        traces += [run_deutsch_superposed(initial_a=a) for a in (0, 1)]
+        for trace in traces:
+            for _, state in trace.stages:
+                for register in CANONICAL_LAYOUT.names:
+                    pos = CANONICAL_LAYOUT.qubit_positions(register)
+                    psi = np.moveaxis(state.amps.reshape([2] * 4), pos, range(len(pos)))
+                    m = psi.reshape(1 << len(pos), -1)
+                    rho = partial_trace(state, register)
+                    assert np.array_equal(rho.matrix, m @ m.conj().T)
 
 
 class TestApplyPermutation:
@@ -389,6 +466,16 @@ class TestDensityMatrixInvariants:
         layout = RegisterLayout((("B", 1),))
         with pytest.raises(ValueError):
             DensityMatrix(layout, np.array([[1.5, 0.0], [0.0, -0.5]]))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 0.5]])],
+        ids=["all_nan", "inf"],
+    )
+    def test_non_finite_entry_rejected(self, matrix):
+        # NaN compares False against every tolerance, and inf - inf warns.
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(RegisterLayout((("B", 1),)), matrix)
 
 
 class TestStateVector:
