@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .deutsch import (
+    MAX_ARG_BITS,
     SETTING_LABELS,
     STAGES,
     StageTrace,
@@ -25,7 +26,7 @@ from .deutsch import (
     run_deutsch_superposed,
     solution_correlation,
 )
-from .errors import PromiseViolationError, SimulatorError
+from .errors import LayoutError, PromiseViolationError, SimulatorError
 from .gates import parse_function_table
 from .measure import RNG_ALGORITHM, sample
 from .state import ATOL_STATE, RegisterLayout, StateVector
@@ -102,16 +103,20 @@ def _typed(obj, key: str, kind: type | tuple[type, ...]):
 
 def load_state_dump(dump: dict) -> StateVector:
     """Rebuild a state from its dump.  A missing or wrong-typed field, a
-    layout item that is not a (name, width) pair, a non-numeric amplitude
-    part, or squared magnitudes that do not sum to 1 within 1e-12 (as with
-    any NaN or inf part) raise ``ValueError``."""
+    layout item that is not a (name, integer width) pair, a layout of more
+    qubits than any command produces, a non-numeric amplitude part, or
+    squared magnitudes that do not sum to 1 within 1e-12 (as with any NaN
+    or inf part) raise ``ValueError``."""
     groups = _field(dump, "layout")
     try:
         layout = RegisterLayout(tuple((name, width) for name, width in groups))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, LayoutError):
         raise ValueError(
             f"dump layout {groups!r} is not a list of (name, width) pairs"
         ) from None
+    # The largest state any command makes: dj's argument register plus V.
+    if layout.total_qubits > MAX_ARG_BITS + 1:
+        raise ValueError(f"dump layout has {layout.total_qubits} > {MAX_ARG_BITS + 1} qubits")
     amps = np.zeros(layout.dim, dtype=np.complex128)
     for entry in _typed(dump, "entries", (list, tuple)):
         index = layout.index_of_label(_typed(entry, "basis", str))

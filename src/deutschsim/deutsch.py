@@ -37,16 +37,14 @@ from .gates import (
     _setting_values,
     _validate_values,
     hadamard,
-    oracle_with_setting,
 )
-from .measure import CircuitOp, measure, outcome_distribution
+from .measure import measure, outcome_distribution
 from .state import (
     ATOL_STATE,
     DensityMatrix,
+    Op,
     RegisterLayout,
     StateVector,
-    _inverse_permutation,
-    apply_permutation,
     apply_unitary,
     partial_trace,
     superpose,
@@ -93,8 +91,8 @@ class Verdict:
     evaluations_used: int
 
 
-class CountedOracle:
-    """An oracle's index permutation, counting how many times it is applied.
+class CountedOracle(Op):
+    """An oracle's index permutation on all qubits, counting its applications.
 
     ``perm[j]`` is the basis index that |j> goes to.  The constructor checks
     exactly that ``perm`` is a permutation that is its own inverse, as every
@@ -102,49 +100,53 @@ class CountedOracle:
     """
 
     def __init__(self, perm: np.ndarray):
-        self.perm = np.asarray(perm)
-        if (_inverse_permutation(self.perm, self.perm.size) != self.perm).any():
+        n = np.size(perm).bit_length() - 1
+        super().__init__(perm, range(n), n, permutation=True)
+        if (self._gather != self.perm).any():
             raise UnitarityError("oracle permutation is not its own inverse")
         self.calls = 0
 
-    def apply(self, state: StateVector, targets: Sequence[int]) -> StateVector:
+    def apply(self, state: StateVector) -> StateVector:
         self.calls += 1
-        return apply_permutation(state, self.perm, targets)
+        return super().apply(state)
 
 
-def _canonical_oracle() -> CountedOracle:
-    return CountedOracle(_permutation(_setting_values(FunctionTable.canonical())))
+def _canonical_perm() -> np.ndarray:
+    return _permutation(_setting_values(FunctionTable.canonical()))
 
 
-def deutsch_circuit() -> list[CircuitOp]:
-    """The unitary part of a canonical run as (matrix, targets) ops."""
+def deutsch_circuit(
+    layout: RegisterLayout = CANONICAL_LAYOUT, oracle: Op | None = None
+) -> list[Op]:
+    """The unitary part of a run on ``layout``: H on each A qubit, one
+    oracle call, H on each A qubit.  The default oracle is the canonical
+    setting-keyed one as a plain permutation op, which counts nothing."""
+    n = layout.total_qubits
+    if oracle is None:
+        oracle = Op(_canonical_perm(), range(n), n, permutation=True)
     h = hadamard()
-    a_pos = CANONICAL_LAYOUT.qubit_positions("A")
-    all_pos = tuple(range(CANONICAL_LAYOUT.total_qubits))
-    oracle = oracle_with_setting(FunctionTable.canonical())
-    return [(h, a_pos), (oracle, all_pos), (h, a_pos)]
+    h_on_a = [Op(h, (q,), n) for q in layout.qubit_positions("A")]
+    return [*h_on_a, oracle, *h_on_a]
 
 
 def _run_pipeline(
     layout: RegisterLayout, input_labels: Sequence[str], oracle: CountedOracle
 ) -> StageTrace:
     """Run the equal superposition of ``input_labels`` through H on V (the
-    labels hold |1>_V), H on each A qubit, one oracle call, H on each A qubit."""
-    h = hadamard()
-
-    def h_on_a(state: StateVector) -> StateVector:
-        for q in layout.qubit_positions("A"):
-            state = apply_unitary(state, h, (q,))
-        return state
-
+    labels hold |1>_V), then ``deutsch_circuit(layout, oracle)``, recording
+    the state after the first Hadamards, the oracle and the last ones."""
+    circuit = deutsch_circuit(layout, oracle)
+    w = layout.width("A")
     raw = superpose([(1.0, label) for label in input_labels], layout)
-    s0 = apply_unitary(raw, h, layout.qubit_positions("V"))
-    s1 = h_on_a(s0)
-    s2 = oracle.apply(s1, tuple(range(layout.total_qubits)))
-    s3 = h_on_a(s2)
+    state = apply_unitary(raw, hadamard(), layout.qubit_positions("V"))
+    stages = [state]
+    for ops in (circuit[:w], circuit[w : w + 1], circuit[w + 1 :]):
+        for op in ops:
+            state = op.apply(state)
+        stages.append(state)
     if oracle.calls != 1:
         raise SimulatorError(f"oracle applied {oracle.calls} times, expected once")
-    return StageTrace(tuple(zip(STAGES, (s0, s1, s2, s3))))
+    return StageTrace(tuple(zip(STAGES, stages)))
 
 
 def _check_bit(value: int, name: str) -> None:
@@ -175,7 +177,7 @@ def run_deutsch(b: str, initial_a: int = 0) -> tuple[StageTrace, Verdict]:
     if b not in SETTING_LABELS:
         raise ValueError(f"unknown setting {b!r}; choose one of {SETTING_LABELS}")
     _check_bit(initial_a, "initial A state")
-    oracle = _canonical_oracle()
+    oracle = CountedOracle(_canonical_perm())
     trace = _run_pipeline(CANONICAL_LAYOUT, [b + str(initial_a) + "1"], oracle)
     classification = _classify(trace.final, str(initial_a))
     outcome_bit = initial_a ^ (classification is Classification.BALANCED)
@@ -186,7 +188,7 @@ def run_deutsch_superposed(initial_a: int = 0) -> StageTrace:
     """The same pipeline on an equal superposition of all four settings."""
     _check_bit(initial_a, "initial A state")
     labels = [b + str(initial_a) + "1" for b in SETTING_LABELS]
-    return _run_pipeline(CANONICAL_LAYOUT, labels, _canonical_oracle())
+    return _run_pipeline(CANONICAL_LAYOUT, labels, CountedOracle(_canonical_perm()))
 
 
 def solution_correlation(
@@ -237,13 +239,9 @@ def enumerate_promise_functions(n: int) -> list[tuple[int, ...]]:
     if not 1 <= n <= 3:
         raise ValueError(f"exhaustive enumeration supported for 1 <= n <= 3, got {n}")
     m = 1 << n
-    functions = [tuple([0] * m), tuple([1] * m)]
-    for ones in itertools.combinations(range(m), m // 2):
-        f = [0] * m
-        for i in ones:
-            f[i] = 1
-        functions.append(tuple(f))
-    return functions
+    halves = itertools.combinations(range(m), m // 2)
+    balanced = [tuple(int(i in ones) for i in range(m)) for ones in halves]
+    return [(0,) * m, (1,) * m] + balanced
 
 
 def classical_query_count(n: int) -> int:

@@ -4,7 +4,7 @@ A black box |a,v> -> |a, v xor f(a)> permutes basis indices, so its native
 form is one index array, perm[j] = j xor f(j >> 1), that the drivers apply
 by gather and check exactly as a self-inverse permutation.
 ``oracle_fixed`` and ``oracle_with_setting`` scatter that array into the
-dense 0/1 matrix for callers that expand or check matrices.
+dense 0/1 matrix for callers that check matrices.
 """
 
 from __future__ import annotations

@@ -26,19 +26,13 @@ from .errors import (
 from .state import (
     ATOL_STATE,
     PROB_EPS,
+    Op,
     RegisterLayout,
     StateVector,
     _check_drift,
-    _on_targets,
-    _validate_targets,
-    _validate_unitary,
-    apply_unitary,
 )
 
 RNG_ALGORITHM = "pcg64"
-
-# One circuit operation: (matrix, target qubit positions).
-CircuitOp = tuple[np.ndarray, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -137,15 +131,24 @@ def sample(
     return {format(v, f"0{width}b"): int(c) for v, c in zip(values, counts)}
 
 
-def apply_circuit(state: StateVector, circuit: Sequence[CircuitOp]) -> StateVector:
-    for u, targets in circuit:
-        state = apply_unitary(state, u, targets)
+def _as_ops(circuit: Sequence, n: int) -> list[Op]:
+    """``circuit`` as ops on n qubits, each ``(matrix, targets)`` pair made
+    an ``Op`` (and so checked) in circuit order."""
+    ops = [c if isinstance(c, Op) else Op(*c, n) for c in circuit]
+    if any(op.n_qubits != n for op in ops):
+        raise LayoutError(f"circuit holds an op on other than {n} qubits")
+    return ops
+
+
+def apply_circuit(state: StateVector, circuit: Sequence) -> StateVector:
+    for op in _as_ops(circuit, state.layout.total_qubits):
+        state = op.apply(state)
     return state
 
 
-def inverse_circuit(circuit: Sequence[CircuitOp]) -> list[CircuitOp]:
-    """The circuit undoing ``circuit``: conjugate transposes in reverse order."""
-    return [(np.conj(u).T, tuple(targets)) for u, targets in reversed(circuit)]
+def inverse_circuit(circuit: Sequence[Op]) -> list[Op]:
+    """The circuit undoing ``circuit``: each op's inverse, in reverse order."""
+    return [op.inverse() for op in reversed(circuit)]
 
 
 @dataclass(frozen=True)
@@ -196,25 +199,6 @@ class DeferredEquivalenceReport:
         }
 
 
-def _check_block_diagonal(
-    circuit: Sequence[CircuitOp], layout: RegisterLayout, register: str
-) -> None:
-    """Reject an op whose own matrix links indices with different register bits."""
-    in_register = set(layout.qubit_positions(register))
-    for k, (u, targets) in enumerate(circuit):
-        mask = 0
-        for t in targets:
-            mask = (mask << 1) | (t in in_register)
-        idx = np.arange(len(u)) & mask
-        off_block = idx[:, None] != idx[None, :]
-        leak = float(np.max(np.abs(u[off_block]), initial=0.0))
-        if leak > ATOL_STATE:
-            raise BlockDiagonalityError(
-                f"circuit op {k} does not preserve register {register!r} "
-                f"basis vectors (off-block magnitude {leak:.3e})"
-            )
-
-
 def _joint_probs(state: StateVector) -> dict[str, float]:
     p = np.abs(state.amps) ** 2
     return {
@@ -225,7 +209,7 @@ def _joint_probs(state: StateVector) -> dict[str, float]:
 
 
 def deferred_equivalence(
-    circuit: Sequence[CircuitOp], initial: StateVector, register: str
+    circuit: Sequence, initial: StateVector, register: str
 ) -> DeferredEquivalenceReport:
     """Compare measuring ``register`` before the circuit against after it.
 
@@ -236,19 +220,22 @@ def deferred_equivalence(
     probability the report carries the final state computed both ways and
     the verdict that their joint distributions (``to_dict``) agree to 1e-12.
 
-    Each op is validated once, in circuit order (targets, shape, unitarity),
-    before any block-diagonality verdict.  The initial state and every
-    projected branch then go through each op together, as the rows of one
-    array, with ``apply_unitary``'s per-row norm-drift check; the
-    project-last branches are read off the evolved row 0.
+    ``circuit`` holds ops or ``(matrix, targets)`` pairs, each checked as an
+    op in circuit order before any op's own leak is judged.  The initial
+    state and every projected branch then go through each op together, as
+    the rows of one array, with ``Op.apply``'s norm-drift check per row;
+    the project-last branches are read off the evolved row 0.
     """
     layout = initial.layout
-    n = layout.total_qubits
-    ops = []
-    for u, targets in circuit:
-        targets = _validate_targets(targets, n)
-        ops.append((_validate_unitary(u, len(targets)), targets))
-    _check_block_diagonal(ops, layout, register)
+    ops = _as_ops(circuit, layout.total_qubits)
+    positions = layout.qubit_positions(register)
+    for k, op in enumerate(ops):
+        leak = op.leak(positions)
+        if leak > ATOL_STATE:
+            raise BlockDiagonalityError(
+                f"circuit op {k} does not preserve register {register!r} "
+                f"basis vectors (off-block magnitude {leak:.3e})"
+            )
 
     outcomes = list(outcome_distribution(initial, register).probs)
     values = _register_values(layout, register)
@@ -259,8 +246,8 @@ def deferred_equivalence(
     ]
     rows = np.stack([initial.amps] + [post for _, post in firsts])
     norms = np.linalg.norm(rows, axis=-1)
-    for u, targets in ops:
-        rows = _on_targets(rows, targets, n, lambda m: u @ m)
+    for op in ops:
+        rows = op.apply_rows(rows)
         before, norms = norms, np.linalg.norm(rows, axis=-1)
         _check_drift(float(np.max(np.abs(norms - before))))
 

@@ -31,7 +31,12 @@ class RegisterLayout:
     groups: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        groups = tuple((str(n), int(w)) for n, w in self.groups)
+        groups = tuple((str(n), w) for n, w in self.groups)
+        # int(w) would truncate 1.5, read True and "2" as widths, and raise
+        # bare ValueError or OverflowError on nan and inf.
+        if any(isinstance(w, bool) or not isinstance(w, (int, np.integer)) for _, w in groups):
+            raise LayoutError(f"register widths must be integers, got {groups}")
+        groups = tuple((n, int(w)) for n, w in groups)
         object.__setattr__(self, "groups", groups)
         names = [n for n, _ in groups]
         if len(set(names)) != len(names):
@@ -200,17 +205,8 @@ def superpose(
     return StateVector(layout, amps / norm)
 
 
-def _validate_targets(targets: Sequence[int], total_qubits: int) -> tuple[int, ...]:
-    targets = tuple(int(t) for t in targets)
-    if len(set(targets)) != len(targets):
-        raise LayoutError(f"duplicate target qubits {targets}")
-    if any(t < 0 or t >= total_qubits for t in targets):
-        raise LayoutError(f"targets {targets} out of range for {total_qubits} qubits")
-    return targets
-
-
 def _validate_unitary(u: np.ndarray, n_targets: int) -> np.ndarray:
-    u = np.asarray(u, dtype=np.complex128)
+    u = np.array(u, dtype=np.complex128)
     dim = 1 << n_targets
     if u.shape != (dim, dim):
         raise LayoutError(
@@ -224,6 +220,7 @@ def _validate_unitary(u: np.ndarray, n_targets: int) -> np.ndarray:
     defect = np.abs(u.conj().T @ u - _identity(dim)).max()
     if not defect <= ATOL_MATRIX:
         raise UnitarityError(f"matrix is not unitary (defect {defect:.3e})")
+    u.flags.writeable = False
     return u
 
 
@@ -247,80 +244,95 @@ def _axis_orders(
     return order, tuple(sorted(range(len(order)), key=order.__getitem__))
 
 
-def _on_targets(amps: np.ndarray, targets: tuple[int, ...], n: int, op) -> np.ndarray:
-    """Apply ``op`` to the targets' index of n-qubit amplitude rows.
-
-    The last axis of ``amps`` is a 2^n amplitude index; any axes before it
-    are a batch, and each row is transformed alone.  ``op`` maps a
-    (..., 2^k, r) array, whose 2^k index is the targets' basis index with
-    the first target as its most significant bit, to one of the same shape,
-    so ``u @ m`` runs one (2^k, 2^k) by (2^k, r) product per row.
-    """
-    batch = amps.shape[:-1]
-    cube = batch + (2,) * n
-    order, inverse = _axis_orders(len(batch), targets, n)
-    psi = amps.reshape(cube).transpose(order)
-    psi = op(psi.reshape(batch + (1 << len(targets), -1)))
-    return psi.reshape(cube).transpose(inverse).reshape(amps.shape)
-
-
 def _check_drift(drift: float) -> None:
     if drift > ATOL_STATE:
         raise UnitarityError(f"unitary application drifted the norm by {drift:.3e}")
 
 
-def _checked_norm(state: StateVector, out: np.ndarray) -> StateVector:
-    _check_drift(abs(np.linalg.norm(out) - np.linalg.norm(state.amps)))
-    return StateVector(state.layout, out)
+class Op:
+    """One gate on fixed targets of an n-qubit register: a unitary matrix,
+    or (``permutation=True``) an index array sending |j> to |perm[j]>.
+
+    It is checked once, here: the targets, then U†U against the identity
+    within 1e-10, or exactly in O(2^k) that ``perm`` is a bijection of
+    range(2^k) in an integer dtype.  The op keeps read-only copies of its
+    arrays, so nothing the caller does later changes what was checked.
+    """
+
+    def __init__(
+        self, action, targets: Sequence[int], n_qubits: int, *, permutation: bool = False
+    ):
+        targets = self.targets = tuple(int(t) for t in targets)
+        if len(set(targets)) != len(targets):
+            raise LayoutError(f"duplicate target qubits {targets}")
+        if any(t < 0 or t >= n_qubits for t in targets):
+            raise LayoutError(f"targets {targets} out of range for {n_qubits} qubits")
+        self.n_qubits = n_qubits
+        self.matrix = self.perm = None
+        if not permutation:
+            self.matrix = _validate_unitary(action, len(targets))
+            return
+        perm = self.perm = np.array(action)
+        dim = 1 << len(targets)
+        if perm.shape != (dim,):
+            raise LayoutError(f"permutation shape {perm.shape} does not match dim {dim}")
+        if perm.dtype.kind not in "iu":
+            raise UnitarityError(f"permutation has non-integer dtype {perm.dtype}")
+        if perm.min() < 0 or perm.max() >= dim:
+            raise UnitarityError(f"permutation entries out of range({dim})")
+        # The inverse permutation is the gather index: |j> lands at perm[j].
+        gather = self._gather = np.full(dim, -1, dtype=np.intp)
+        gather[perm] = np.arange(dim)
+        if (gather < 0).any():
+            raise UnitarityError("permutation is not a bijection")
+        perm.flags.writeable = gather.flags.writeable = False
+
+    def apply(self, state: StateVector) -> StateVector:
+        """The op on ``state``, identity on every other qubit."""
+        if state.layout.total_qubits != self.n_qubits:
+            raise LayoutError(f"op needs {self.n_qubits} qubits, not {state.layout.total_qubits}")
+        out = self.apply_rows(state.amps)
+        _check_drift(abs(np.linalg.norm(out) - np.linalg.norm(state.amps)))
+        return StateVector(state.layout, out)
+
+    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The op on each row of a (..., 2^n) amplitude array, unchecked.
+
+        Any axes before the last are a batch, and each row is transformed
+        alone: the targets' axes go to the front of the qubit axes, so the
+        (..., 2^k, r) view has the targets' basis index, first target most
+        significant, and ``u @ m`` runs one (2^k, 2^k) by (2^k, r) product
+        per row.
+        """
+        batch = rows.shape[:-1]
+        cube = batch + (2,) * self.n_qubits
+        order, inverse = _axis_orders(len(batch), self.targets, self.n_qubits)
+        psi = rows.reshape(cube).transpose(order)
+        psi = psi.reshape(batch + (1 << len(self.targets), -1))
+        psi = psi[..., self._gather, :] if self.matrix is None else self.matrix @ psi
+        return psi.reshape(cube).transpose(inverse).reshape(rows.shape)
+
+    def inverse(self) -> Op:
+        """The conjugate transpose, or the inverse permutation."""
+        if self.perm is None:
+            return Op(self.matrix.conj().T, self.targets, self.n_qubits)
+        return Op(self._gather, self.targets, self.n_qubits, permutation=True)
+
+    def leak(self, positions: Sequence[int]) -> float:
+        """Largest amplitude the op moves between basis states that differ on
+        the qubits ``positions``; exactly 0 or 1 for a permutation."""
+        mask = sum(1 << i for i, t in enumerate(reversed(self.targets)) if t in positions)
+        idx = np.arange(1 << len(self.targets)) & mask
+        if self.perm is not None:
+            return float(((self.perm & mask) != idx).any())
+        return float(np.max(np.abs(self.matrix[idx[:, None] != idx[None, :]]), initial=0.0))
 
 
 def apply_unitary(
     state: StateVector, u: np.ndarray, targets: Sequence[int]
 ) -> StateVector:
     """Apply ``u`` to ``targets``, identity on every other qubit."""
-    n = state.layout.total_qubits
-    targets = _validate_targets(targets, n)
-    u = _validate_unitary(u, len(targets))
-    return _checked_norm(state, _on_targets(state.amps, targets, n, lambda m: u @ m))
-
-
-def _inverse_permutation(perm: np.ndarray, dim: int) -> np.ndarray:
-    """The inverse of ``perm``, checked exactly in O(dim) to be a bijection
-    of range(dim) held in an integer dtype."""
-    perm = np.asarray(perm)
-    if perm.shape != (dim,):
-        raise LayoutError(f"permutation shape {perm.shape} does not match dim {dim}")
-    if perm.dtype.kind not in "iu":
-        raise UnitarityError(f"permutation has non-integer dtype {perm.dtype}")
-    if dim and (perm.min() < 0 or perm.max() >= dim):
-        raise UnitarityError(f"permutation entries out of range({dim})")
-    inverse = np.full(dim, -1, dtype=np.intp)
-    inverse[perm] = np.arange(dim)
-    if (inverse < 0).any():
-        raise UnitarityError("permutation is not a bijection")
-    return inverse
-
-
-def apply_permutation(
-    state: StateVector, perm: np.ndarray, targets: Sequence[int]
-) -> StateVector:
-    """Send each basis state |j> of ``targets`` to |perm[j]>, identity on
-    every other qubit: ``apply_unitary`` of the 0/1 matrix with
-    u[perm[j], j] = 1, done as an exact gather with no matrix."""
-    n = state.layout.total_qubits
-    targets = _validate_targets(targets, n)
-    inverse = _inverse_permutation(perm, 1 << len(targets))
-    out = _on_targets(state.amps, targets, n, lambda m: m[..., inverse, :])
-    return _checked_norm(state, out)
-
-
-def expand_unitary(u: np.ndarray, targets: Sequence[int], total_qubits: int) -> np.ndarray:
-    """The full 2^n x 2^n matrix of ``u`` on ``targets`` tensored with identity."""
-    targets = _validate_targets(targets, total_qubits)
-    u = _validate_unitary(u, len(targets))
-    # Row j of the batch is basis state j, so it comes out as column j.
-    identity = np.eye(1 << total_qubits, dtype=np.complex128)
-    return _on_targets(identity, targets, total_qubits, lambda m: u @ m).T
+    return Op(u, targets, state.layout.total_qubits).apply(state)
 
 
 def inner_product(s1: StateVector, s2: StateVector) -> complex:

@@ -14,6 +14,8 @@ from deutschsim import (
     CANONICAL_LAYOUT,
     RNG_ALGORITHM,
     SETTING_LABELS,
+    RegisterLayout,
+    basis_state,
     run_deutsch,
     run_deutsch_superposed,
 )
@@ -333,20 +335,38 @@ class TestStateDumpRoundTrip:
             lambda d: d["entries"][0].update(basis=5),
             lambda d: d["layout"].append(["X"]),
             lambda d: d["layout"].append(5),
+            lambda d: d.update(layout=[["A", float("inf")]]),
+            lambda d: d.update(layout=[["A", float("nan")]]),
+            lambda d: d.update(layout=["A1", ["V", 1.9]]),
+            lambda d: d.update(layout=[["B", 2], ["A", True], ["V", 1]]),
+            lambda d: d.update(layout=[["A", 0]]),
+            lambda d: d.update(layout=[["B", 2], ["B", 2]]),
+            lambda d: d.update(layout=[["A", 50]]),
+            lambda d: d.update(layout=[["A", 9], ["V", 1]]),
         ],
         ids=[
             "no_layout", "no_entries", "no_basis", "no_re", "no_im",
             "string_re", "null_im", "bool_re", "nan_re", "inf_im",
             "int_layout", "int_entries", "int_basis", "layout_item_not_pair",
-            "int_layout_item",
+            "int_layout_item", "inf_width", "nan_width", "text_item_fraction_width",
+            "bool_width", "zero_width", "duplicate_register", "fifty_qubits",
+            "ten_qubits",
         ],
     )
     def test_loader_rejects_malformed_dump(self, edit):
+        # Layout errors are typed ValueError too, and a layout over the
+        # largest state any command makes (9 qubits, 512 amplitudes) is
+        # refused before its amplitudes are allocated.
         trace, _ = run_deutsch("01")
         dump = json.loads(json.dumps(state_dump(trace.final, "after_H_A_2")))
         edit(dump)
         with pytest.raises(ValueError):
             load_state_dump(dump)
+
+    def test_loader_accepts_the_largest_state(self):
+        state = basis_state(RegisterLayout((("A", 8), ("V", 1))), "0" * 8 + "1")
+        dump = json.loads(json.dumps(state_dump(state, "input")))
+        assert np.array_equal(load_state_dump(dump).amps, state.amps)
 
 
 class TestAmplitudeFormatting:

@@ -1,7 +1,6 @@
 """Born-rule distributions, projective measurement, sampling, and the
 project-first versus project-last equivalence harness."""
 
-import importlib
 import json
 
 import numpy as np
@@ -15,11 +14,11 @@ from deutschsim import (
     DegenerateStateError,
     ImpossibleOutcomeError,
     LayoutError,
+    Op,
     RegisterLayout,
     StateVector,
     UnitarityError,
     apply_circuit,
-    apply_unitary,
     basis_state,
     deferred_equivalence,
     deutsch_circuit,
@@ -29,6 +28,7 @@ from deutschsim import (
     outcome_distribution,
     sample,
 )
+from deutschsim import state as state_module
 from deutschsim.measure import _register_values
 
 from conftest import (
@@ -179,13 +179,11 @@ class TestSample:
 
 
 def _sequential_report(circuit, initial: StateVector, register: str) -> dict:
-    """The harness done one state at a time: the circuit by ``apply_unitary``
+    """The harness done one state at a time: the circuit by ``apply_circuit``
     on the initial state and on each branch, every projection by ``measure``."""
 
     def run(state):
-        for u, targets in circuit:
-            state = apply_unitary(state, u, targets)
-        return state
+        return apply_circuit(state, circuit)
 
     evolved = run(initial)
     branches = []
@@ -313,25 +311,33 @@ class TestBatchedHarness:
             assert json.dumps(got) == json.dumps(want)
 
     def test_each_op_validated_once(self, monkeypatch):
-        # The package re-exports the function ``measure``, so the module
-        # is fetched by name.
-        modules = [
-            importlib.import_module(f"deutschsim.{m}") for m in ("state", "measure")
-        ]
+        # U^dagger U runs once per matrix op built and never when an op is
+        # applied; a (matrix, targets) pair is built into an op each time
+        # it is passed.
         calls = []
-        real = modules[0]._validate_unitary
+        real = state_module._validate_unitary
 
         def counting(u, n_targets):
             calls.append(n_targets)
             return real(u, n_targets)
 
-        for module in modules:
-            monkeypatch.setattr(module, "_validate_unitary", counting)
-        rng = np.random.default_rng(5)
-        for circuit in (deutsch_circuit(), random_block_diagonal_circuit(rng, 4)):
-            calls.clear()
-            deferred_equivalence(circuit, state_from(SUPERPOSED_STAGES["input"]), "B")
-            assert len(calls) == len(circuit)
+        monkeypatch.setattr(state_module, "_validate_unitary", counting)
+        initial = state_from(SUPERPOSED_STAGES["input"])
+        circuit = deutsch_circuit()
+        assert calls == [1]  # one Hadamard op, on both sides of the oracle
+        pairs = random_block_diagonal_circuit(np.random.default_rng(5), 4)
+        calls.clear()
+        ops = [Op(u, targets, 4) for u, targets in pairs]
+        assert len(calls) == len(pairs)
+        calls.clear()
+        for built in (circuit, ops):
+            deferred_equivalence(built, initial, "B")
+            apply_circuit(initial, built)
+            for op in built:
+                op.apply(initial)
+        assert calls == []
+        deferred_equivalence(pairs, initial, "B")
+        assert len(calls) == len(pairs)
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -342,8 +348,9 @@ class TestBatchedHarness:
             ((np.array([[1.0, 1.0], [0.0, 1.0]]), (2,)), UnitarityError),
             ((np.array([[np.nan, 0.0], [0.0, 1.0]]), (2,)), UnitarityError),
             ((np.array([[np.inf, 0.0], [0.0, 1.0]]), (2,)), UnitarityError),
+            (Op(np.eye(2), (2,), 5), LayoutError),
         ],
-        ids=["shape", "range", "duplicate", "non_unitary", "nan", "inf"],
+        ids=["shape", "range", "duplicate", "non_unitary", "nan", "inf", "qubit_count"],
     )
     @pytest.mark.parametrize("index", [0, 2])
     def test_malformed_op_raises_before_block_diagonality(self, bad, error, index):

@@ -11,14 +11,13 @@ from deutschsim import (
     DegenerateStateError,
     DensityMatrix,
     LayoutError,
+    Op,
     RegisterLayout,
     StateVector,
     UnitarityError,
-    apply_permutation,
     apply_unitary,
     basis_state,
     deferred_equivalence,
-    expand_unitary,
     hadamard,
     inner_product,
     partial_trace,
@@ -26,7 +25,6 @@ from deutschsim import (
     run_deutsch_superposed,
     superpose,
 )
-from deutschsim.state import _on_targets
 
 from conftest import (
     FIXED_01_STAGES,
@@ -71,6 +69,21 @@ class TestRegisterLayout:
     def test_zero_width_rejected(self):
         with pytest.raises(LayoutError):
             RegisterLayout((("B", 0),))
+
+    @pytest.mark.parametrize(
+        "width", [1.5, True, float("nan"), float("inf"), "2"],
+        ids=["fraction", "bool", "nan", "inf", "text"],
+    )
+    def test_non_integer_width_rejected(self, width):
+        # Neither truncated (1.5 -> 1, True -> 1, "2" -> 2) nor let out as
+        # a bare ValueError or OverflowError.
+        with pytest.raises(LayoutError, match="integers"):
+            RegisterLayout((("A", width), ("V", 1)))
+
+    def test_numpy_integer_width_accepted(self):
+        layout = RegisterLayout((("B", np.int64(2)), ("A", np.uint8(1)), ("V", 1)))
+        assert layout == CANONICAL_LAYOUT
+        assert all(type(w) is int for _, w in layout.groups)
 
     def test_unknown_register(self):
         with pytest.raises(LayoutError):
@@ -234,7 +247,7 @@ class TestApplyUnitary:
         with pytest.raises(UnitarityError, match="not unitary"):
             apply_unitary(basis_state(CANONICAL_LAYOUT, "0000"), u, (0,))
         with pytest.raises(UnitarityError, match="not unitary"):
-            expand_unitary(u, (0,), 2)
+            Op(u, (0,), 2)
 
     @pytest.mark.parametrize("bad", [1e200, 1e308 + 1e308j], ids=["1e200", "1e308_1e308j"])
     def test_huge_matrix_entry_rejected(self, bad):
@@ -245,7 +258,7 @@ class TestApplyUnitary:
         with pytest.raises(UnitarityError, match="not unitary"):
             apply_unitary(s, u, (0,))
         with pytest.raises(UnitarityError, match="not unitary"):
-            expand_unitary(u, (0,), 2)
+            Op(u, (0,), 2)
         with pytest.raises(UnitarityError, match="not unitary"):
             deferred_equivalence([(u, (2,))], s, "B")
 
@@ -256,15 +269,16 @@ class TestApplyUnitary:
         rng = np.random.default_rng(31)
         u = haar_unitary(1 << len(targets), rng)
         stack = np.stack([random_state_vector(16, rng) for _ in range(5)])
-        batched = _on_targets(stack, targets, 4, lambda m: u @ m)
-        for row, out in zip(stack, batched):
-            assert np.array_equal(out, _on_targets(row, targets, 4, lambda m: u @ m))
+        op = Op(u, targets, 4)
+        for row, out in zip(stack, op.apply_rows(stack)):
+            assert np.array_equal(out, op.apply_rows(row))
 
     @pytest.mark.parametrize("targets", [(2,), (3, 0)], ids=["q2", "q3_q0"])
     def test_expand_unitary_matches_kron(self, targets):
         rng = np.random.default_rng(15)
         u = haar_unitary(1 << len(targets), rng)
-        full = expand_unitary(u, targets, 4)
+        # Row j of the batch is basis state j, so it comes out as column j.
+        full = Op(u, targets, 4).apply_rows(np.eye(16)).T
         # Independent oracle: u kron identity with the qubits ordered
         # (targets..., others...), then rows and columns relabelled to
         # layout order bit by bit.
@@ -276,7 +290,7 @@ class TestApplyUnitary:
 
 
 def moveaxis_reference(amps, targets, n, op):
-    """``_on_targets`` as written with two ``np.moveaxis`` calls."""
+    """``Op.apply_rows`` as written with two ``np.moveaxis`` calls."""
     k = len(targets)
     batch = amps.shape[:-1]
     moved = [len(batch) + t for t in targets]
@@ -295,7 +309,7 @@ class TestCachedAxisOrders:
         for k in range(1, 5):
             u = haar_unitary(1 << k, rng)
             for targets in permutations(range(4), k):
-                got = _on_targets(amps, targets, 4, lambda m: u @ m)
+                got = Op(u, targets, 4).apply_rows(amps)
                 want = moveaxis_reference(amps, targets, 4, lambda m: u @ m)
                 assert np.array_equal(got, want), targets
 
@@ -307,7 +321,7 @@ class TestCachedAxisOrders:
         rng = np.random.default_rng(43)
         amps = rng.normal(size=batch + (512,)) + 1j * rng.normal(size=batch + (512,))
         u = haar_unitary(1 << len(targets), rng)
-        got = _on_targets(amps, targets, 9, lambda m: u @ m)
+        got = Op(u, targets, 9).apply_rows(amps)
         assert np.array_equal(got, moveaxis_reference(amps, targets, 9, lambda m: u @ m))
 
     def test_partial_trace_matches_moveaxis_on_canonical_runs(self):
@@ -323,11 +337,15 @@ class TestCachedAxisOrders:
                     assert np.array_equal(rho.matrix, m @ m.conj().T)
 
 
+def permutation_op(perm, targets) -> Op:
+    return Op(perm, targets, 4, permutation=True)
+
+
 class TestApplyPermutation:
     def test_matches_dense_scatter_on_every_target_tuple(self):
         # Each ordered tuple of 1-4 canonical qubits, a seeded random
-        # bijection and state: the gather equals apply_unitary of the 0/1
-        # matrix with u[perm[j], j] = 1, exactly.
+        # bijection and state: the permutation op's gather equals
+        # apply_unitary of the 0/1 matrix with u[perm[j], j] = 1, exactly.
         rng = np.random.default_rng(16)
         tuples = [t for k in range(1, 5) for t in permutations(range(4), k)]
         assert len(tuples) == 64
@@ -337,7 +355,7 @@ class TestApplyPermutation:
             u = np.zeros((d, d))
             u[perm, np.arange(d)] = 1.0
             s = StateVector(CANONICAL_LAYOUT, random_state_vector(16, rng))
-            got = apply_permutation(s, perm, targets)
+            got = permutation_op(perm, targets).apply(s)
             assert np.array_equal(got.amps, apply_unitary(s, u, targets).amps)
 
     @pytest.mark.parametrize(
@@ -353,14 +371,65 @@ class TestApplyPermutation:
         ids=["duplicate", "length", "float", "bool", "above", "negative"],
     )
     def test_malformed_permutation_rejected(self, perm, error):
-        s = basis_state(CANONICAL_LAYOUT, "0000")
         with pytest.raises(error):
-            apply_permutation(s, perm, (1, 2))
+            permutation_op(perm, (1, 2))
 
     def test_bad_targets_rejected(self):
-        s = basis_state(CANONICAL_LAYOUT, "0000")
         with pytest.raises(LayoutError):
-            apply_permutation(s, np.arange(4), (1, 1))
+            permutation_op(np.arange(4), (1, 1))
+
+
+class TestOp:
+    """An op is checked once, when built, and nothing can change it after."""
+
+    def test_caller_mutation_does_not_reach_the_op(self):
+        rng = np.random.default_rng(17)
+        s = StateVector(CANONICAL_LAYOUT, random_state_vector(16, rng))
+        u, perm = haar_unitary(4, rng), rng.permutation(4)
+        ops = [Op(u, (3, 1), 4), permutation_op(perm, (3, 1))]
+        before = [op.apply(s).amps for op in ops]
+        u[:] = np.eye(4) * 7.0
+        perm[:] = 0
+        assert all(np.array_equal(op.apply(s).amps, b) for op, b in zip(ops, before))
+
+    def test_op_arrays_are_read_only(self):
+        ops = [Op(hadamard(), (2,), 4), permutation_op(np.array([1, 0, 3, 2]), (0, 2))]
+        ops += [op.inverse() for op in ops]
+        arrays = [a for op in ops for a in (op.matrix, op.perm, getattr(op, "_gather", None))]
+        arrays = [a for a in arrays if a is not None]
+        assert len(arrays) == 6
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0
+
+    def test_inverse_undoes_the_op(self):
+        rng = np.random.default_rng(18)
+        s = StateVector(CANONICAL_LAYOUT, random_state_vector(16, rng))
+        matrix = Op(haar_unitary(8, rng), (0, 3, 2), 4)
+        perm = permutation_op(rng.permutation(8), (2, 0, 1))
+        assert matrix.inverse().apply(matrix.apply(s)).max_delta(s) < 1e-12
+        assert np.array_equal(perm.inverse().apply(perm.apply(s)).amps, s.amps)
+        assert perm.inverse().perm.tolist() == np.argsort(perm.perm).tolist()
+
+    def test_permutation_leak_equals_its_matrix_leak(self):
+        # The exact index test against the off-block entries of the 0/1
+        # matrix, for every register and a seeded bijection per target tuple.
+        rng = np.random.default_rng(19)
+        for k in range(1, 5):
+            for targets in permutations(range(4), k):
+                perm = rng.permutation(1 << k)
+                u = np.zeros((1 << k, 1 << k))
+                u[perm, np.arange(1 << k)] = 1.0
+                for register in CANONICAL_LAYOUT.names:
+                    pos = CANONICAL_LAYOUT.qubit_positions(register)
+                    leak = permutation_op(perm, targets).leak(pos)
+                    assert leak == Op(u, targets, 4).leak(pos) and leak in (0.0, 1.0)
+
+    def test_wrong_qubit_count_rejected(self):
+        s = basis_state(CANONICAL_LAYOUT, "0000")
+        for op in (Op(hadamard(), (0,), 3), Op(np.arange(4), (0, 1), 5, permutation=True)):
+            with pytest.raises(LayoutError, match="qubits"):
+                op.apply(s)
 
 
 class TestInnerProduct:

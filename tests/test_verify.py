@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import deutschsim
-from deutschsim import verify
+from deutschsim import CountedOracle, verify
 
 from conftest import haar_unitary, random_block_diagonal_circuit, random_state_vector
 
@@ -57,6 +57,32 @@ def test_random_circuits_deviation_unchanged():
     result = verify._CHECKS["deferred_equivalence_random_circuits"]()
     assert result.passed
     assert f"{result.deviation:.3e}" == "1.110e-15"
+
+
+def test_counted_oracle_applied_only_inside_algorithm_runs(monkeypatch):
+    # The checks that replay deutsch_circuit() (reversibility, the
+    # deferred-measurement branches, global phase) must use its plain
+    # permutation op: a counted oracle there would be applied outside any
+    # run, and oracle calls would no longer match verdicts one to one.
+    applied, completed = [], []
+    apply = CountedOracle.apply
+    monkeypatch.setattr(
+        CountedOracle, "apply", lambda self, state: applied.append(1) or apply(self, state)
+    )
+    for name in ("run_deutsch", "run_deutsch_superposed", "run_deutsch_jozsa"):
+
+        def counted(*args, _run=getattr(verify, name), **kwargs):
+            result = _run(*args, **kwargs)
+            completed.append(1)
+            return result
+
+        monkeypatch.setattr(verify, name, counted)
+    for cached in (verify._fixed, verify._superposed, verify._deferred_report):
+        cached.cache_clear()
+    assert all(r.passed for r in verify.run_all())
+    # 4 fixed settings, 1 superposed run, 1 + 4 + 8 + 72 Deutsch-Jozsa runs.
+    assert len(completed) == 90
+    assert len(applied) == len(completed)
 
 
 def test_cli_import_leaves_checks_unloaded():
