@@ -104,9 +104,10 @@ def _typed(obj, key: str, kind: type | tuple[type, ...]):
 def load_state_dump(dump: dict) -> StateVector:
     """Rebuild a state from its dump.  A missing or wrong-typed field, a
     layout item that is not a (name, integer width) pair, a layout of more
-    qubits than any command produces, a non-numeric amplitude part, or
-    squared magnitudes that do not sum to 1 within 1e-12 (as with any NaN
-    or inf part) raise ``ValueError``."""
+    qubits than any command produces, a basis label that is not a 0/1
+    string of the layout's width, a non-numeric amplitude part, or squared
+    magnitudes that do not sum to 1 within 1e-12 (as with any NaN or inf
+    part) raise ``ValueError``."""
     groups = _field(dump, "layout")
     try:
         layout = RegisterLayout(tuple((name, width) for name, width in groups))
@@ -119,7 +120,10 @@ def load_state_dump(dump: dict) -> StateVector:
         raise ValueError(f"dump layout has {layout.total_qubits} > {MAX_ARG_BITS + 1} qubits")
     amps = np.zeros(layout.dim, dtype=np.complex128)
     for entry in _typed(dump, "entries", (list, tuple)):
-        index = layout.index_of_label(_typed(entry, "basis", str))
+        try:
+            index = layout.index_of_label(_typed(entry, "basis", str))
+        except LayoutError as exc:
+            raise ValueError(f"dump entry basis: {exc}") from None
         amps[index] = complex(_number(entry, "re"), _number(entry, "im"))
     total = float(np.sum(np.abs(amps) ** 2))
     if not abs(total - 1.0) <= ATOL_STATE:

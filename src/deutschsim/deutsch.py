@@ -34,7 +34,6 @@ from .gates import (
     FunctionTable,
     _classification,
     _permutation,
-    _setting_values,
     _validate_values,
     hadamard,
 )
@@ -112,7 +111,10 @@ class CountedOracle(Op):
 
 
 def _canonical_perm() -> np.ndarray:
-    return _permutation(_setting_values(FunctionTable.canonical()))
+    """The setting-keyed oracle |b,a,v> -> |b,a, v xor f_b(a)> as the fixed
+    oracle of g(b||a) = f_b(a): the settings' values in label order."""
+    settings = FunctionTable.canonical().settings
+    return _permutation([v for b in SETTING_LABELS for v in settings[b]])
 
 
 def deutsch_circuit(

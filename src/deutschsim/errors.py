@@ -19,10 +19,6 @@ class UnitarityError(SimulatorError):
     or drifts the norm."""
 
 
-class IncompleteOracleError(SimulatorError):
-    """Function table does not cover every setting label of its width."""
-
-
 class ImpossibleOutcomeError(SimulatorError):
     """Projective measurement conditioned on a zero-probability outcome."""
 

@@ -1,10 +1,9 @@
 """Unitaries for oracle problems: Hadamard and black-box function evaluation.
 
-A black box |a,v> -> |a, v xor f(a)> permutes basis indices, so its native
-form is one index array, perm[j] = j xor f(j >> 1), that the drivers apply
-by gather and check exactly as a self-inverse permutation.
-``oracle_fixed`` and ``oracle_with_setting`` scatter that array into the
-dense 0/1 matrix for callers that check matrices.
+A black box |a,v> -> |a, v xor f(a)> permutes basis indices, so it exists
+only as one index array, perm[j] = j xor f(j >> 1), that the drivers apply
+by gather and check exactly as a self-inverse permutation.  No dense oracle
+matrix is built: ``verify`` reads one off the permutation op it judges.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import FunctionFormatError, IncompleteOracleError
+from .errors import FunctionFormatError
 
 SQRT2 = np.sqrt(2.0)
 
@@ -107,10 +106,6 @@ class FunctionTable:
             raise FunctionFormatError(f"setting labels mix widths {sorted(widths)}")
         object.__setattr__(self, "settings", settings)
 
-    @property
-    def setting_bits(self) -> int:
-        return len(next(iter(self.settings)))
-
     @classmethod
     def canonical(cls) -> FunctionTable:
         """The four one-bit functions: two constant, two balanced."""
@@ -163,36 +158,3 @@ def _permutation(vals: Sequence[int]) -> np.ndarray:
     vals = np.array(vals, dtype=np.intp)
     cols = np.arange(2 * vals.size)
     return cols ^ vals[cols >> 1]
-
-
-def _setting_values(table: FunctionTable) -> tuple[int, ...]:
-    """The values of g(b||a) = f_b(a): the settings' value lists
-    concatenated in label order.  Every label of the width must be set."""
-    w = table.setting_bits
-    if len(table.settings) != 1 << w:
-        missing = sorted(
-            set(format(i, f"0{w}b") for i in range(1 << w)) - set(table.settings)
-        )
-        raise IncompleteOracleError(f"settings missing labels {missing}")
-    return tuple(v for b in sorted(table.settings) for v in table.settings[b])
-
-
-def oracle_fixed(values: Sequence[int]) -> np.ndarray:
-    """Black box for one function: permutation matrix of |a,v> -> |a, v xor f(a)>.
-
-    Basis order is argument bits then value bit, big endian.
-    """
-    perm = _permutation(_validate_values(values))
-    u = np.zeros((perm.size, perm.size), dtype=np.complex128)
-    u[perm, np.arange(perm.size)] = 1.0
-    return u
-
-
-def oracle_with_setting(table: FunctionTable) -> np.ndarray:
-    """Function evaluation keyed by the setting register.
-
-    Permutation matrix on the (setting, argument, value) basis mapping
-    |b,a,v> -> |b,a, v xor f_b(a)>; the setting and argument bits pass
-    through unaltered.  That is the fixed oracle of g(b||a) = f_b(a).
-    """
-    return oracle_fixed(_setting_values(table))

@@ -256,23 +256,24 @@ class Op:
     It is checked once, here: the targets, then U†U against the identity
     within 1e-10, or exactly in O(2^k) that ``perm`` is a bijection of
     range(2^k) in an integer dtype.  The op keeps read-only copies of its
-    arrays, so nothing the caller does later changes what was checked.
+    arrays, and what was checked cannot be rebound, so nothing the caller
+    does later changes it.
     """
+
+    _CHECKED = ("targets", "n_qubits", "matrix", "perm", "_gather")
 
     def __init__(
         self, action, targets: Sequence[int], n_qubits: int, *, permutation: bool = False
     ):
-        targets = self.targets = tuple(int(t) for t in targets)
+        targets = tuple(int(t) for t in targets)
         if len(set(targets)) != len(targets):
             raise LayoutError(f"duplicate target qubits {targets}")
         if any(t < 0 or t >= n_qubits for t in targets):
             raise LayoutError(f"targets {targets} out of range for {n_qubits} qubits")
-        self.n_qubits = n_qubits
-        self.matrix = self.perm = None
         if not permutation:
-            self.matrix = _validate_unitary(action, len(targets))
+            self._bind(targets, n_qubits, _validate_unitary(action, len(targets)), None, None)
             return
-        perm = self.perm = np.array(action)
+        perm = np.array(action)
         dim = 1 << len(targets)
         if perm.shape != (dim,):
             raise LayoutError(f"permutation shape {perm.shape} does not match dim {dim}")
@@ -281,11 +282,22 @@ class Op:
         if perm.min() < 0 or perm.max() >= dim:
             raise UnitarityError(f"permutation entries out of range({dim})")
         # The inverse permutation is the gather index: |j> lands at perm[j].
-        gather = self._gather = np.full(dim, -1, dtype=np.intp)
+        gather = np.full(dim, -1, dtype=np.intp)
         gather[perm] = np.arange(dim)
         if (gather < 0).any():
             raise UnitarityError("permutation is not a bijection")
         perm.flags.writeable = gather.flags.writeable = False
+        self._bind(targets, n_qubits, None, perm, gather)
+
+    def _bind(self, *values) -> None:
+        """Set the checked attributes, in ``_CHECKED`` order, the one time."""
+        for name, value in zip(Op._CHECKED, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in Op._CHECKED:
+            raise AttributeError(f"Op.{name} was checked when the op was built")
+        super().__setattr__(name, value)
 
     def apply(self, state: StateVector) -> StateVector:
         """The op on ``state``, identity on every other qubit."""

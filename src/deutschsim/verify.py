@@ -18,6 +18,7 @@ import numpy as np
 from .deutsch import (
     CANONICAL_LAYOUT,
     SETTING_LABELS,
+    CountedOracle,
     classical_query_count,
     deutsch_circuit,
     enumerate_promise_functions,
@@ -27,14 +28,7 @@ from .deutsch import (
     run_deutsch_superposed,
     solution_correlation,
 )
-from .gates import (
-    Classification,
-    FunctionTable,
-    classify_function,
-    hadamard,
-    oracle_fixed,
-    oracle_with_setting,
-)
+from .gates import Classification, FunctionTable, _permutation, classify_function, hadamard
 from .measure import (
     apply_circuit,
     deferred_equivalence,
@@ -46,6 +40,7 @@ from .measure import (
 from .state import (
     ATOL_MATRIX,
     ATOL_STATE,
+    Op,
     StateVector,
     apply_unitary,
     basis_state,
@@ -415,14 +410,19 @@ def _sampling_exact() -> CheckResult:
     )
 
 
+def _matrix(op: Op) -> np.ndarray:
+    """The op's full matrix: row j of the batch is basis state j, so it
+    comes out as column j.  Nothing is applied, so an oracle counts no call."""
+    return op.apply_rows(np.eye(1 << op.n_qubits, dtype=np.complex128)).T
+
+
 @_check("gate_unitarity")
 def _gate_unitarity() -> CheckResult:
-    mats = [hadamard(), oracle_with_setting(FunctionTable.canonical())]
+    circuit = deutsch_circuit()
+    ops = [circuit[1]]
     for f in ([0, 1], [1, 0], [0, 0], [1, 1], [0, 1, 1, 0], [0, 0, 1, 1, 0, 1, 1, 0]):
-        mats.append(oracle_fixed(f))
-    # Row j of the batch is basis state j, so it comes out as column j.
-    identity = np.eye(CANONICAL_LAYOUT.dim, dtype=np.complex128)
-    mats += [op.apply_rows(identity).T for op in deutsch_circuit()]
+        ops.append(CountedOracle(_permutation(f)))
+    mats = [hadamard()] + [_matrix(op) for op in ops + circuit]
     dev = max(
         float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))) for m in mats
     )
@@ -434,12 +434,11 @@ def _gate_unitarity() -> CheckResult:
 
 @_check("oracle_self_inverse")
 def _oracle_self_inverse() -> CheckResult:
-    table = FunctionTable.canonical()
-    mats = [oracle_with_setting(table)]
-    mats += [oracle_fixed(v) for v in table.settings.values()]
+    settings = FunctionTable.canonical().settings
+    ops = [deutsch_circuit()[1]] + [CountedOracle(_permutation(v)) for v in settings.values()]
     dev = 0.0
     ok = True
-    for u in mats:
+    for u in map(_matrix, ops):
         dev = max(dev, float(np.max(np.abs(u @ u - np.eye(u.shape[0])))))
         ok = ok and ((u.real == 0) | (u.real == 1)).all() and not u.imag.any()
         ok = ok and np.all(u.sum(axis=0) == 1.0) and np.all(u.sum(axis=1) == 1.0)

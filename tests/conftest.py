@@ -71,6 +71,18 @@ def brute_oracle_16() -> np.ndarray:
     return u
 
 
+def brute_oracle(values) -> np.ndarray:
+    """The fixed-function evaluation unitary |a,v> -> |a, v xor f(a)> by
+    explicit (a, v) enumeration, a spelled as its n-bit string."""
+    n = len(values).bit_length() - 1
+    u = np.zeros((2 * len(values),) * 2, dtype=np.complex128)
+    for a, f in enumerate(values):
+        bits = format(a, f"0{n}b")
+        for v in (0, 1):
+            u[int(bits + str(v ^ f), 2), int(bits + str(v), 2)] = 1.0
+    return u
+
+
 def brute_h_on_a() -> np.ndarray:
     """Hadamard on the A qubit of (B, B, A, V), by explicit kron."""
     h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / RT2

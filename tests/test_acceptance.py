@@ -14,6 +14,7 @@ from deutschsim import (
     CANONICAL_LAYOUT,
     SETTING_LABELS,
     Classification,
+    CountedOracle,
     StateVector,
     apply_circuit,
     basis_state,
@@ -24,8 +25,6 @@ from deutschsim import (
     hadamard,
     inverse_circuit,
     measure,
-    oracle_fixed,
-    oracle_with_setting,
     outcome_distribution,
     rho_B_invariance,
     run_deutsch,
@@ -35,6 +34,7 @@ from deutschsim import (
     solution_correlation,
     FunctionTable,
 )
+from deutschsim.gates import _permutation
 
 from conftest import (
     FIXED_01_STAGES,
@@ -196,17 +196,18 @@ def test_criterion_10_sampling_sanity():
 
 def test_criterion_11_structural_properties():
     with criterion(11, "unitarity, permutation structure, norms, phases"):
-        table = FunctionTable.canonical()
-        gates = [hadamard(), oracle_with_setting(table)]
-        gates += [oracle_fixed(v) for v in table.settings.values()]
-        # Each circuit op's full 16x16 matrix: row j of the batch is basis
-        # state j, so it comes out as column j.
-        gates += [op.apply_rows(np.eye(16)).T for op in deutsch_circuit()]
+        # Each op's full matrix: row j of the batch is basis state j, so it
+        # comes out as column j.  The oracles are the canonical circuit's
+        # and the fixed ones run_deutsch_jozsa applies.
+        circuit = deutsch_circuit()
+        settings = FunctionTable.canonical().settings
+        fixed = [CountedOracle(_permutation(v)) for v in settings.values()]
+        oracles = [op.apply_rows(np.eye(1 << op.n_qubits)).T for op in [circuit[1], *fixed]]
+        gates = [hadamard(), *oracles]
+        gates += [op.apply_rows(np.eye(16)).T for op in circuit]
         for u in gates:
             assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < TOL_MATRIX
 
-        oracles = [oracle_with_setting(table)]
-        oracles += [oracle_fixed(v) for v in table.settings.values()]
         for u in oracles:
             assert np.array_equal(u @ u, np.eye(u.shape[0]))
             assert set(np.unique(u.real)) <= {0.0, 1.0} and not u.imag.any()

@@ -24,6 +24,9 @@ from deutschsim.verify import CHECK_MANIFEST
 
 from conftest import brute_stages
 
+# `deutschsim verify` stdout, byte for byte: every check, digit and detail.
+VERIFY_STDOUT = (Path(__file__).parent / "verify_stdout.txt").read_text(encoding="utf-8")
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -119,6 +122,7 @@ class TestVerifyCommand:
         }
         assert names == set(CHECK_MANIFEST)
         assert f"{len(CHECK_MANIFEST)}/{len(CHECK_MANIFEST)} checks passed" in out
+        assert out == VERIFY_STDOUT
 
     def test_named_checks_required_by_contract(self, capsys):
         _, out, _ = run_cli(capsys, "verify")
@@ -140,6 +144,7 @@ class TestVerifyCommand:
         assert proc.returncode == 0, proc.stderr
         n = len(CHECK_MANIFEST)
         assert f"{n}/{n} checks passed" in proc.stdout
+        assert proc.stdout == VERIFY_STDOUT
 
     def test_failing_check_exits_1(self, capsys, monkeypatch):
         from deutschsim.verify import CheckResult
@@ -343,6 +348,8 @@ class TestStateDumpRoundTrip:
             lambda d: d.update(layout=[["B", 2], ["B", 2]]),
             lambda d: d.update(layout=[["A", 50]]),
             lambda d: d.update(layout=[["A", 9], ["V", 1]]),
+            lambda d: d["entries"][0].update(basis="01"),
+            lambda d: d["entries"][0].update(basis="01x1"),
         ],
         ids=[
             "no_layout", "no_entries", "no_basis", "no_re", "no_im",
@@ -350,7 +357,7 @@ class TestStateDumpRoundTrip:
             "int_layout", "int_entries", "int_basis", "layout_item_not_pair",
             "int_layout_item", "inf_width", "nan_width", "text_item_fraction_width",
             "bool_width", "zero_width", "duplicate_register", "fifty_qubits",
-            "ten_qubits",
+            "ten_qubits", "short_basis", "non_binary_basis",
         ],
     )
     def test_loader_rejects_malformed_dump(self, edit):

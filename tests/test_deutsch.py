@@ -13,7 +13,6 @@ from deutschsim import (
     BlockStructureError,
     Classification,
     CountedOracle,
-    FunctionTable,
     LayoutError,
     Op,
     PromiseViolationError,
@@ -28,8 +27,6 @@ from deutschsim import (
     deutsch_circuit,
     enumerate_promise_functions,
     measure,
-    oracle_fixed,
-    oracle_with_setting,
     outcome_distribution,
     rho_B_invariance,
     run_deutsch,
@@ -45,6 +42,8 @@ from conftest import (
     FIXED_01_STAGES,
     SUPERPOSED_STAGES,
     TRUTH_TABLE,
+    brute_oracle,
+    brute_oracle_16,
     brute_rho_of_b,
     brute_stages,
     golden_vector,
@@ -331,13 +330,13 @@ class TestRunDeutschJozsa:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_stages_equal_dense_oracle_pipeline(self, n):
         # Every promise function: the gathered oracle gives the same four
-        # stages, bit for bit, as its dense oracle_fixed matrix.
+        # stages, bit for bit, as its brute-force dense matrix.
         layout = RegisterLayout((("A", n), ("V", 1)))
         labels = ["0" * n + "1"]
         for f in enumerate_promise_functions(n):
             assert_same_stages(
                 _run_pipeline(layout, labels, CountedOracle(_permutation(f))),
-                _run_pipeline(layout, labels, DenseOracle(oracle_fixed(f))),
+                _run_pipeline(layout, labels, DenseOracle(brute_oracle(f))),
             )
 
     def test_oversized_argument_register_rejected(self):
@@ -449,8 +448,8 @@ class TestTraceAndOracle:
         assert trace.state("after_H_f") is trace.stages[2][1]
 
     def test_counted_oracle_tallies_applications(self):
-        # The index array read back from the dense matrix: u[perm[j], j] = 1.
-        perm = np.argmax(oracle_with_setting(FunctionTable.canonical()).real, axis=0)
+        # The index array read back from the brute-force matrix: u[perm[j], j] = 1.
+        perm = np.argmax(brute_oracle_16().real, axis=0)
         oracle = CountedOracle(perm)
         s = state_from(FIXED_01_STAGES["after_H_A"])
         assert oracle.calls == 0
@@ -480,7 +479,7 @@ class TestTraceAndOracle:
         assert oracle.calls == 1
 
     def test_canonical_stages_equal_dense_oracle_pipeline(self):
-        dense = oracle_with_setting(FunctionTable.canonical())
+        dense = brute_oracle_16()
         for a in (0, 1):
             for b in SETTING_LABELS:
                 labels = [b + str(a) + "1"]

@@ -1,21 +1,23 @@
 """Hadamard, black-box oracles, function tables and their text format."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from deutschsim import (
     Classification,
+    CountedOracle,
     FunctionFormatError,
     FunctionTable,
-    IncompleteOracleError,
     classify_function,
+    deutsch_circuit,
     hadamard,
-    oracle_fixed,
-    oracle_with_setting,
     parse_function_table,
 )
+from deutschsim.gates import _permutation
 
-from conftest import TRUTH_TABLE, brute_oracle_16
+from conftest import TRUTH_TABLE, brute_oracle, brute_oracle_16
 
 # int() would truncate each of these onto a valid 0/1 list, or raise on inf and nan.
 NON_INTEGRAL_VALUES = (
@@ -43,38 +45,51 @@ class TestHadamard:
         assert np.max(np.abs(h @ h - np.eye(2))) < 1e-12
 
 
+def op_matrix(op) -> np.ndarray:
+    """An op's full matrix: row j of the batch is basis state j, so it
+    comes out as column j."""
+    return op.apply_rows(np.eye(1 << op.n_qubits)).T
+
+
+def fixed_oracle(values) -> np.ndarray:
+    """The matrix of the oracle op that run_deutsch_jozsa applies."""
+    return op_matrix(CountedOracle(_permutation(values)))
+
+
 class TestOracleWithSetting:
-    def test_flips_value_bit_for_balanced_setting(self):
-        u = oracle_with_setting(FunctionTable.canonical())
+    """The setting-keyed oracle as the op every canonical run applies."""
+
+    @pytest.fixture
+    def u(self):
+        return op_matrix(deutsch_circuit()[1])
+
+    def test_flips_value_bit_for_balanced_setting(self, u):
         assert u[int("0111", 2), int("0110", 2)] == 1.0
         assert np.count_nonzero(u[:, int("0110", 2)]) == 1
 
-    def test_constant_zero_block_is_identity(self):
-        u = oracle_with_setting(FunctionTable.canonical())
+    def test_constant_zero_block_is_identity(self, u):
         assert np.array_equal(u[0:4, 0:4], np.eye(4))
 
-    def test_matches_brute_force_enumeration(self):
+    def test_matches_brute_force_enumeration(self, u):
         # Independent oracle: explicit (b, a, v) triple enumeration.
-        u = oracle_with_setting(FunctionTable.canonical())
         assert np.array_equal(u, brute_oracle_16())
 
-    def test_self_inverse_permutation_exactly(self):
-        u = oracle_with_setting(FunctionTable.canonical())
+    def test_self_inverse_permutation_exactly(self, u):
         assert np.array_equal(u @ u, np.eye(16))
         assert set(np.unique(u.real)) <= {0.0, 1.0}
         assert not u.imag.any()
         assert np.array_equal(u.sum(axis=0), np.ones(16))
         assert np.array_equal(u.sum(axis=1), np.ones(16))
 
-    def test_blocks_equal_fixed_oracles(self):
-        u = oracle_with_setting(FunctionTable.canonical())
+    def test_blocks_equal_fixed_oracles(self, u):
         for b, values in TRUTH_TABLE.items():
             i = int(b, 2) * 4
-            assert np.array_equal(u[i : i + 4, i : i + 4], oracle_fixed(values))
+            assert np.array_equal(u[i : i + 4, i : i + 4], fixed_oracle(values))
 
     def test_random_tables_match_loop_permutation(self):
-        # Independent oracle: the permutation built column by column from
-        # the (b, a, v) bits of each basis index.
+        # A setting-keyed oracle is the fixed oracle of g(b||a) = f_b(a).
+        # Independent oracle: the image of each basis index built from its
+        # (b, a, v) bits.
         rng = np.random.default_rng(31)
         for w in (1, 2):
             for n in (1, 2, 3):
@@ -83,50 +98,44 @@ class TestOracleWithSetting:
                         format(b, f"0{w}b"): tuple(int(x) for x in rng.integers(0, 2, 1 << n))
                         for b in range(1 << w)
                     }
-                    dim = 1 << (w + n + 1)
-                    expected = np.zeros((dim, dim))
-                    for i in range(dim):
+                    expected = []
+                    for i in range(1 << (w + n + 1)):
                         b, a, v = i >> (n + 1), (i >> 1) & ((1 << n) - 1), i & 1
                         f = settings[format(b, f"0{w}b")][a]
-                        expected[(b << (n + 1)) | (a << 1) | (v ^ f), i] = 1.0
-                    u = oracle_with_setting(FunctionTable(arg_bits=n, settings=settings))
-                    assert np.array_equal(u, expected)
-
-    def test_incomplete_settings_rejected(self):
-        table = FunctionTable(arg_bits=1, settings={"00": (0, 0), "01": (0, 1)})
-        with pytest.raises(IncompleteOracleError):
-            oracle_with_setting(table)
+                        expected.append((b << (n + 1)) | (a << 1) | (v ^ f))
+                    values = [v for b in sorted(settings) for v in settings[b]]
+                    assert _permutation(values).tolist() == expected
 
 
 class TestOracleFixed:
+    """The fixed-function oracle as the op run_deutsch_jozsa applies."""
+
     def test_balanced_function_action(self):
-        u = oracle_fixed([0, 1])
+        u = fixed_oracle([0, 1])
         assert u[int("11", 2), int("10", 2)] == 1.0
         assert u[0, 0] == 1.0 and u[1, 1] == 1.0
 
     def test_constant_zero_is_identity(self):
-        assert np.array_equal(oracle_fixed([0, 0]), np.eye(4))
+        assert np.array_equal(fixed_oracle([0, 0]), np.eye(4))
 
     def test_every_column_oracle_is_an_involution(self):
         for values in TRUTH_TABLE.values():
-            u = oracle_fixed(values)
+            u = fixed_oracle(values)
             assert np.array_equal(u @ u, np.eye(4))
 
     def test_larger_function(self):
-        u = oracle_fixed([0, 1, 1, 0])
+        u = fixed_oracle([0, 1, 1, 0])
         assert u.shape == (8, 8)
         # argument 01 maps value 0 to 1
         assert u[int("011", 2), int("010", 2)] == 1.0
         assert np.array_equal(u @ u, np.eye(8))
 
-    def test_non_binary_values_rejected(self):
-        for values in ([0, 2], *NON_INTEGRAL_VALUES):
-            with pytest.raises(ValueError):
-                oracle_fixed(values)
-
-    def test_bad_length_rejected(self):
-        with pytest.raises(ValueError):
-            oracle_fixed([0, 1, 1])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_brute_force_enumeration(self, n):
+        # Independent oracle: explicit (a, v) pair enumeration, for every
+        # value list of the width.
+        for f in product((0, 1), repeat=1 << n):
+            assert np.array_equal(fixed_oracle(f), brute_oracle(f))
 
 
 class TestClassifyFunction:
@@ -144,6 +153,11 @@ class TestClassifyFunction:
     def test_non_binary_values_rejected(self):
         for values in ([0, 2], *NON_INTEGRAL_VALUES):
             with pytest.raises(ValueError):
+                classify_function(values)
+
+    def test_bad_length_rejected(self):
+        for values in ([0, 1, 1], [1]):
+            with pytest.raises(ValueError, match="power of two"):
                 classify_function(values)
 
     def test_integral_numbers_accepted(self):
@@ -165,7 +179,6 @@ class TestFunctionTable:
     def test_canonical_matches_truth_table(self):
         table = FunctionTable.canonical()
         assert table.arg_bits == 1
-        assert table.setting_bits == 2
         assert dict(table.settings) == TRUTH_TABLE
 
     def test_wrong_value_count_rejected(self):

@@ -1,10 +1,15 @@
 """Property-based checks, each judged against a reference made here: the
 Deutsch-Jozsa verdict on drawn promise functions against a count of ones,
 the oracle index array of drawn function tables against one built bit by
-bit, and the deferred-measurement precondition on drawn ops against a dense
-expansion built with np.kron and int(label, 2) arithmetic."""
+bit, the deferred-measurement precondition on drawn ops against a dense
+expansion built with np.kron and int(label, 2) arithmetic, and the exit
+code of `dj --function-file` on drawn file text."""
 
+import contextlib
+import io
 import itertools
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -21,10 +26,10 @@ from deutschsim import (
     FunctionTable,
     StateVector,
     deferred_equivalence,
-    oracle_with_setting,
     run_deutsch_jozsa,
 )
-from deutschsim.gates import _permutation, _setting_values
+from deutschsim.cli import main
+from deutschsim.gates import _permutation
 
 from conftest import haar_unitary, random_state_vector
 
@@ -70,19 +75,22 @@ def function_tables(draw) -> FunctionTable:
 @settings(deadline=None, derandomize=True, database=None)
 @given(function_tables())
 def test_oracle_permutation_is_self_inverse_and_scatters_to_the_matrix(table):
-    n = table.arg_bits
-    perm = _permutation(_setting_values(table))
+    # The setting-keyed oracle is the fixed oracle of g(b||a) = f_b(a).
+    n, w = table.arg_bits, len(next(iter(table.settings)))
+    perm = _permutation([v for b in sorted(table.settings) for v in table.settings[b]])
     expected = []
     for i in range(perm.size):
         b, a, v = i >> (n + 1), (i >> 1) & ((1 << n) - 1), i & 1
-        f = table.settings[format(b, f"0{table.setting_bits}b")][a]
+        f = table.settings[format(b, f"0{w}b")][a]
         expected.append((b << (n + 1)) | (a << 1) | (v ^ f))
     assert perm.tolist() == expected
     assert np.array_equal(perm[perm], np.arange(perm.size))
-    CountedOracle(perm)  # its own exact bijection and involution checks
+    oracle = CountedOracle(perm)  # its own exact bijection and involution checks
+    # The matrix an op is judged by (its action on each basis state) is
+    # the scatter u[perm[j], j] = 1.
     u = np.zeros((perm.size, perm.size))
     u[perm, np.arange(perm.size)] = 1.0
-    assert np.array_equal(u, oracle_with_setting(table))
+    assert np.array_equal(oracle.apply_rows(np.eye(perm.size)).T, u)
 
 
 @st.composite
@@ -133,3 +141,63 @@ def test_deferred_equivalence_rejects_exactly_the_leaking_ops(op, register, seed
             deferred_equivalence([op], initial, register)
     else:
         assert deferred_equivalence([op], initial, register).equivalent
+
+
+# Value tokens: the two valid ones, padded ones, and junk that int() or a
+# looser parser would read as 0 or 1.
+VALUE_TOKENS = ("0", "1", " 0", "1 ", "", "2", "x", "+1", "-0", "0_1", "1.0", "\uff10", "\u0661")
+
+
+@st.composite
+def function_file_texts(draw) -> str:
+    """Function-file text, mostly well formed so that every exit code is
+    reached: w-bit labels (duplicates included) or junk ones, ':' or other
+    separators, value lists of the file's length (512 and 1024 past the
+    argument cap) or of another length or of junk tokens, blank lines and
+    '#' comments."""
+    w = draw(st.integers(min_value=1, max_value=2))
+    m = draw(st.sampled_from([2, 2, 4, 4, 8, 8, 512, 1024]))
+    bits = st.sampled_from(["0", "1"])
+    labels = st.one_of(
+        *[st.sampled_from([format(b, f"0{w}b") for b in range(1 << w)])] * 3,
+        st.text(max_size=3),
+    )
+    if m > 8:
+        entries = st.sampled_from([["0"] * m, ["1"] * m, ["0", "1"] * (m // 2)])
+    else:
+        entries = st.lists(bits, min_size=m, max_size=m)
+    value_lists = {
+        "entry": entries,
+        "other_length": st.lists(bits, min_size=1, max_size=9),
+        "junk": st.lists(st.sampled_from(VALUE_TOKENS), max_size=9),
+    }
+    kinds = ["entry"] * 8 + ["other_length", "junk", "blank", "comment"]
+    lines = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        elif kind == "comment":
+            lines.append("#" + draw(st.text(max_size=8)))
+        else:
+            sep = draw(st.sampled_from([":"] * 12 + [": ", " : ", "", "::", ";"]))
+            joiner = draw(st.sampled_from([","] * 12 + [", ", " ,", ";", " "]))
+            values = joiner.join(draw(value_lists[kind]))
+            lines.append(draw(labels) + sep + values)
+    return "\n".join(lines)
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(function_file_texts())
+def test_function_file_exits_0_2_or_3_and_never_raises(text):
+    # Hypothesis rejects function-scoped fixtures such as tmp_path, so each
+    # drawn text gets its own temporary directory here.
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["dj", "--function-file", path])
+    assert code in (0, 2, 3)
+    assert bool(err.getvalue()) == (code != 0)

@@ -8,6 +8,7 @@ import pytest
 from deutschsim import (
     CANONICAL_LAYOUT,
     SETTING_LABELS,
+    CountedOracle,
     DegenerateStateError,
     DensityMatrix,
     LayoutError,
@@ -401,6 +402,28 @@ class TestOp:
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = 0
+
+    def test_checked_attributes_cannot_be_rebound(self):
+        # A matrix of ones would make a Hadamard send [1, 0] to [1, 1], and
+        # a gather index that is not a bijection a non-unitary result.
+        ops = [Op(hadamard(), (0,), 1), permutation_op(np.array([2, 3, 0, 1]), (3, 1))]
+        ops.append(CountedOracle(np.array([1, 0, 3, 2])))
+        fakes = {
+            "matrix": np.ones((2, 2)),
+            "perm": np.zeros(4, dtype=np.intp),
+            "_gather": np.zeros(4, dtype=np.intp),
+            "targets": (1,),
+            "n_qubits": 3,
+        }
+        for op in ops:
+            before = op.apply_rows(np.eye(1 << op.n_qubits))
+            for name, fake in fakes.items():
+                with pytest.raises(AttributeError, match="checked"):
+                    setattr(op, name, fake)
+            assert np.array_equal(op.apply_rows(np.eye(1 << op.n_qubits)), before)
+        oracle = ops[-1]
+        oracle.apply(basis_state(RegisterLayout((("A", 1), ("V", 1))), "00"))
+        assert oracle.calls == 1
 
     def test_inverse_undoes_the_op(self):
         rng = np.random.default_rng(18)

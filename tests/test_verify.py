@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import deutschsim
-from deutschsim import CountedOracle, verify
+from deutschsim import CountedOracle, UnitarityError, verify
 
 from conftest import haar_unitary, random_block_diagonal_circuit, random_state_vector
 
@@ -83,6 +83,19 @@ def test_counted_oracle_applied_only_inside_algorithm_runs(monkeypatch):
     # 4 fixed settings, 1 superposed run, 1 + 4 + 8 + 72 Deutsch-Jozsa runs.
     assert len(completed) == 90
     assert len(applied) == len(completed)
+
+
+def test_oracle_self_inverse_judges_the_oracle_that_runs(monkeypatch):
+    # A bijection of range(16) that is not its own inverse, handed to every
+    # canonical run: the check reads its matrix off the circuit's op, so it
+    # must fail rather than judge a matrix of its own.
+    cycle = np.roll(np.arange(16), 1)
+    monkeypatch.setattr("deutschsim.deutsch._canonical_perm", lambda: cycle)
+    try:
+        passed = verify._CHECKS["oracle_self_inverse"]().passed
+    except UnitarityError:
+        passed = False
+    assert not passed
 
 
 def test_cli_import_leaves_checks_unloaded():
