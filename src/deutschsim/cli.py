@@ -105,9 +105,9 @@ def load_state_dump(dump: dict) -> StateVector:
     """Rebuild a state from its dump.  A missing or wrong-typed field, a
     layout item that is not a (name, integer width) pair, a layout of more
     qubits than any command produces, a basis label that is not a 0/1
-    string of the layout's width, a non-numeric amplitude part, or squared
-    magnitudes that do not sum to 1 within 1e-12 (as with any NaN or inf
-    part) raise ``ValueError``."""
+    string of the layout's width, a basis label named twice, a non-numeric
+    amplitude part, or squared magnitudes that do not sum to 1 within 1e-12
+    (as with any NaN or inf part) raise ``ValueError``."""
     groups = _field(dump, "layout")
     try:
         layout = RegisterLayout(tuple((name, width) for name, width in groups))
@@ -118,12 +118,16 @@ def load_state_dump(dump: dict) -> StateVector:
     # The largest state any command makes: dj's argument register plus V.
     if layout.total_qubits > MAX_ARG_BITS + 1:
         raise ValueError(f"dump layout has {layout.total_qubits} > {MAX_ARG_BITS + 1} qubits")
-    amps = np.zeros(layout.dim, dtype=np.complex128)
+    amps, seen = np.zeros(layout.dim, dtype=np.complex128), set()
     for entry in _typed(dump, "entries", (list, tuple)):
+        label = _typed(entry, "basis", str)
         try:
-            index = layout.index_of_label(_typed(entry, "basis", str))
+            index = layout.index_of_label(label)
         except LayoutError as exc:
             raise ValueError(f"dump entry basis: {exc}") from None
+        if index in seen:
+            raise ValueError(f"dump names basis label {label!r} twice")
+        seen.add(index)
         amps[index] = complex(_number(entry, "re"), _number(entry, "im"))
     total = float(np.sum(np.abs(amps) ** 2))
     if not abs(total - 1.0) <= ATOL_STATE:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -37,13 +38,14 @@ from .gates import (
     _validate_values,
     hadamard,
 )
-from .measure import measure, outcome_distribution
+from .measure import _marginal, measure, outcome_distribution
 from .state import (
     ATOL_STATE,
     DensityMatrix,
     Op,
     RegisterLayout,
     StateVector,
+    _evolve,
     apply_unitary,
     partial_trace,
     superpose,
@@ -126,9 +128,16 @@ def deutsch_circuit(
     n = layout.total_qubits
     if oracle is None:
         oracle = Op(_canonical_perm(), range(n), n, permutation=True)
-    h = hadamard()
-    h_on_a = [Op(h, (q,), n) for q in layout.qubit_positions("A")]
+    h_on_a = _hadamards_on_a(layout)
     return [*h_on_a, oracle, *h_on_a]
+
+
+@lru_cache(maxsize=16)
+def _hadamards_on_a(layout: RegisterLayout) -> tuple[Op, ...]:
+    """One Hadamard op per A qubit, built and checked once per layout;
+    an ``Op`` cannot be changed, so every run can share them."""
+    n = layout.total_qubits
+    return tuple(Op(hadamard(), (q,), n) for q in layout.qubit_positions("A"))
 
 
 def _run_pipeline(
@@ -137,18 +146,15 @@ def _run_pipeline(
     """Run the equal superposition of ``input_labels`` through H on V (the
     labels hold |1>_V), then ``deutsch_circuit(layout, oracle)``, recording
     the state after the first Hadamards, the oracle and the last ones."""
-    circuit = deutsch_circuit(layout, oracle)
-    w = layout.width("A")
+    h_on_a = _hadamards_on_a(layout)
     raw = superpose([(1.0, label) for label in input_labels], layout)
     state = apply_unitary(raw, hadamard(), layout.qubit_positions("V"))
-    stages = [state]
-    for ops in (circuit[:w], circuit[w : w + 1], circuit[w + 1 :]):
-        for op in ops:
-            state = op.apply(state)
-        stages.append(state)
+    after_h = StateVector(layout, _evolve(state.amps, h_on_a))
+    after_f = oracle.apply(after_h)
+    final = StateVector(layout, _evolve(after_f.amps, h_on_a))
     if oracle.calls != 1:
         raise SimulatorError(f"oracle applied {oracle.calls} times, expected once")
-    return StageTrace(tuple(zip(STAGES, stages)))
+    return StageTrace(tuple(zip(STAGES, (state, after_h, after_f, final))))
 
 
 def _check_bit(value: int, name: str) -> None:
@@ -161,7 +167,7 @@ def _check_bit(value: int, name: str) -> None:
 def _classify(state: StateVector, prepared_a: str) -> Classification:
     """The readout rule: register A reads back its prepared label ``prepared_a``
     with certainty for a constant function and never for a balanced one."""
-    p = outcome_distribution(state, "A").probs.get(prepared_a, 0.0)
+    p = float(_marginal(state, "A")[int(prepared_a, 2)])
     if p > 1.0 - ATOL_STATE:
         return Classification.CONSTANT
     if p < ATOL_STATE:

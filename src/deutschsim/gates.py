@@ -48,10 +48,12 @@ def _integer(v) -> int | None:
 
 
 def _validate_values(values: Sequence[int]) -> tuple[int, ...]:
-    vals = tuple(_integer(v) for v in values)
+    raw = tuple(values)
+    # _integer(v) is v for a plain int, so a list of them skips the per-value pass.
+    vals = raw if {*map(type, raw)} == {int} else tuple(map(_integer, raw))
     if None in vals:
-        raise ValueError(f"function values must be integers, got {list(values)}")
-    if any(v not in (0, 1) for v in vals):
+        raise ValueError(f"function values must be integers, got {list(raw)}")
+    if not {*vals} <= {0, 1}:
         raise ValueError(f"function values must be 0 or 1, got {vals}")
     m = len(vals)
     if m < 2 or m & (m - 1):

@@ -29,7 +29,7 @@ from .state import (
     Op,
     RegisterLayout,
     StateVector,
-    _check_drift,
+    _evolve,
 )
 
 RNG_ALGORITHM = "pcg64"
@@ -120,9 +120,11 @@ def _project(
 def sample(
     state: StateVector, register: str, shots: int, seed: int
 ) -> dict[str, int]:
-    """Seeded Born-rule sampling; returns outcome -> count for observed outcomes."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    """Seeded Born-rule sampling; returns outcome -> count for observed outcomes.
+    ``shots`` must be an integer >= 1 and ``seed`` one >= 0 (bools are not)."""
+    for name, value, low in (("shots", shots, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     marg = _marginal(state, register)
     rng = np.random.default_rng(seed)
     drawn = rng.choice(marg.size, size=shots, p=marg)
@@ -141,9 +143,8 @@ def _as_ops(circuit: Sequence, n: int) -> list[Op]:
 
 
 def apply_circuit(state: StateVector, circuit: Sequence) -> StateVector:
-    for op in _as_ops(circuit, state.layout.total_qubits):
-        state = op.apply(state)
-    return state
+    ops = _as_ops(circuit, state.layout.total_qubits)
+    return StateVector(state.layout, _evolve(state.amps, ops))
 
 
 def inverse_circuit(circuit: Sequence[Op]) -> list[Op]:
@@ -223,7 +224,7 @@ def deferred_equivalence(
     ``circuit`` holds ops or ``(matrix, targets)`` pairs, each checked as an
     op in circuit order before any op's own leak is judged.  The initial
     state and every projected branch then go through each op together, as
-    the rows of one array, with ``Op.apply``'s norm-drift check per row;
+    the rows of one array, with the norm drift of each row checked per op;
     the project-last branches are read off the evolved row 0.
     """
     layout = initial.layout
@@ -244,12 +245,7 @@ def deferred_equivalence(
         _project(initial.amps, mask, register, outcome)
         for mask, outcome in zip(masks, outcomes)
     ]
-    rows = np.stack([initial.amps] + [post for _, post in firsts])
-    norms = np.linalg.norm(rows, axis=-1)
-    for op in ops:
-        rows = op.apply_rows(rows)
-        before, norms = norms, np.linalg.norm(rows, axis=-1)
-        _check_drift(float(np.max(np.abs(norms - before))))
+    rows = _evolve(np.stack([initial.amps] + [post for _, post in firsts]), ops)
 
     branches = []
     for outcome, mask, (p_first, _), final in zip(outcomes, masks, firsts, rows[1:]):

@@ -244,11 +244,6 @@ def _axis_orders(
     return order, tuple(sorted(range(len(order)), key=order.__getitem__))
 
 
-def _check_drift(drift: float) -> None:
-    if drift > ATOL_STATE:
-        raise UnitarityError(f"unitary application drifted the norm by {drift:.3e}")
-
-
 class Op:
     """One gate on fixed targets of an n-qubit register: a unitary matrix,
     or (``permutation=True``) an index array sending |j> to |perm[j]>.
@@ -303,9 +298,7 @@ class Op:
         """The op on ``state``, identity on every other qubit."""
         if state.layout.total_qubits != self.n_qubits:
             raise LayoutError(f"op needs {self.n_qubits} qubits, not {state.layout.total_qubits}")
-        out = self.apply_rows(state.amps)
-        _check_drift(abs(np.linalg.norm(out) - np.linalg.norm(state.amps)))
-        return StateVector(state.layout, out)
+        return StateVector(state.layout, _evolve(state.amps, (self,)))
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """The op on each row of a (..., 2^n) amplitude array, unchecked.
@@ -338,6 +331,20 @@ class Op:
         if self.perm is not None:
             return float(((self.perm & mask) != idx).any())
         return float(np.max(np.abs(self.matrix[idx[:, None] != idx[None, :]]), initial=0.0))
+
+
+def _evolve(rows: np.ndarray, ops: Iterable[Op]) -> np.ndarray:
+    """Each op in turn on every row of a (..., 2^n) amplitude array, by
+    ``apply_rows``; UnitarityError if an op moves a row's norm past ATOL_STATE."""
+    # np.linalg.norm(rows, axis=-1), without its argument handling.
+    norms = np.sqrt((rows.conj() * rows).real.sum(-1))
+    for op in ops:
+        rows = op.apply_rows(rows)
+        before, norms = norms, np.sqrt((rows.conj() * rows).real.sum(-1))
+        drift = abs(norms - before).max()
+        if drift > ATOL_STATE:
+            raise UnitarityError(f"unitary application drifted the norm by {drift:.3e}")
+    return rows
 
 
 def apply_unitary(

@@ -215,6 +215,13 @@ class TestSampleCommand:
         )
         assert code == 2
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sample", "01", "--register", "A", "--shots", "5", "--seed", "-1"
+        )
+        assert code == 2 and out == ""
+        assert "seed must be an integer >= 0, got -1" in err
+
 
 class TestDjCommand:
     def test_function_file(self, capsys, tmp_path):
@@ -315,6 +322,17 @@ class TestStateDumpRoundTrip:
         with pytest.raises(ValueError, match="sum to"):
             load_state_dump(dump)
 
+    def test_loader_names_a_duplicate_basis_label(self):
+        # The later entry used to overwrite the earlier one, so this dump
+        # loaded as |0000>.
+        dump = {
+            "layout": [["B", 2], ["A", 1], ["V", 1]],
+            "entries": [{"basis": "0000", "re": 0.6, "im": 0},
+                        {"basis": "0000", "re": 1.0, "im": 0}],
+        }
+        with pytest.raises(ValueError, match="'0000' twice"):
+            load_state_dump(dump)
+
     def test_loader_rejects_underweight_dump(self):
         trace, _ = run_deutsch("01")
         dump = state_dump(trace.final, "after_H_A_2")
@@ -350,6 +368,12 @@ class TestStateDumpRoundTrip:
             lambda d: d.update(layout=[["A", 9], ["V", 1]]),
             lambda d: d["entries"][0].update(basis="01"),
             lambda d: d["entries"][0].update(basis="01x1"),
+            lambda d: d.update(
+                layout=[["B", 2], ["A", 1], ["V", 1]],
+                entries=[{"basis": "0000", "re": 0.6, "im": 0},
+                         {"basis": "0000", "re": 1.0, "im": 0}],
+            ),
+            lambda d: d["entries"].append(dict(d["entries"][0])),
         ],
         ids=[
             "no_layout", "no_entries", "no_basis", "no_re", "no_im",
@@ -357,7 +381,8 @@ class TestStateDumpRoundTrip:
             "int_layout", "int_entries", "int_basis", "layout_item_not_pair",
             "int_layout_item", "inf_width", "nan_width", "text_item_fraction_width",
             "bool_width", "zero_width", "duplicate_register", "fifty_qubits",
-            "ten_qubits", "short_basis", "non_binary_basis",
+            "ten_qubits", "short_basis", "non_binary_basis", "duplicate_basis",
+            "repeated_entry",
         ],
     )
     def test_loader_rejects_malformed_dump(self, edit):

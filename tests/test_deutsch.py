@@ -1,6 +1,7 @@
 """Algorithm drivers: fixed and superposed runs, readout, generalization,
 query counting, and the reduced-density reports."""
 
+import importlib
 from itertools import combinations
 
 import numpy as np
@@ -26,6 +27,7 @@ from deutschsim import (
     classify_function,
     deutsch_circuit,
     enumerate_promise_functions,
+    hadamard,
     measure,
     outcome_distribution,
     rho_B_invariance,
@@ -33,8 +35,10 @@ from deutschsim import (
     run_deutsch_jozsa,
     run_deutsch_superposed,
     solution_correlation,
+    superpose,
 )
 from deutschsim import deutsch as deutsch_module
+from deutschsim import state as state_module
 from deutschsim.deutsch import _run_pipeline
 from deutschsim.gates import _permutation
 
@@ -48,6 +52,9 @@ from conftest import (
     brute_stages,
     golden_vector,
 )
+
+# The package re-exports the function ``measure`` under the module's name.
+measure_module = importlib.import_module("deutschsim.measure")
 
 
 def state_from(golden: dict[str, float]) -> StateVector:
@@ -70,6 +77,23 @@ class DenseOracle(Op):
 def assert_same_stages(got: StageTrace, expected: StageTrace) -> None:
     for (label, state), (_, ref) in zip(got.stages, expected.stages):
         assert np.array_equal(state.amps, ref.amps), f"stage {label} differs"
+
+
+def per_gate_stages(layout: RegisterLayout, labels, oracle: np.ndarray) -> StageTrace:
+    """The pipeline one gate at a time, each gate built here and applied by
+    ``Op.apply``: H on V, each H on A, the oracle (read off its dense
+    matrix as an index array), each H on A again."""
+    n = layout.total_qubits
+    state = superpose([(1.0, label) for label in labels], layout)
+    state = Op(hadamard(), layout.qubit_positions("V"), n).apply(state)
+    h_on_a = [Op(hadamard(), (q,), n) for q in layout.qubit_positions("A")]
+    perm = np.argmax(oracle.real, axis=0)
+    stages = [state]
+    for ops in (h_on_a, [Op(perm, range(n), n, permutation=True)], h_on_a):
+        for op in ops:
+            state = op.apply(state)
+        stages.append(state)
+    return StageTrace(tuple(zip(STAGES, stages)))
 
 
 class TestRunDeutsch:
@@ -433,6 +457,66 @@ class TestRhoInvariance:
         last = brute_rho_of_b(trace.final.amps)
         assert first[0, 1] == pytest.approx(0.25, abs=1e-12)
         assert abs(last[0, 1]) < 1e-12
+
+
+class TestStagedEvolution:
+    """Each stage evolved in one pass equals the gate-by-gate pipeline."""
+
+    @pytest.mark.parametrize("a", [0, 1])
+    def test_fixed_and_superposed_runs(self, a):
+        dense = brute_oracle_16()
+        for b in SETTING_LABELS:
+            assert_same_stages(
+                run_deutsch(b, initial_a=a)[0],
+                per_gate_stages(CANONICAL_LAYOUT, [b + str(a) + "1"], dense),
+            )
+        labels = [b + str(a) + "1" for b in SETTING_LABELS]
+        assert_same_stages(
+            run_deutsch_superposed(initial_a=a),
+            per_gate_stages(CANONICAL_LAYOUT, labels, dense),
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_promise_function(self, n):
+        layout = RegisterLayout((("A", n), ("V", 1)))
+        labels = ["0" * n + "1"]
+        for f in enumerate_promise_functions(n):
+            assert_same_stages(
+                _run_pipeline(layout, labels, CountedOracle(_permutation(f))),
+                per_gate_stages(layout, labels, brute_oracle(f)),
+            )
+
+    def test_hadamard_ops_shared_circuits_fresh(self):
+        layout = RegisterLayout((("A", 3), ("V", 1)))
+        first, second = deutsch_circuit(layout), deutsch_circuit(layout)
+        assert first is not second
+        assert all(x is y for x, y in zip(first[:3] + first[4:], second[:3] + second[4:]))
+        first.clear()
+        assert len(deutsch_circuit(layout)) == 7
+
+    def test_run_validates_one_matrix_and_builds_no_distribution(self, monkeypatch):
+        functions = {n: ([0] * (1 << n), [0, 1] * (1 << (n - 1))) for n in range(1, 9)}
+        for constant, _ in functions.values():  # fill the per-layout caches
+            run_deutsch_jozsa(constant)
+        validated, distributions = [], []
+        real = state_module._validate_unitary
+
+        def counting(u, n_targets):
+            validated.append(n_targets)
+            return real(u, n_targets)
+
+        monkeypatch.setattr(state_module, "_validate_unitary", counting)
+        for module in (deutsch_module, measure_module):
+            monkeypatch.setattr(
+                module, "outcome_distribution", lambda *args: distributions.append(args)
+            )
+        for n, pair in functions.items():
+            for values in pair:
+                validated.clear()
+                verdict = run_deutsch_jozsa(values)
+                assert verdict.classification is classify_function(values)
+                assert validated == [1], f"n={n}"  # H on V, making |->
+        assert distributions == []
 
 
 class TestTraceAndOracle:

@@ -26,8 +26,10 @@ from deutschsim import (
     inverse_circuit,
     measure,
     outcome_distribution,
+    run_deutsch_jozsa,
     sample,
 )
+from deutschsim import deutsch as deutsch_module
 from deutschsim import state as state_module
 from deutschsim.measure import _register_values
 
@@ -177,6 +179,22 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(basis_state(CANONICAL_LAYOUT, "0000"), "B", 0, seed=1)
 
+    @pytest.mark.parametrize(
+        "shots, seed",
+        [(2.5, 1), (True, 1), ("3", 1), (None, 1), (3, 1.5), (3, True), (3, -1), (3, "1")],
+        ids=["float_shots", "bool_shots", "text_shots", "no_shots",
+             "float_seed", "bool_seed", "negative_seed", "text_seed"],
+    )
+    def test_non_integer_arguments_rejected(self, shots, seed):
+        # numpy would raise TypeError for most of these, or read True as 1.
+        name = "seed" if shots == 3 else "shots"
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            sample(basis_state(CANONICAL_LAYOUT, "0000"), "B", shots, seed=seed)
+
+    def test_numpy_integer_arguments_accepted(self):
+        s = state_from(SUPERPOSED_STAGES["input"])
+        assert sample(s, "B", np.int64(500), seed=np.uint32(9)) == sample(s, "B", 500, seed=9)
+
 
 def _sequential_report(circuit, initial: StateVector, register: str) -> dict:
     """The harness done one state at a time: the circuit by ``apply_circuit``
@@ -312,8 +330,9 @@ class TestBatchedHarness:
 
     def test_each_op_validated_once(self, monkeypatch):
         # U^dagger U runs once per matrix op built and never when an op is
-        # applied; a (matrix, targets) pair is built into an op each time
-        # it is passed.
+        # applied.  The Hadamard ops on A are built once per layout and
+        # shared by every later circuit; a (matrix, targets) pair is built
+        # into an op each time it is passed.
         calls = []
         real = state_module._validate_unitary
 
@@ -322,9 +341,12 @@ class TestBatchedHarness:
             return real(u, n_targets)
 
         monkeypatch.setattr(state_module, "_validate_unitary", counting)
+        deutsch_module._hadamards_on_a.cache_clear()
         initial = state_from(SUPERPOSED_STAGES["input"])
         circuit = deutsch_circuit()
         assert calls == [1]  # one Hadamard op, on both sides of the oracle
+        assert deutsch_circuit() is not circuit
+        assert calls == [1]  # the second circuit reuses it
         pairs = random_block_diagonal_circuit(np.random.default_rng(5), 4)
         calls.clear()
         ops = [Op(u, targets, 4) for u, targets in pairs]
@@ -372,6 +394,61 @@ class TestBatchedHarness:
         initial = StateVector(CANONICAL_LAYOUT, np.eye(16)[0] * 2.0)
         with pytest.raises(DegenerateStateError):
             deferred_equivalence(deutsch_circuit(), initial, "B")
+
+
+def smuggled(matrix, target: int, n: int) -> Op:
+    """An op checked as the identity whose matrix is then swapped, past
+    ``Op``'s guard, for one that is unitary only to within 1e-10."""
+    op = Op(np.eye(2), (target,), n)
+    object.__setattr__(op, "matrix", np.asarray(matrix, dtype=np.complex128))
+    return op
+
+
+# Each scales the norm of a state with the target qubit at 0 by 1 + 2e-11,
+# past the 1e-12 bound; SHRINK then undoes GROW to within an ulp, so only a
+# check after every op, not one per stage or circuit, sees the pair.
+GROW = np.diag([1.0 + 2e-11, 1.0])
+SHRINK = np.diag([1.0 / (1.0 + 2e-11), 1.0])
+
+
+class TestEvolveDriftCheck:
+    def grow_then_shrink(self, target: int, n: int) -> list[Op]:
+        return [smuggled(GROW, target, n), smuggled(SHRINK, target, n)]
+
+    def test_pair_undoes_itself(self):
+        amps = state_from(SUPERPOSED_STAGES["input"]).amps
+        rows = amps
+        for op in self.grow_then_shrink(2, 4):
+            rows = op.apply_rows(rows)
+        assert abs(np.linalg.norm(rows) - np.linalg.norm(amps)) < 1e-15
+
+    def test_op_apply(self):
+        with pytest.raises(UnitarityError, match="norm"):
+            smuggled(GROW, 2, 4).apply(state_from(SUPERPOSED_STAGES["input"]))
+
+    def test_apply_circuit(self):
+        with pytest.raises(UnitarityError, match="norm"):
+            apply_circuit(state_from(SUPERPOSED_STAGES["input"]), self.grow_then_shrink(2, 4))
+
+    def test_deferred_equivalence(self):
+        circuit = self.grow_then_shrink(2, 4)
+        with pytest.raises(UnitarityError, match="norm"):
+            deferred_equivalence(circuit, state_from(SUPERPOSED_STAGES["input"]), "B")
+
+    def test_deferred_equivalence_checks_every_row(self):
+        # On the high B qubit, rows B=0x grow by 2e-11 and rows B=1x shrink
+        # by as much; the superposed row 0 and the stack's total norm move
+        # by under 1e-20.
+        op = smuggled(np.diag([1.0 + 2e-11, 1.0 - 2e-11]), 0, 4)
+        with pytest.raises(UnitarityError, match="norm"):
+            deferred_equivalence([op], state_from(SUPERPOSED_STAGES["input"]), "B")
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_run_deutsch_jozsa(self, n, monkeypatch):
+        ops = tuple(self.grow_then_shrink(0, n + 1))
+        monkeypatch.setattr(deutsch_module, "_hadamards_on_a", lambda layout: ops)
+        with pytest.raises(UnitarityError, match="norm"):
+            run_deutsch_jozsa([0, 1] * (1 << (n - 1)))
 
 
 class TestCircuitHelpers:

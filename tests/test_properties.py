@@ -1,9 +1,10 @@
 """Property-based checks, each judged against a reference made here: the
 Deutsch-Jozsa verdict on drawn promise functions against a count of ones,
-the oracle index array of drawn function tables against one built bit by
-bit, the deferred-measurement precondition on drawn ops against a dense
-expansion built with np.kron and int(label, 2) arithmetic, and the exit
-code of `dj --function-file` on drawn file text."""
+its stages against a gate-by-gate pipeline, the oracle index array of drawn
+function tables against one built bit by bit, the deferred-measurement
+precondition on drawn ops against a dense expansion built with np.kron and
+int(label, 2) arithmetic, value validation against a per-value pass, and
+the exit code of `dj --function-file` on drawn file text."""
 
 import contextlib
 import io
@@ -24,23 +25,26 @@ from deutschsim import (
     Classification,
     CountedOracle,
     FunctionTable,
+    RegisterLayout,
     StateVector,
     deferred_equivalence,
     run_deutsch_jozsa,
 )
 from deutschsim.cli import main
-from deutschsim.gates import _permutation
+from deutschsim.deutsch import _run_pipeline
+from deutschsim.gates import _integer, _permutation, _validate_values
 
-from conftest import haar_unitary, random_state_vector
+from conftest import brute_oracle, haar_unitary, random_state_vector
+from test_deutsch import assert_same_stages, per_gate_stages
 
 # Qubit positions of each canonical register in the 4-bit label (B B A V).
 REGISTER_BITS = {"B": (0, 1), "A": (2,), "V": (3,)}
 
 
 @st.composite
-def promise_functions(draw) -> list[int]:
-    """A constant or balanced value list on 1 to 5 argument bits."""
-    m = 1 << draw(st.integers(min_value=1, max_value=5))
+def promise_functions(draw, max_bits: int = 5) -> list[int]:
+    """A constant or balanced value list on 1 to ``max_bits`` argument bits."""
+    m = 1 << draw(st.integers(min_value=1, max_value=max_bits))
     if draw(st.booleans()):
         return [draw(st.integers(min_value=0, max_value=1))] * m
     ones = set(draw(st.permutations(range(m)))[: m // 2])
@@ -60,6 +64,66 @@ def test_deutsch_jozsa_verdict_matches_count_of_ones(values):
     assert verdict.classification is expected
     assert verdict.outcome_bit == bit
     assert verdict.evaluations_used == 1
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=40)
+@given(promise_functions(max_bits=8))
+def test_deutsch_jozsa_stages_equal_gate_by_gate_pipeline(values):
+    n = len(values).bit_length() - 1
+    layout = RegisterLayout((("A", n), ("V", 1)))
+    labels = ["0" * n + "1"]
+    assert_same_stages(
+        _run_pipeline(layout, labels, CountedOracle(_permutation(values))),
+        per_gate_stages(layout, labels, brute_oracle(values)),
+    )
+
+
+def per_value_validation(values) -> tuple[int, ...]:
+    """Every value through ``_integer``, then the 0/1 and length checks."""
+    vals = tuple(_integer(v) for v in values)
+    if None in vals:
+        raise ValueError(f"function values must be integers, got {list(values)}")
+    if any(v not in (0, 1) for v in vals):
+        raise ValueError(f"function values must be 0 or 1, got {vals}")
+    m = len(vals)
+    if m < 2 or m & (m - 1):
+        raise ValueError(f"value list length {m} is not a power of two >= 2")
+    return vals
+
+
+VALUE_KINDS = {
+    "int": st.one_of(st.integers(0, 1), st.integers(0, 1), st.sampled_from([-1, 2, 10**30])),
+    "bool": st.booleans(),
+    "float": st.sampled_from([0.0, 1.0, -0.0, 0.9, 2.0, float("nan"), float("inf"), -float("inf")]),
+    "str": st.sampled_from(["0", "1", " 1 ", "2", "x", "0_1", "+1", ""]),
+}
+
+
+@st.composite
+def value_sequences(draw):
+    """A list, tuple or numpy array of one kind of value or a mix, of a
+    power-of-two length or another."""
+    kind = draw(st.sampled_from([*VALUE_KINDS, "mixed"]))
+    items = st.one_of(*VALUE_KINDS.values()) if kind == "mixed" else VALUE_KINDS[kind]
+    length = draw(st.sampled_from([0, 1, 2, 3, 4, 6, 8, 16]))
+    values = draw(st.lists(items, min_size=length, max_size=length))
+    return draw(st.sampled_from([list, tuple, np.array]))(values)
+
+
+def outcome(validate, values):
+    try:
+        return validate(values)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(value_sequences())
+def test_value_validation_matches_the_per_value_pass(values):
+    got = outcome(_validate_values, values)
+    assert got == outcome(per_value_validation, values)
+    if not isinstance(got[0], type):
+        assert all(type(v) is int for v in got)
 
 
 @st.composite
