@@ -333,8 +333,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PromiseViolationError as exc:
         print(f"promise violation: {exc}", file=sys.stderr)
         return EXIT_PROMISE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except (SimulatorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

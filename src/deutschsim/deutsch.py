@@ -46,6 +46,7 @@ from .state import (
     RegisterLayout,
     StateVector,
     _evolve,
+    _is_int,
     apply_unitary,
     partial_trace,
     superpose,
@@ -159,8 +160,7 @@ def _run_pipeline(
 
 def _check_bit(value: int, name: str) -> None:
     # Labels are spelled with str(value), so 1.0 or True would name no state.
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not integer or value not in (0, 1):
+    if not _is_int(value) or value not in (0, 1):
         raise ValueError(f"{name} must be 0 or 1, got {value!r}")
 
 
@@ -244,8 +244,8 @@ def run_deutsch_jozsa(values: Sequence[int]) -> Verdict:
 
 def enumerate_promise_functions(n: int) -> list[tuple[int, ...]]:
     """Every constant and balanced value list on n argument bits, constants first."""
-    if not 1 <= n <= 3:
-        raise ValueError(f"exhaustive enumeration supported for 1 <= n <= 3, got {n}")
+    if not _is_int(n) or not 1 <= n <= 3:
+        raise ValueError(f"exhaustive enumeration supported for 1 <= n <= 3, got {n!r}")
     m = 1 << n
     halves = itertools.combinations(range(m), m // 2)
     balanced = [tuple(int(i in ones) for i in range(m)) for ones in halves]
@@ -255,8 +255,8 @@ def enumerate_promise_functions(n: int) -> list[tuple[int, ...]]:
 def classical_query_count(n: int) -> int:
     """Worst-case deterministic function evaluations to decide constant vs
     balanced on n argument bits: half the domain plus one."""
-    if n < 1:
-        raise ValueError(f"argument bits must be >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"argument bits must be an integer >= 1, got {n!r}")
     return 2 ** (n - 1) + 1
 
 
@@ -271,7 +271,6 @@ class RhoInvarianceReport:
     expected to hold and off-diagonal deltas are reported, not judged.
     """
 
-    register: str
     basis_state_input: bool
     stage_rhos: tuple[tuple[str, DensityMatrix], ...]
     max_full_deviation: float
@@ -287,9 +286,9 @@ class RhoInvarianceReport:
         return self.max_diagonal_deviation <= ATOL_STATE
 
 
-def rho_B_invariance(trace: StageTrace, register: str = "B") -> RhoInvarianceReport:
-    """Track the reduced density matrix of ``register`` across a stage trace."""
-    rhos = tuple((label, partial_trace(state, register)) for label, state in trace.stages)
+def rho_B_invariance(trace: StageTrace) -> RhoInvarianceReport:
+    """Track the reduced density matrix of register B across a stage trace."""
+    rhos = tuple((label, partial_trace(state, "B")) for label, state in trace.stages)
     base = rhos[0][1].matrix
     diag_mask = np.eye(base.shape[0], dtype=bool)
 
@@ -303,7 +302,6 @@ def rho_B_invariance(trace: StageTrace, register: str = "B") -> RhoInvarianceRep
         max_diag = max(max_diag, float(delta[diag_mask].max()))
         off_diag[label] = float(delta[~diag_mask].max())
     return RhoInvarianceReport(
-        register=register,
         basis_state_input=basis_input,
         stage_rhos=rhos,
         max_full_deviation=max_full,

@@ -77,42 +77,38 @@ def classify_function(values: Sequence[int]) -> Classification:
 
 @dataclass(frozen=True)
 class FunctionTable:
-    """One boolean function of ``arg_bits`` arguments per setting label.
+    """One boolean function per setting label: ``settings[b][a]`` is f_b(a).
 
-    ``settings[b][a]`` is the function value f_b(a); every value list has
-    length ``2 ** arg_bits``.
+    Every value list has the same power-of-two length ``2 ** arg_bits``, and
+    every label is a bitstring of the same width.
     """
 
-    arg_bits: int
     settings: Mapping[str, tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        if self.arg_bits < 1:
-            raise ValueError("arg_bits must be >= 1")
         if not self.settings:
-            raise FunctionFormatError("function table has no settings")
-        settings = {}
-        widths = set()
-        for label, values in self.settings.items():
-            if set(label) - {"0", "1"} or not label:
+            raise FunctionFormatError("no function definitions found")
+        settings = {label: _validate_values(v) for label, v in self.settings.items()}
+        lengths = {len(values) for values in settings.values()}
+        if len(lengths) != 1:
+            raise FunctionFormatError(f"value lists mix lengths {sorted(lengths)}")
+        for label in settings:
+            if not isinstance(label, str) or not label or set(label) - {"0", "1"}:
                 raise FunctionFormatError(f"setting label {label!r} is not a bitstring")
-            widths.add(len(label))
-            vals = _validate_values(values)
-            if len(vals) != 1 << self.arg_bits:
-                raise FunctionFormatError(
-                    f"setting {label!r} lists {len(vals)} values, "
-                    f"need {1 << self.arg_bits}"
-                )
-            settings[label] = vals
+        widths = {len(label) for label in settings}
         if len(widths) != 1:
             raise FunctionFormatError(f"setting labels mix widths {sorted(widths)}")
         object.__setattr__(self, "settings", settings)
+
+    @property
+    def arg_bits(self) -> int:
+        """Argument width: log2 of the common value-list length."""
+        return len(next(iter(self.settings.values()))).bit_length() - 1
 
     @classmethod
     def canonical(cls) -> FunctionTable:
         """The four one-bit functions: two constant, two balanced."""
         return cls(
-            arg_bits=1,
             settings={
                 "00": (0, 0),
                 "01": (0, 1),
@@ -125,8 +121,8 @@ class FunctionTable:
 def parse_function_table(text: str) -> FunctionTable:
     """Parse the text format: one ``<label>: <comma-separated 0/1 values>`` per line.
 
-    The argument width is inferred from the value-list length, which must be
-    a power of two.  Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored.  A line's own faults name its
+    number; what makes a whole table valid is ``FunctionTable``'s to judge.
     """
     settings: dict[str, tuple[int, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -144,13 +140,7 @@ def parse_function_table(text: str) -> FunctionTable:
         if label in settings:
             raise FunctionFormatError(f"line {lineno}: duplicate label {label!r}")
         settings[label] = values
-    if not settings:
-        raise FunctionFormatError("no function definitions found")
-    lengths = {len(values) for values in settings.values()}
-    if len(lengths) != 1:
-        raise FunctionFormatError(f"value lists mix lengths {sorted(lengths)}")
-    n = lengths.pop().bit_length() - 1
-    return FunctionTable(arg_bits=n, settings=settings)
+    return FunctionTable(settings)
 
 
 def _permutation(vals: Sequence[int]) -> np.ndarray:

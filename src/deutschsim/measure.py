@@ -30,6 +30,7 @@ from .state import (
     RegisterLayout,
     StateVector,
     _evolve,
+    _is_int,
 )
 
 RNG_ALGORITHM = "pcg64"
@@ -97,7 +98,7 @@ def measure(state: StateVector, register: str, outcome: str) -> MeasurementRecor
     """
     layout = state.layout
     width = layout.width(register)
-    if len(outcome) != width or set(outcome) - {"0", "1"}:
+    if not isinstance(outcome, str) or len(outcome) != width or set(outcome) - {"0", "1"}:
         raise LayoutError(f"outcome {outcome!r} is not a {width}-bit string")
     mask = _register_values(layout, register) == int(outcome, 2)
     probability, post = _project(state.amps, mask, register, outcome)
@@ -123,7 +124,7 @@ def sample(
     """Seeded Born-rule sampling; returns outcome -> count for observed outcomes.
     ``shots`` must be an integer >= 1 and ``seed`` one >= 0 (bools are not)."""
     for name, value, low in (("shots", shots, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        if not _is_int(value) or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     marg = _marginal(state, register)
     rng = np.random.default_rng(seed)

@@ -24,6 +24,12 @@ ATOL_MATRIX = 1e-10
 PROB_EPS = 1e-24
 
 
+def _is_int(value) -> bool:
+    """An ``int`` or numpy integer, never a ``bool``: int() would truncate
+    1.5, read True and "2" as numbers, and raise on nan and inf."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Named qubit groups with a fixed ordering, e.g. ``(("B", 2), ("A", 1), ("V", 1))``."""
@@ -32,9 +38,7 @@ class RegisterLayout:
 
     def __post_init__(self) -> None:
         groups = tuple((str(n), w) for n, w in self.groups)
-        # int(w) would truncate 1.5, read True and "2" as widths, and raise
-        # bare ValueError or OverflowError on nan and inf.
-        if any(isinstance(w, bool) or not isinstance(w, (int, np.integer)) for _, w in groups):
+        if not all(_is_int(w) for _, w in groups):
             raise LayoutError(f"register widths must be integers, got {groups}")
         groups = tuple((n, int(w)) for n, w in groups)
         object.__setattr__(self, "groups", groups)
@@ -79,24 +83,19 @@ class RegisterLayout:
             ) from None
 
     def index_of_label(self, label: str) -> int:
-        if len(label) != self.total_qubits or set(label) - {"0", "1"}:
+        if not isinstance(label, str) or len(label) != self.total_qubits or set(label) - {"0", "1"}:
             raise LayoutError(
                 f"label {label!r} is not a {self.total_qubits}-bit string"
             )
         return int(label, 2)
 
     def label_of_index(self, index: int) -> str:
-        if not 0 <= index < self.dim:
-            raise LayoutError(f"index {index} out of range for dim {self.dim}")
+        if not _is_int(index) or not 0 <= index < self.dim:
+            raise LayoutError(f"index {index!r} out of range for dim {self.dim}")
         return format(index, f"0{self.total_qubits}b")
 
-    def register_bits(self, label_or_index: str | int, register: str) -> str:
+    def register_bits(self, label: str, register: str) -> str:
         """Extract ``register``'s bits from a full basis label."""
-        label = (
-            self.label_of_index(label_or_index)
-            if isinstance(label_or_index, int)
-            else label_or_index
-        )
         pos = self.qubit_positions(register)
         return "".join(label[p] for p in pos)
 
@@ -260,7 +259,10 @@ class Op:
     def __init__(
         self, action, targets: Sequence[int], n_qubits: int, *, permutation: bool = False
     ):
-        targets = tuple(int(t) for t in targets)
+        targets = tuple(targets)
+        if not _is_int(n_qubits) or not all(map(_is_int, targets)):
+            raise LayoutError(f"targets {targets} and qubit count {n_qubits!r} must be integers")
+        targets, n_qubits = tuple(map(int, targets)), int(n_qubits)
         if len(set(targets)) != len(targets):
             raise LayoutError(f"duplicate target qubits {targets}")
         if any(t < 0 or t >= n_qubits for t in targets):

@@ -222,6 +222,71 @@ class TestSampleCommand:
         assert code == 2 and out == ""
         assert "seed must be an integer >= 0, got -1" in err
 
+    def test_unallocatable_shot_count_exits_2(self, capsys):
+        # 10^14 shots ask numpy for 728 TiB, past the 128 TiB a 64-bit
+        # process can address, so the request fails before memory is used.
+        code, out, err = run_cli(
+            capsys, "sample", "01", "--register", "A", "--shots", "100000000000000"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "728. TiB" in err
+
+
+USAGE = "usage: deutschsim [-h] [--version] {run,superposed,verify,sample,dj} ...\n"
+
+# `dj --function-file` on each table: stdout, stderr and exit code.  A
+# table's first fault is named in one order: a line's own fault, then no
+# definitions, mixed lengths, a bad label, mixed label widths.
+FUNCTION_FILE_CASES = {
+    "empty": ("", (), "", "error: no function definitions found\n" + USAGE, 2),
+    "comments_only": (
+        "# nothing\n\n# here\n", (), "", "error: no function definitions found\n" + USAGE, 2,
+    ),
+    "bad_label": (
+        "0x: 0,1\n", (), "", "error: setting label '0x' is not a bitstring\n" + USAGE, 2,
+    ),
+    "empty_label": (": 0,1\n", (), "", "error: setting label '' is not a bitstring\n" + USAGE, 2),
+    "mixed_widths": (
+        "0: 0,1\n10: 1,0\n", (), "", "error: setting labels mix widths [1, 2]\n" + USAGE, 2,
+    ),
+    "mixed_lengths": (
+        "0: 0,1\n1: 0,1,1,0\n", (), "", "error: value lists mix lengths [2, 4]\n" + USAGE, 2,
+    ),
+    "mixed_lengths_bad_label": (
+        "x: 0,1\n1: 0,1,1,0\n", (), "", "error: value lists mix lengths [2, 4]\n" + USAGE, 2,
+    ),
+    "mixed_lengths_mixed_widths": (
+        "0: 0,1\n10: 0,1,1,0\n", (), "", "error: value lists mix lengths [2, 4]\n" + USAGE, 2,
+    ),
+    "bad_label_mixed_widths": (
+        "0: 0,1\nx0: 1,0\n", (), "", "error: setting label 'x0' is not a bitstring\n" + USAGE, 2,
+    ),
+    "duplicate_label": (
+        "00: 0,0\n00: 1,1\n", (), "", "error: line 2: duplicate label '00'\n" + USAGE, 2,
+    ),
+    "value_2": (
+        "00: 0,2\n", (), "", "error: line 1: function value '2' is not 0 or 1\n" + USAGE, 2,
+    ),
+    "promise_violation": (
+        "0: 0,0,0,0\n1: 0,1,1,1\n", (), "0: constant (outcome=0, evaluations=1)\n",
+        "promise violation: 1: f=0111 is neither constant nor balanced\n", 3,
+    ),
+    "nine_bits": (
+        "0: " + ",".join("0" * 512) + "\n", (), "",
+        "error: argument register capped at 8 qubits\n" + USAGE, 2,
+    ),
+    "n_mismatch": (
+        "00: 0,0\n01: 0,1\n", ("--n", "2"), "",
+        "error: file defines 1-bit functions, --n says 2\n", 2,
+    ),
+    "valid_with_n": (
+        "00: 0,0,0,0\n01: 0,1,1,0\n", ("--n", "2"),
+        "00: constant (outcome=0, evaluations=1)\n01: balanced (outcome=1, evaluations=1)\n",
+        "", 0,
+    ),
+}
+
 
 class TestDjCommand:
     def test_function_file(self, capsys, tmp_path):
@@ -299,6 +364,13 @@ class TestDjCommand:
     def test_source_required(self, capsys):
         code, _, _ = run_cli(capsys, "dj")
         assert code == 2
+
+    @pytest.mark.parametrize("case", FUNCTION_FILE_CASES)
+    def test_function_file_output_and_exit_code(self, capsys, tmp_path, case):
+        text, flags, out, err, code = FUNCTION_FILE_CASES[case]
+        path = tmp_path / "f.txt"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(capsys, "dj", "--function-file", str(path), *flags) == (code, out, err)
 
 
 class TestStateDumpRoundTrip:

@@ -375,6 +375,15 @@ class TestRunDeutschJozsa:
         with pytest.raises(ValueError):
             enumerate_promise_functions(4)
 
+    @pytest.mark.parametrize("n", [True, 2.0, 1.5, "2", None])
+    def test_enumeration_rejects_non_integer_n(self, n):
+        # True would enumerate the 1-bit functions; 2.0 leaked TypeError.
+        with pytest.raises(ValueError, match="1 <= n <= 3"):
+            enumerate_promise_functions(n)
+
+    def test_enumeration_accepts_numpy_integer_n(self):
+        assert enumerate_promise_functions(np.int64(2)) == enumerate_promise_functions(2)
+
 
 class TestClassicalQueryCount:
     def test_one_bit_needs_two_evaluations(self):
@@ -418,6 +427,15 @@ class TestClassicalQueryCount:
     def test_bad_argument_count_rejected(self):
         with pytest.raises(ValueError):
             classical_query_count(0)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, "2", None])
+    def test_non_integer_argument_count_rejected(self, n):
+        # 1.5 used to give 2 ** 0.5 + 1 evaluations.
+        with pytest.raises(ValueError, match="must be an integer"):
+            classical_query_count(n)
+
+    def test_numpy_integer_argument_count_accepted(self):
+        assert classical_query_count(np.int64(3)) == classical_query_count(3) == 5
 
 
 class TestRhoInvariance:

@@ -1,5 +1,6 @@
 """Hadamard, black-box oracles, function tables and their text format."""
 
+import re
 from itertools import product
 
 import numpy as np
@@ -181,22 +182,52 @@ class TestFunctionTable:
         assert table.arg_bits == 1
         assert dict(table.settings) == TRUTH_TABLE
 
-    def test_wrong_value_count_rejected(self):
-        with pytest.raises(FunctionFormatError):
-            FunctionTable(arg_bits=2, settings={"0": (0, 1)})
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_arg_bits_derived_from_value_length(self, n):
+        table = FunctionTable({"0": (0,) * (1 << n), "1": (1, 0) * (1 << (n - 1))})
+        assert table.arg_bits == n
+        with pytest.raises(AttributeError):
+            table.arg_bits = n + 1
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(FunctionFormatError, match="^no function definitions found$"):
+            FunctionTable({})
+
+    def test_mixed_value_lengths_rejected(self):
+        with pytest.raises(FunctionFormatError, match=r"^value lists mix lengths \[2, 4\]$"):
+            FunctionTable({"0": (0, 1), "1": (0, 1, 1, 0)})
 
     def test_mixed_label_widths_rejected(self):
-        with pytest.raises(FunctionFormatError):
-            FunctionTable(arg_bits=1, settings={"0": (0, 1), "10": (1, 0)})
+        with pytest.raises(FunctionFormatError, match=r"^setting labels mix widths \[1, 2\]$"):
+            FunctionTable({"0": (0, 1), "10": (1, 0)})
 
     def test_non_bitstring_label_rejected(self):
-        with pytest.raises(FunctionFormatError):
-            FunctionTable(arg_bits=1, settings={"x1": (0, 1)})
+        for label in ("x1", "", "2", "\uff10"):
+            with pytest.raises(FunctionFormatError, match="is not a bitstring$"):
+                FunctionTable({label: (0, 1)})
+
+    def test_non_string_label_rejected(self):
+        for label in (5, 0, None, ("0",)):
+            with pytest.raises(FunctionFormatError, match=re.escape(f"label {label!r} is not")):
+                FunctionTable({label: (0, 1)})
+
+    def test_faults_reported_in_one_order(self):
+        # Values, then lengths, then labels, then widths: the order in which
+        # `dj --function-file` has always named a table's first fault.
+        cases = [
+            ({"x": (0, 2), "10": (0, 1, 1, 0)}, ValueError, "0 or 1"),
+            ({"x": (0, 1), "10": (0, 1, 1, 0)}, FunctionFormatError, "mix lengths"),
+            ({"0": (0, 1), "x0": (1, 0)}, FunctionFormatError, "'x0' is not a bitstring"),
+            ({"0": (0, 1), "10": (1, 0)}, FunctionFormatError, "mix widths"),
+        ]
+        for settings, error, message in cases:
+            with pytest.raises(error, match=message):
+                FunctionTable(settings)
 
     def test_non_binary_values_rejected(self):
         for values in ((0, 7), *NON_INTEGRAL_VALUES):
             with pytest.raises(ValueError):
-                FunctionTable(arg_bits=1, settings={"0": values})
+                FunctionTable({"0": values})
 
 
 class TestParseFunctionTable:

@@ -150,6 +150,12 @@ class TestMeasure:
         with pytest.raises(LayoutError):
             measure(basis_state(CANONICAL_LAYOUT, "0000"), "B", "0")
 
+    @pytest.mark.parametrize("outcome", [1, 0, None, ["1"]])
+    def test_non_string_outcome_rejected(self, outcome):
+        # len() or int(outcome, 2) would leak TypeError.
+        with pytest.raises(LayoutError, match="is not a 1-bit string"):
+            measure(basis_state(CANONICAL_LAYOUT, "0010"), "A", outcome)
+
 
 class TestSample:
     def test_eigenstate_samples_exactly(self):

@@ -4,13 +4,17 @@ its stages against a gate-by-gate pipeline, the oracle index array of drawn
 function tables against one built bit by bit, the deferred-measurement
 precondition on drawn ops against a dense expansion built with np.kron and
 int(label, 2) arithmetic, value validation against a per-value pass, and
-the exit code of `dj --function-file` on drawn file text."""
+the exit code of `dj --function-file` on drawn file text.  Last, that a
+failing property test is reported as a failure under this suite's settings."""
 
 import contextlib
 import io
 import itertools
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,7 +137,9 @@ def function_tables(draw) -> FunctionTable:
     n = draw(st.integers(min_value=1, max_value=3))
     values = st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n)
     settings = {format(b, f"0{w}b"): tuple(draw(values)) for b in range(1 << w)}
-    return FunctionTable(arg_bits=n, settings=settings)
+    table = FunctionTable(settings)
+    assert table.arg_bits == n
+    return table
 
 
 @settings(deadline=None, derandomize=True, database=None)
@@ -265,3 +271,35 @@ def test_function_file_exits_0_2_or_3_and_never_raises(text):
             code = main(["dj", "--function-file", path])
     assert code in (0, 2, 3)
     assert bool(err.getvalue()) == (code != 0)
+
+
+FAILING_AND_PASSING = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_is_reported_and_later_tests_run(tmp_path):
+    # Hypothesis imports libcst to report a falsifying example, and that
+    # import warns; under the suite's warnings-as-errors setting it must not
+    # become an INTERNALERROR that ends the run.
+    (tmp_path / "test_two.py").write_text(FAILING_AND_PASSING, encoding="utf-8")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    output = run.stdout + run.stderr
+    assert run.returncode == 1, output
+    assert "INTERNALERROR" not in output
+    assert "1 failed, 1 passed" in run.stdout and "Falsifying example" in run.stdout

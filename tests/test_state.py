@@ -58,10 +58,15 @@ class TestRegisterLayout:
             seen.add(label)
         assert len(seen) == 16
 
+    @pytest.mark.parametrize("index", [True, 1.5, 2.0, "3", -1, 16])
+    def test_bad_index_rejected(self, index):
+        # format() would read True as 1 and fail on a float with ValueError.
+        with pytest.raises(LayoutError, match="out of range"):
+            CANONICAL_LAYOUT.label_of_index(index)
+
     def test_register_bits_extraction(self):
         assert CANONICAL_LAYOUT.register_bits("0110", "B") == "01"
         assert CANONICAL_LAYOUT.register_bits("0110", "A") == "1"
-        assert CANONICAL_LAYOUT.register_bits(6, "V") == "0"
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(LayoutError):
@@ -125,6 +130,18 @@ class TestBasisState:
     def test_bad_label_length(self):
         with pytest.raises(LayoutError):
             basis_state(CANONICAL_LAYOUT, "010")
+
+    @pytest.mark.parametrize("label", [5, 0, None, ["0", "1", "0", "0"]])
+    def test_non_string_label_rejected(self, label):
+        # len() or int(label, 2) would leak TypeError.
+        state = basis_state(CANONICAL_LAYOUT, "0100")
+        for read in (
+            lambda: basis_state(CANONICAL_LAYOUT, label),
+            lambda: state.amplitude(label),
+            lambda: superpose([(1.0, label)], CANONICAL_LAYOUT),
+        ):
+            with pytest.raises(LayoutError, match="is not a 4-bit string"):
+                read()
 
     def test_amps_are_read_only(self):
         s = basis_state(CANONICAL_LAYOUT, "0000")
@@ -447,6 +464,28 @@ class TestOp:
                     pos = CANONICAL_LAYOUT.qubit_positions(register)
                     leak = permutation_op(perm, targets).leak(pos)
                     assert leak == Op(u, targets, 4).leak(pos) and leak in (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "targets, n_qubits",
+        [((0.5,), 2), (("0",), 2), ((True,), 2), ((0,), 1.5), ((0,), True), ((0,), "2")],
+        ids=["fraction-target", "text-target", "bool-target",
+             "fraction-count", "bool-count", "text-count"],
+    )
+    def test_non_integer_targets_and_counts_rejected(self, targets, n_qubits):
+        # int() would truncate 0.5 and read "0" and True as qubit 0.
+        for action, permutation in ((hadamard(), False), (np.array([1, 0]), True)):
+            with pytest.raises(LayoutError, match="must be integers"):
+                Op(action, targets, n_qubits, permutation=permutation)
+        if n_qubits == 2:  # apply_unitary takes its qubit count from the state
+            with pytest.raises(LayoutError, match="must be integers"):
+                apply_unitary(basis_state(CANONICAL_LAYOUT, "0000"), hadamard(), targets)
+
+    def test_numpy_integer_targets_and_counts_accepted(self):
+        op = Op(hadamard(), (np.int64(1),), np.uint8(2))
+        assert op.targets == (1,) and op.n_qubits == 2
+        assert all(type(v) is int for v in (*op.targets, op.n_qubits))
+        s = basis_state(RegisterLayout((("Q", 2),)), "00")
+        assert np.array_equal(op.apply(s).amps, Op(hadamard(), (1,), 2).apply(s).amps)
 
     def test_wrong_qubit_count_rejected(self):
         s = basis_state(CANONICAL_LAYOUT, "0000")
