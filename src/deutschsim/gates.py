@@ -86,6 +86,8 @@ class FunctionTable:
     settings: Mapping[str, tuple[int, ...]]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.settings, Mapping):
+            raise FunctionFormatError(f"settings {type(self.settings).__name__} is not a mapping")
         if not self.settings:
             raise FunctionFormatError("no function definitions found")
         settings = {label: _validate_values(v) for label, v in self.settings.items()}

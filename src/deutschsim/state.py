@@ -96,6 +96,7 @@ class RegisterLayout:
 
     def register_bits(self, label: str, register: str) -> str:
         """Extract ``register``'s bits from a full basis label."""
+        self.index_of_label(label)
         pos = self.qubit_positions(register)
         return "".join(label[p] for p in pos)
 
@@ -259,8 +260,8 @@ class Op:
     def __init__(
         self, action, targets: Sequence[int], n_qubits: int, *, permutation: bool = False
     ):
-        targets = tuple(targets)
-        if not _is_int(n_qubits) or not all(map(_is_int, targets)):
+        targets = tuple(targets) if np.iterable(targets) else targets
+        if not isinstance(targets, tuple) or not all(map(_is_int, (*targets, n_qubits))):
             raise LayoutError(f"targets {targets} and qubit count {n_qubits!r} must be integers")
         targets, n_qubits = tuple(map(int, targets)), int(n_qubits)
         if len(set(targets)) != len(targets):

@@ -1,9 +1,9 @@
 """Named verification checks with golden expected values.
 
-Every check is registered under a stable name and compared against
-``CHECK_MANIFEST`` before running, so a criterion cannot silently drop out
-of the suite.  Checks report the measured deviation next to the bound they
-were held to.
+Every check is registered once, by ``_check(name, bound)``, and the registry
+is compared against ``CHECK_MANIFEST`` before running, so a criterion cannot
+silently drop out of the suite.  Checks report the measured deviation next to
+the bound they were held to.
 """
 
 from __future__ import annotations
@@ -135,10 +135,19 @@ class CheckResult:
 _CHECKS: dict[str, Callable[[], CheckResult]] = {}
 
 
-def _check(name: str):
-    def register(fn: Callable[[], CheckResult]):
-        _CHECKS[name] = fn
-        return fn
+def _check(name: str, bound: float):
+    """Register a check under ``name`` with its ``bound``.  The body returns
+    ``(deviation, detail)`` or ``(deviation, detail, ok)``; the check passes
+    when ``ok`` holds and the deviation is within the bound, which NaN is not."""
+
+    def register(body: Callable[[], tuple]):
+        def run() -> CheckResult:
+            deviation, detail, *ok = body()
+            passed = bool(all(ok) and deviation <= bound)
+            return CheckResult(name, passed, deviation, bound, detail)
+
+        _CHECKS[name] = run
+        return body
 
     return register
 
@@ -178,12 +187,10 @@ def _deferred_report():
 
 
 def _stage_check(name: str, stage: str, golden: dict[str, float], fixed: bool):
-    def body() -> CheckResult:
+    @_check(name, ATOL_STATE)
+    def body():
         trace = _fixed("01")[0] if fixed else _superposed()
-        dev = golden_deviation(trace.state(stage), golden)
-        return CheckResult(name, dev <= ATOL_STATE, dev, ATOL_STATE, f"stage {stage}")
-
-    _CHECKS[name] = body
+        return golden_deviation(trace.state(stage), golden), f"stage {stage}"
 
 
 _stage_check("eq2_input_state", "input", FIXED_01_GOLDEN["input"], fixed=True)
@@ -196,8 +203,8 @@ _stage_check("eq8_superposed_oracle", "after_H_f", SUPERPOSED_GOLDEN["after_H_f"
 _stage_check("eq9_superposed_final", "after_H_A_2", SUPERPOSED_GOLDEN["after_H_A_2"], fixed=False)
 
 
-@_check("readout_table")
-def _readout_table() -> CheckResult:
+@_check("readout_table", ATOL_STATE)
+def _readout_table():
     dev = 0.0
     ok = True
     for b, expected_bit in READOUT_GOLDEN.items():
@@ -208,53 +215,43 @@ def _readout_table() -> CheckResult:
             Classification.BALANCED if expected_bit == "1" else Classification.CONSTANT
         )
         ok = ok and verdict.classification is want
-    return CheckResult(
-        "readout_table", ok and dev <= ATOL_STATE, dev, ATOL_STATE,
-        "A reads 1 for balanced settings, 0 for constant ones",
-    )
+    return dev, "A reads 1 for balanced settings, 0 for constant ones", ok
 
 
-@_check("single_evaluation")
-def _single_evaluation() -> CheckResult:
+@_check("single_evaluation", 0.0)
+def _single_evaluation():
     quantum = [_fixed(b)[1].evaluations_used for b in SETTING_LABELS]
     quantum.append(run_deutsch_jozsa([0, 1, 1, 0]).evaluations_used)
     classical = classical_query_count(1)
     ok = all(q == 1 for q in quantum) and classical == 2
-    return CheckResult(
-        "single_evaluation", ok, 0.0 if ok else 1.0, 0.0,
-        f"quantum evaluations {sorted(set(quantum))}, classical count {classical}",
-    )
+    detail = f"quantum evaluations {sorted(set(quantum))}, classical count {classical}"
+    return float(not ok), detail
 
 
-@_check("measurement_non_disturbance")
-def _measurement_non_disturbance() -> CheckResult:
+@_check("measurement_non_disturbance", ATOL_STATE)
+def _measurement_non_disturbance():
     dev = 0.0
     for b, bit in READOUT_GOLDEN.items():
         final = _fixed(b)[0].final
         record = measure(final, "A", bit)
         dev = max(dev, record.post_state.max_delta(final), abs(1.0 - record.probability))
-    return CheckResult(
-        "measurement_non_disturbance", dev <= ATOL_STATE, dev, ATOL_STATE,
-        "measuring A leaves each final state unchanged",
-    )
+    return dev, "measuring A leaves each final state unchanged"
 
 
-@_check("reversibility")
-def _reversibility() -> CheckResult:
+@_check("reversibility", ATOL_STATE)
+def _reversibility():
     undo = inverse_circuit(deutsch_circuit())
     dev = 0.0
     for b in SETTING_LABELS:
         trace, _ = _fixed(b)
         recovered = apply_circuit(trace.final, undo)
         dev = max(dev, recovered.max_delta(trace.state("input")))
-    return CheckResult(
-        "reversibility", dev <= ATOL_STATE, dev, ATOL_STATE,
-        "inverse pipeline recovers every input state",
-    )
+    return dev, "inverse pipeline recovers every input state"
 
 
 def _deferred_branch_check(name: str, b: str):
-    def body() -> CheckResult:
+    @_check(name, ATOL_STATE)
+    def body():
         report = _deferred_report()
         branch = next(br for br in report.branches if br.outcome == b)
         dev = branch.max_deviation
@@ -263,9 +260,7 @@ def _deferred_branch_check(name: str, b: str):
             a_probs = outcome_distribution(branch.state_project_first, "A").probs
             dev = max(dev, abs(1.0 - a_probs.get("1", 0.0)))
             detail += "; branch reproduces the fixed-run A readout {1: 1.0}"
-        return CheckResult(name, dev <= ATOL_STATE, dev, ATOL_STATE, detail)
-
-    _CHECKS[name] = body
+        return dev, detail
 
 
 for _b in SETTING_LABELS:
@@ -326,88 +321,70 @@ def _random_block_diagonal_circuits(rng: np.random.Generator, count: int) -> lis
     ]
 
 
-@_check("deferred_equivalence_random_circuits")
-def _deferred_random() -> CheckResult:
+@_check("deferred_equivalence_random_circuits", ATOL_STATE)
+def _deferred_random():
     n_circuits = 120
     cases = _random_block_diagonal_circuits(np.random.default_rng(1905), n_circuits)
     dev = 0.0
     for initial, circuit in cases:
         report = deferred_equivalence(circuit, initial, "B")
         dev = max(dev, report.max_deviation)
-    return CheckResult(
-        "deferred_equivalence_random_circuits", dev <= ATOL_STATE, dev, ATOL_STATE,
-        f"{n_circuits} random B-block-diagonal circuits",
-    )
+    return dev, f"{n_circuits} random B-block-diagonal circuits"
 
 
-@_check("rho_b_basis_invariance")
-def _rho_basis() -> CheckResult:
+@_check("rho_b_basis_invariance", ATOL_STATE)
+def _rho_basis():
     dev = 0.0
     ok = True
     for b in SETTING_LABELS:
         report = rho_B_invariance(_fixed(b)[0])
         ok = ok and report.basis_state_input
         dev = max(dev, report.max_full_deviation)
-    return CheckResult(
-        "rho_b_basis_invariance", ok and dev <= ATOL_STATE, dev, ATOL_STATE,
-        "reduced B matrix constant across all stages for basis-state inputs",
-    )
+    return dev, "reduced B matrix constant across all stages for basis-state inputs", ok
 
 
-@_check("rho_b_superposed_diagonal")
-def _rho_superposed() -> CheckResult:
+@_check("rho_b_superposed_diagonal", ATOL_STATE)
+def _rho_superposed():
     report = rho_B_invariance(_superposed())
     off = max(report.off_diagonal_deviation.values())
-    dev = report.max_diagonal_deviation
-    ok = not report.basis_state_input and dev <= ATOL_STATE
-    return CheckResult(
-        "rho_b_superposed_diagonal", ok, dev, ATOL_STATE,
-        f"diagonal invariant; off-diagonal delta up to {off:.3f} (reported, not judged)",
-    )
+    detail = f"diagonal invariant; off-diagonal delta up to {off:.3f} (reported, not judged)"
+    return report.max_diagonal_deviation, detail, not report.basis_state_input
 
 
 def _dj_check(name: str, n: int):
-    def body() -> CheckResult:
+    @_check(name, 0.0)
+    def body():
         functions = enumerate_promise_functions(n)
         ok = True
         for f in functions:
             verdict = run_deutsch_jozsa(f)
             ok = ok and verdict.classification is classify_function(f)
             ok = ok and verdict.evaluations_used == 1
-        return CheckResult(
-            name, ok, 0.0 if ok else 1.0, 0.0,
-            f"{len(functions)} promise functions, one oracle call each",
-        )
-
-    _CHECKS[name] = body
+        return float(not ok), f"{len(functions)} promise functions, one oracle call each"
 
 
 for _n in (1, 2, 3):
     _dj_check(f"dj_exhaustive_n{_n}", _n)
 
 
-@_check("sampling_superposed_3sigma")
-def _sampling_3sigma() -> CheckResult:
-    shots, p = 40000, 0.25
-    counts = sample(_superposed().state("input"), "B", shots=shots, seed=42)
-    sigma = math.sqrt(shots * p * (1.0 - p))
-    expected = shots * p
+# Register B of the superposed input is uniform: each of its 4 values has p = 1/4.
+_SHOTS, _P_B = 40000, 0.25
+
+
+@_check("sampling_superposed_3sigma", 3.0 * math.sqrt(_SHOTS * _P_B * (1.0 - _P_B)))
+def _sampling_3sigma():
+    counts = sample(_superposed().state("input"), "B", shots=_SHOTS, seed=42)
+    expected = _SHOTS * _P_B
     dev = max(abs(counts.get(b, 0) - expected) for b in SETTING_LABELS)
-    return CheckResult(
-        "sampling_superposed_3sigma", dev <= 3.0 * sigma, dev, 3.0 * sigma,
-        f"counts {counts} vs {expected:.0f} +- 3 sigma",
-    )
+    return dev, f"counts {counts} vs {expected:.0f} +- 3 sigma"
 
 
-@_check("sampling_eigenstate_exact")
-def _sampling_exact() -> CheckResult:
+@_check("sampling_eigenstate_exact", 0.0)
+def _sampling_exact():
     eigen = sample(_fixed("01")[0].final, "A", shots=1000, seed=7)
     single = sample(basis_state(CANONICAL_LAYOUT, "0000"), "B", shots=7, seed=3)
     ok = eigen == {"1": 1000} and single == {"00": 7}
-    return CheckResult(
-        "sampling_eigenstate_exact", ok, 0.0 if ok else 1.0, 0.0,
-        f"deterministic registers sample exactly: {eigen}, {single}",
-    )
+    return float(not ok), f"deterministic registers sample exactly: {eigen}, {single}"
 
 
 def _matrix(op: Op) -> np.ndarray:
@@ -416,8 +393,8 @@ def _matrix(op: Op) -> np.ndarray:
     return op.apply_rows(np.eye(1 << op.n_qubits, dtype=np.complex128)).T
 
 
-@_check("gate_unitarity")
-def _gate_unitarity() -> CheckResult:
+@_check("gate_unitarity", ATOL_MATRIX)
+def _gate_unitarity():
     circuit = deutsch_circuit()
     ops = [circuit[1]]
     for f in ([0, 1], [1, 0], [0, 0], [1, 1], [0, 1, 1, 0], [0, 0, 1, 1, 0, 1, 1, 0]):
@@ -426,14 +403,11 @@ def _gate_unitarity() -> CheckResult:
     dev = max(
         float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))) for m in mats
     )
-    return CheckResult(
-        "gate_unitarity", dev <= ATOL_MATRIX, dev, ATOL_MATRIX,
-        f"{len(mats)} matrices checked",
-    )
+    return dev, f"{len(mats)} matrices checked"
 
 
-@_check("oracle_self_inverse")
-def _oracle_self_inverse() -> CheckResult:
+@_check("oracle_self_inverse", 0.0)
+def _oracle_self_inverse():
     settings = FunctionTable.canonical().settings
     ops = [deutsch_circuit()[1]] + [CountedOracle(_permutation(v)) for v in settings.values()]
     dev = 0.0
@@ -442,10 +416,7 @@ def _oracle_self_inverse() -> CheckResult:
         dev = max(dev, float(np.max(np.abs(u @ u - np.eye(u.shape[0])))))
         ok = ok and ((u.real == 0) | (u.real == 1)).all() and not u.imag.any()
         ok = ok and np.all(u.sum(axis=0) == 1.0) and np.all(u.sum(axis=1) == 1.0)
-    return CheckResult(
-        "oracle_self_inverse", ok and dev == 0.0, dev, 0.0,
-        "permutation structure and involution are exact",
-    )
+    return dev, "permutation structure and involution are exact", ok
 
 
 def _norm_preservation_cases(rng: np.random.Generator, count: int) -> list:
@@ -460,27 +431,23 @@ def _norm_preservation_cases(rng: np.random.Generator, count: int) -> list:
     return list(zip(states, _haar_each(draws), target_sets))
 
 
-@_check("norm_preservation")
-def _norm_preservation() -> CheckResult:
+@_check("norm_preservation", ATOL_STATE)
+def _norm_preservation():
     dev = 0.0
     for state, u, targets in _norm_preservation_cases(np.random.default_rng(77), 50):
         out = apply_unitary(state, u, targets)
         dev = max(dev, abs(out.norm() - 1.0))
-    return CheckResult(
-        "norm_preservation", dev <= ATOL_STATE, dev, ATOL_STATE,
-        "50 random states and unitaries",
-    )
+    return dev, "50 random states and unitaries"
 
 
-@_check("hadamard_involution")
-def _hadamard_involution() -> CheckResult:
+@_check("hadamard_involution", ATOL_STATE)
+def _hadamard_involution():
     h = hadamard()
-    dev = float(np.max(np.abs(h @ h - np.eye(2))))
-    return CheckResult("hadamard_involution", dev <= ATOL_STATE, dev, ATOL_STATE)
+    return float(np.max(np.abs(h @ h - np.eye(2)))), ""
 
 
-@_check("global_phase_invariance")
-def _global_phase() -> CheckResult:
+@_check("global_phase_invariance", ATOL_STATE)
+def _global_phase():
     circuit = deutsch_circuit()
     dev = 0.0
     ok = True
@@ -497,7 +464,4 @@ def _global_phase() -> CheckResult:
             )
         phased_final = apply_circuit(_superposed().state("input").with_phase(theta), circuit)
         ok = ok and solution_correlation(phased_final) == base_map
-    return CheckResult(
-        "global_phase_invariance", ok and dev <= ATOL_STATE, dev, ATOL_STATE,
-        "unit phases change no readout distribution or verdict",
-    )
+    return dev, "unit phases change no readout distribution or verdict", ok

@@ -193,6 +193,11 @@ class TestFunctionTable:
         with pytest.raises(FunctionFormatError, match="^no function definitions found$"):
             FunctionTable({})
 
+    def test_non_mapping_settings_rejected(self):
+        for settings in ([("0", (0, 1))], (("0", (0, 1)),), "0: 0, 1"):
+            with pytest.raises(FunctionFormatError, match="is not a mapping$"):
+                FunctionTable(settings)
+
     def test_mixed_value_lengths_rejected(self):
         with pytest.raises(FunctionFormatError, match=r"^value lists mix lengths \[2, 4\]$"):
             FunctionTable({"0": (0, 1), "1": (0, 1, 1, 0)})

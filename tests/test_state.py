@@ -68,6 +68,13 @@ class TestRegisterLayout:
         assert CANONICAL_LAYOUT.register_bits("0110", "B") == "01"
         assert CANONICAL_LAYOUT.register_bits("0110", "A") == "1"
 
+    @pytest.mark.parametrize("label", ["01", "010101", "01x1", "", 110, None])
+    def test_register_bits_rejects_bad_label(self, label):
+        # A short label indexed past its end; a long one gave V the bit at
+        # position 3 of the wrong width ("010101" read as '1').
+        with pytest.raises(LayoutError, match="is not a 4-bit string"):
+            CANONICAL_LAYOUT.register_bits(label, "V")
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(LayoutError):
             RegisterLayout((("B", 2), ("B", 1)))
@@ -467,9 +474,10 @@ class TestOp:
 
     @pytest.mark.parametrize(
         "targets, n_qubits",
-        [((0.5,), 2), (("0",), 2), ((True,), 2), ((0,), 1.5), ((0,), True), ((0,), "2")],
+        [((0.5,), 2), (("0",), 2), ((True,), 2), ((0,), 1.5), ((0,), True), ((0,), "2"),
+         (0, 2), (None, 2)],
         ids=["fraction-target", "text-target", "bool-target",
-             "fraction-count", "bool-count", "text-count"],
+             "fraction-count", "bool-count", "text-count", "bare-int-targets", "none-targets"],
     )
     def test_non_integer_targets_and_counts_rejected(self, targets, n_qubits):
         # int() would truncate 0.5 and read "0" and True as qubit 0.

@@ -1,5 +1,5 @@
-"""The verify checks' random inputs, rebuilt one draw at a time, and what a
-fresh process loads."""
+"""The verify checks' random inputs, rebuilt one draw at a time, the check
+registry and its one pass rule, and what a fresh process loads."""
 
 import os
 import subprocess
@@ -96,6 +96,45 @@ def test_oracle_self_inverse_judges_the_oracle_that_runs(monkeypatch):
     except UnitarityError:
         passed = False
     assert not passed
+
+
+@pytest.fixture
+def registry(monkeypatch):
+    """A copy of the check registry that a test may change; the real one stays."""
+    checks = dict(verify._CHECKS)
+    monkeypatch.setattr(verify, "_CHECKS", checks)
+    return checks
+
+
+def test_run_all_names_a_missing_check(registry):
+    del registry["reversibility"]
+    with pytest.raises(RuntimeError, match=r"missing \['reversibility'\], extra \[\]"):
+        verify.run_all()
+
+
+def test_run_all_names_an_extra_check(registry):
+    verify._check("unlisted_check", 0.0)(lambda: (0.0, ""))
+    with pytest.raises(RuntimeError, match=r"missing \[\], extra \['unlisted_check'\]"):
+        verify.run_all()
+
+
+@pytest.mark.parametrize(
+    "returned, passed",
+    [
+        ((float("nan"), "nan deviation"), False),
+        ((0.0, "ok is false", False), False),
+        ((0.0, "ok is a numpy false", np.False_), False),
+        ((0.5, "deviation at the bound"), True),
+        ((np.nextafter(0.5, 1.0), "just above the bound"), False),
+        ((0.25, "within the bound, ok", True), True),
+    ],
+)
+def test_one_pass_rule(registry, returned, passed):
+    verify._check("probe", 0.5)(lambda: returned)
+    result = registry["probe"]()
+    assert type(result.passed) is bool and result.passed is passed
+    assert (result.name, result.bound, result.detail) == ("probe", 0.5, returned[1])
+    assert result.deviation is returned[0]
 
 
 def test_cli_import_leaves_checks_unloaded():
