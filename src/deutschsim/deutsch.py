@@ -234,12 +234,17 @@ def run_deutsch_jozsa(values: Sequence[int]) -> Verdict:
     n = len(vals).bit_length() - 1
     if n > MAX_ARG_BITS:
         raise LayoutError(f"argument register capped at {MAX_ARG_BITS} qubits")
-    layout = RegisterLayout((("A", n), ("V", 1)))
     oracle = CountedOracle(_permutation(vals))
-    trace = _run_pipeline(layout, ["0" * n + "1"], oracle)
+    trace = _run_pipeline(_dj_layout(n), ["0" * n + "1"], oracle)
     classification = _classify(trace.final, "0" * n)
     outcome_bit = int(classification is Classification.BALANCED)
     return Verdict(outcome_bit, classification, oracle.calls)
+
+
+@lru_cache(maxsize=MAX_ARG_BITS)
+def _dj_layout(n: int) -> RegisterLayout:
+    """A (n qubits) and V, built once per width for the per-layout caches."""
+    return RegisterLayout((("A", n), ("V", 1)))
 
 
 def enumerate_promise_functions(n: int) -> list[tuple[int, ...]]:

@@ -48,7 +48,10 @@ def _integer(v) -> int | None:
 
 
 def _validate_values(values: Sequence[int]) -> tuple[int, ...]:
-    raw = tuple(values)
+    try:
+        raw = tuple(values)
+    except TypeError:
+        raise ValueError(f"function values {values!r} are not a sequence") from None
     # _integer(v) is v for a plain int, so a list of them skips the per-value pass.
     vals = raw if {*map(type, raw)} == {int} else tuple(map(_integer, raw))
     if None in vals:

@@ -65,6 +65,16 @@ def _register_values(layout: RegisterLayout, register: str) -> np.ndarray:
     return val
 
 
+@lru_cache(maxsize=64)
+def _outcome_indices(layout: RegisterLayout, register: str) -> np.ndarray:
+    """Row v holds the basis indices where ``register`` reads v, in index
+    order: a read-only (2^w, dim / 2^w) table, computed once per register."""
+    values = _register_values(layout, register)
+    table = np.argsort(values, kind="stable").reshape(1 << layout.width(register), -1)
+    table.flags.writeable = False
+    return table
+
+
 def _marginal(state: StateVector, register: str) -> np.ndarray:
     """Probability of each register outcome, indexed by outcome value;
     DegenerateStateError if the state is not normalized."""
@@ -100,22 +110,27 @@ def measure(state: StateVector, register: str, outcome: str) -> MeasurementRecor
     width = layout.width(register)
     if not isinstance(outcome, str) or len(outcome) != width or set(outcome) - {"0", "1"}:
         raise LayoutError(f"outcome {outcome!r} is not a {width}-bit string")
-    mask = _register_values(layout, register) == int(outcome, 2)
-    probability, post = _project(state.amps, mask, register, outcome)
-    return MeasurementRecord(register, outcome, probability, StateVector(layout, post))
+    table = _outcome_indices(layout, register)[[int(outcome, 2)]]
+    (probability,), (post,) = _project(state.amps, table, register, [outcome])
+    return MeasurementRecord(register, outcome, float(probability), StateVector(layout, post))
 
 
 def _project(
-    amps: np.ndarray, mask: np.ndarray, register: str, outcome: str
-) -> tuple[float, np.ndarray]:
-    """Probability of the basis indices in ``mask`` and the renormalized
-    projection onto them; ImpossibleOutcomeError if it is zero."""
-    probability = float(np.sum(np.abs(amps[mask]) ** 2))
-    if probability < PROB_EPS:
+    amps: np.ndarray, table: np.ndarray, register: str, outcomes: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probability of each outcome, whose basis indices are its row of
+    ``table``, and the renormalized projection onto them, one row each;
+    ImpossibleOutcomeError names the first outcome of zero probability."""
+    picked = amps[table]
+    probability = (np.abs(picked) ** 2).sum(-1)
+    impossible = probability < PROB_EPS
+    if impossible.any():
         raise ImpossibleOutcomeError(
-            f"outcome {outcome!r} of register {register!r} has probability 0"
+            f"outcome {outcomes[impossible.argmax()]!r} of register {register!r} has probability 0"
         )
-    return probability, np.where(mask, amps, 0.0) / np.sqrt(probability)
+    post = np.zeros((len(table), amps.size), dtype=np.complex128)
+    post[np.arange(len(table))[:, None], table] = picked / np.sqrt(probability)[:, None]
+    return probability, post
 
 
 def sample(
@@ -223,10 +238,11 @@ def deferred_equivalence(
     the verdict that their joint distributions (``to_dict``) agree to 1e-12.
 
     ``circuit`` holds ops or ``(matrix, targets)`` pairs, each checked as an
-    op in circuit order before any op's own leak is judged.  The initial
-    state and every projected branch then go through each op together, as
-    the rows of one array, with the norm drift of each row checked per op;
-    the project-last branches are read off the evolved row 0.
+    op in circuit order before any op's own leak is judged.  Every outcome
+    is projected at once, through the register's table of basis indices.
+    The initial state and every projected branch then go through each op
+    together, as the rows of one array, with the norm drift of each row
+    checked per op; the project-last branches are read off the evolved row 0.
     """
     layout = initial.layout
     ops = _as_ops(circuit, layout.total_qubits)
@@ -239,37 +255,20 @@ def deferred_equivalence(
                 f"basis vectors (off-block magnitude {leak:.3e})"
             )
 
-    outcomes = list(outcome_distribution(initial, register).probs)
-    values = _register_values(layout, register)
-    masks = [values == int(outcome, 2) for outcome in outcomes]
-    firsts = [
-        _project(initial.amps, mask, register, outcome)
-        for mask, outcome in zip(masks, outcomes)
-    ]
-    rows = _evolve(np.stack([initial.amps] + [post for _, post in firsts]), ops)
-
-    branches = []
-    for outcome, mask, (p_first, _), final in zip(outcomes, masks, firsts, rows[1:]):
-        p_last, post_last = _project(rows[0], mask, register, outcome)
-        state_first = StateVector(layout, final)
-        state_last = StateVector(layout, post_last)
-        deviation = max(
-            float(np.max(np.abs(np.abs(state_first.amps) ** 2
-                                - np.abs(state_last.amps) ** 2))),
-            abs(p_first - p_last),
-        )
-        branches.append(
-            BranchReport(
-                outcome=outcome,
-                probability_project_first=p_first,
-                probability_project_last=p_last,
-                state_project_first=state_first,
-                state_project_last=state_last,
-                max_deviation=deviation,
-            )
-        )
-    return DeferredEquivalenceReport(
-        register=register,
-        branches=tuple(branches),
-        max_deviation=max(b.max_deviation for b in branches),
+    kept = np.flatnonzero(_marginal(initial, register) > PROB_EPS)
+    outcomes = [format(v, f"0{len(positions)}b") for v in kept.tolist()]
+    table = _outcome_indices(layout, register)[kept]
+    p_first, firsts = _project(initial.amps, table, register, outcomes)
+    rows = _evolve(np.concatenate([initial.amps[None], firsts]), ops)
+    p_last, lasts = _project(rows[0], table, register, outcomes)
+    deviations = np.maximum(
+        np.max(np.abs(np.abs(rows[1:]) ** 2 - np.abs(lasts) ** 2), axis=-1),
+        np.abs(p_first - p_last),
     )
+    branches = tuple(
+        BranchReport(outcome, pf, pl, StateVector(layout, first), StateVector(layout, last), dev)
+        for outcome, pf, pl, first, last, dev in zip(
+            outcomes, p_first.tolist(), p_last.tolist(), rows[1:], lasts, deviations.tolist()
+        )
+    )
+    return DeferredEquivalenceReport(register, branches, float(deviations.max()))

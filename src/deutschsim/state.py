@@ -37,7 +37,10 @@ class RegisterLayout:
     groups: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        groups = tuple((str(n), w) for n, w in self.groups)
+        try:
+            groups = tuple((str(n), w) for n, w in self.groups)
+        except (TypeError, ValueError):
+            raise LayoutError(f"registers must be (name, width) pairs: {self.groups!r}") from None
         if not all(_is_int(w) for _, w in groups):
             raise LayoutError(f"register widths must be integers, got {groups}")
         groups = tuple((n, int(w)) for n, w in groups)
@@ -328,7 +331,10 @@ class Op:
 
     def leak(self, positions: Sequence[int]) -> float:
         """Largest amplitude the op moves between basis states that differ on
-        the qubits ``positions``; exactly 0 or 1 for a permutation."""
+        the qubits ``positions`` (0 if it has none as a target); exactly 0
+        or 1 for a permutation."""
+        if not any(t in positions for t in self.targets):
+            return 0.0
         mask = sum(1 << i for i, t in enumerate(reversed(self.targets)) if t in positions)
         idx = np.arange(1 << len(self.targets)) & mask
         if self.perm is not None:

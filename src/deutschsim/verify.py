@@ -267,9 +267,11 @@ for _b in SETTING_LABELS:
     _deferred_branch_check(f"deferred_equivalence_b{_b}", _b)
 
 
-def _gaussian(shape, rng: np.random.Generator) -> np.ndarray:
-    """Complex Gaussian draw: all real parts, then all imaginary parts."""
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+def _gaussian(shape: tuple[int, ...], rng: np.random.Generator, blocks: int = 1) -> np.ndarray:
+    """``blocks`` complex Gaussian arrays of ``shape`` from one generator call:
+    each block's real parts, then its imaginary parts, as a call per block."""
+    z = rng.normal(size=(blocks, 2, *shape))
+    return z[:, 0] + 1j * z[:, 1]
 
 
 def _haar_each(draws: list[np.ndarray]) -> list[np.ndarray]:
@@ -300,18 +302,18 @@ def _random_block_diagonal_circuits(rng: np.random.Generator, count: int) -> lis
     layout = CANONICAL_LAYOUT
     cases, draws = [], []
     for _ in range(count):
-        amps = _gaussian(layout.dim, rng)
+        (amps,) = _gaussian((layout.dim,), rng)
         ops = []  # (number of diagonal blocks, targets)
         for _ in range(rng.integers(1, 5)):
             kind = rng.integers(0, 3)
             if kind == 0:
-                draws.append(_gaussian((2, 2), rng))
+                draws.extend(_gaussian((2, 2), rng))
                 ops.append((1, (int(rng.integers(2, 4)),)))
             elif kind == 1:
-                draws.append(_gaussian((4, 4), rng))
+                draws.extend(_gaussian((4, 4), rng))
                 ops.append((1, (2, 3)))
             else:
-                draws += [_gaussian((4, 4), rng) for _ in SETTING_LABELS]
+                draws.extend(_gaussian((4, 4), rng, len(SETTING_LABELS)))
                 ops.append((len(SETTING_LABELS), tuple(range(layout.total_qubits))))
         cases.append((StateVector(layout, amps / np.linalg.norm(amps)), ops))
     unitaries = iter(_haar_each(draws))
@@ -423,11 +425,11 @@ def _norm_preservation_cases(rng: np.random.Generator, count: int) -> list:
     """``count`` (state, unitary, targets) triples on 1 to 3 random qubits."""
     states, draws, target_sets = [], [], []
     for _ in range(count):
-        amps = _gaussian(16, rng)
+        (amps,) = _gaussian((16,), rng)
         states.append(StateVector(CANONICAL_LAYOUT, amps / np.linalg.norm(amps)))
         k = int(rng.integers(1, 4))
         target_sets.append(tuple(rng.choice(4, size=k, replace=False).tolist()))
-        draws.append(_gaussian((1 << k, 1 << k), rng))
+        draws.extend(_gaussian((1 << k, 1 << k), rng))
     return list(zip(states, _haar_each(draws), target_sets))
 
 

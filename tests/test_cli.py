@@ -26,6 +26,24 @@ from conftest import brute_stages
 
 # `deutschsim verify` stdout, byte for byte: every check, digit and detail.
 VERIFY_STDOUT = (Path(__file__).parent / "verify_stdout.txt").read_text(encoding="utf-8")
+# `deutschsim dj --all --n k` stdout for k = 1, 2, 3, byte for byte.
+DJ_ALL_STDOUT = {
+    k: (Path(__file__).parent / f"dj_all_n{k}_stdout.txt").read_text(encoding="utf-8")
+    for k in (1, 2, 3)
+}
+
+
+def run_optimized(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh ``python -O`` process, which drops asserts."""
+    src = str(Path(deutschsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "deutschsim.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
 
 
 def run_cli(capsys, *argv):
@@ -132,15 +150,7 @@ class TestVerifyCommand:
     def test_passes_with_asserts_stripped(self):
         # Invariants are explicit raises, so -O (which drops asserts) must
         # change nothing.
-        src = str(Path(deutschsim.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "deutschsim.cli", "verify"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=120,
-        )
+        proc = run_optimized("verify")
         assert proc.returncode == 0, proc.stderr
         n = len(CHECK_MANIFEST)
         assert f"{n}/{n} checks passed" in proc.stdout
@@ -295,6 +305,15 @@ class TestDjCommand:
         code, out, _ = run_cli(capsys, "dj", "--function-file", str(path))
         assert code == 0
         assert out.startswith("01: balanced")
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_all_functions_golden_stdout(self, capsys, n):
+        assert run_cli(capsys, "dj", "--all", "--n", str(n)) == (0, DJ_ALL_STDOUT[n], "")
+
+    def test_all_functions_golden_stdout_with_asserts_stripped(self):
+        for n, golden in DJ_ALL_STDOUT.items():
+            proc = run_optimized("dj", "--all", "--n", str(n))
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, golden, "")
 
     def test_all_two_bit_functions(self, capsys):
         code, out, _ = run_cli(capsys, "dj", "--all", "--n", "2")

@@ -513,17 +513,27 @@ class TestStagedEvolution:
         assert len(deutsch_circuit(layout)) == 7
 
     def test_run_validates_one_matrix_and_builds_no_distribution(self, monkeypatch):
+        # Nor a layout: a width already seen reuses its cached RegisterLayout.
         functions = {n: ([0] * (1 << n), [0, 1] * (1 << (n - 1))) for n in range(1, 9)}
         for constant, _ in functions.values():  # fill the per-layout caches
             run_deutsch_jozsa(constant)
-        validated, distributions = [], []
+        validated, distributions, layouts = [], [], []
         real = state_module._validate_unitary
+        real_post_init = RegisterLayout.__post_init__
 
         def counting(u, n_targets):
             validated.append(n_targets)
             return real(u, n_targets)
 
+        def counting_layout(layout):
+            layouts.append(layout.groups)
+            real_post_init(layout)
+
         monkeypatch.setattr(state_module, "_validate_unitary", counting)
+        monkeypatch.setattr(RegisterLayout, "__post_init__", counting_layout)
+        RegisterLayout((("A", 9), ("V", 1)))
+        assert layouts == [(("A", 9), ("V", 1))]  # the count sees every build
+        layouts.clear()
         for module in (deutsch_module, measure_module):
             monkeypatch.setattr(
                 module, "outcome_distribution", lambda *args: distributions.append(args)
@@ -535,6 +545,7 @@ class TestStagedEvolution:
                 assert verdict.classification is classify_function(values)
                 assert validated == [1], f"n={n}"  # H on V, making |->
         assert distributions == []
+        assert layouts == []
 
 
 class TestTraceAndOracle:

@@ -15,6 +15,7 @@ from deutschsim import (
     deutsch_circuit,
     hadamard,
     parse_function_table,
+    run_deutsch_jozsa,
 )
 from deutschsim.gates import _permutation
 
@@ -155,6 +156,12 @@ class TestClassifyFunction:
         for values in ([0, 2], *NON_INTEGRAL_VALUES):
             with pytest.raises(ValueError):
                 classify_function(values)
+
+    @pytest.mark.parametrize("values", [5, None, 0.5], ids=["int", "none", "float"])
+    def test_non_iterable_values_rejected(self, values):
+        for call in (classify_function, run_deutsch_jozsa, lambda v: FunctionTable({"0": v})):
+            with pytest.raises(ValueError, match="not a sequence"):
+                call(values)
 
     def test_bad_length_rejected(self):
         for values in ([0, 1, 1], [1]):

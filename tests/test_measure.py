@@ -1,6 +1,7 @@
 """Born-rule distributions, projective measurement, sampling, and the
 project-first versus project-last equivalence harness."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -31,7 +32,14 @@ from deutschsim import (
 )
 from deutschsim import deutsch as deutsch_module
 from deutschsim import state as state_module
-from deutschsim.measure import _register_values
+from deutschsim.measure import (
+    _as_ops,
+    _outcome_indices,
+    _project,
+    _register_values,
+)
+from deutschsim.state import PROB_EPS, _evolve
+from deutschsim.verify import _random_block_diagonal_circuits
 
 from conftest import (
     FIXED_01_STAGES,
@@ -400,6 +408,125 @@ class TestBatchedHarness:
         initial = StateVector(CANONICAL_LAYOUT, np.eye(16)[0] * 2.0)
         with pytest.raises(DegenerateStateError):
             deferred_equivalence(deutsch_circuit(), initial, "B")
+
+
+def project_loop_reference(circuit, initial: StateVector, register: str):
+    """``deferred_equivalence`` as written with one masked projection per
+    branch and per order, each with its own ``np.sum``, ``np.where`` and
+    ``StateVector``; the leak check is left out, as the inputs pass it."""
+    layout = initial.layout
+    ops = _as_ops(circuit, layout.total_qubits)
+
+    def project(amps, mask):
+        probability = float(np.sum(np.abs(amps[mask]) ** 2))
+        assert probability >= PROB_EPS
+        return probability, np.where(mask, amps, 0.0) / np.sqrt(probability)
+
+    outcomes = list(outcome_distribution(initial, register).probs)
+    values = _register_values(layout, register)
+    masks = [values == int(outcome, 2) for outcome in outcomes]
+    firsts = [project(initial.amps, mask) for mask in masks]
+    rows = _evolve(np.stack([initial.amps] + [post for _, post in firsts]), ops)
+    branches = []
+    for outcome, mask, (p_first, _), final in zip(outcomes, masks, firsts, rows[1:]):
+        p_last, post_last = project(rows[0], mask)
+        state_first = StateVector(layout, final)
+        state_last = StateVector(layout, post_last)
+        deviation = max(
+            float(np.max(np.abs(np.abs(state_first.amps) ** 2
+                                - np.abs(state_last.amps) ** 2))),
+            abs(p_first - p_last),
+        )
+        branches.append(BranchReport(
+            outcome, p_first, p_last, state_first, state_last, deviation
+        ))
+    return DeferredEquivalenceReport(
+        register, tuple(branches), max(b.max_deviation for b in branches)
+    )
+
+
+def verify_harness_reports() -> list:
+    """The 121 reports ``verify`` builds: the canonical pipeline on the
+    superposed input, then its 120 seeded random circuits."""
+    initial = state_from(SUPERPOSED_STAGES["input"])
+    reports = [deferred_equivalence(deutsch_circuit(), initial, "B")]
+    for initial, circuit in _random_block_diagonal_circuits(np.random.default_rng(1905), 120):
+        reports.append(deferred_equivalence(circuit, initial, "B"))
+    return reports
+
+
+def assert_same_report(got, want) -> None:
+    assert type(got.max_deviation) is float and got.max_deviation == want.max_deviation
+    assert got.register == want.register
+    assert [b.outcome for b in got.branches] == [b.outcome for b in want.branches]
+    for b, ref in zip(got.branches, want.branches):
+        for field in ("probability_project_first", "probability_project_last", "max_deviation"):
+            assert type(getattr(b, field)) is float
+            assert getattr(b, field) == getattr(ref, field), (b.outcome, field)
+        for field in ("state_project_first", "state_project_last"):
+            amps, ref_amps = getattr(b, field).amps, getattr(ref, field).amps
+            assert amps.tobytes() == ref_amps.tobytes(), (b.outcome, field)
+
+
+class TestAllBranchesAtOnce:
+    """All register outcomes are projected as one array; every report
+    field must be what one masked projection per branch gives, bit for bit."""
+
+    def test_verify_circuits_match_project_loop(self):
+        cases = [(deutsch_circuit(), state_from(SUPERPOSED_STAGES["input"]))]
+        cases += [
+            (circuit, initial) for initial, circuit
+            in _random_block_diagonal_circuits(np.random.default_rng(1905), 120)
+        ]
+        for circuit, initial in cases:
+            got = deferred_equivalence(circuit, initial, "B")
+            assert_same_report(got, project_loop_reference(circuit, initial, "B"))
+
+    def test_one_branch_and_zero_probability_outcome(self):
+        fixed = state_from(FIXED_01_STAGES["input"])
+        amps = random_state_vector(16, np.random.default_rng(3))
+        amps[[i for i in range(16) if i >> 2 in (1, 3)]] = 0.0  # B never reads 01, 11
+        partial = StateVector(CANONICAL_LAYOUT, amps / np.linalg.norm(amps))
+        for initial, outcomes in ((fixed, ["01"]), (partial, ["00", "10"])):
+            got = deferred_equivalence(deutsch_circuit(), initial, "B")
+            assert [b.outcome for b in got.branches] == outcomes
+            want = project_loop_reference(deutsch_circuit(), initial, "B")
+            assert_same_report(got, want)
+
+    def test_wide_register_rows_sum_as_one_mask_does(self):
+        # 128 amplitudes per outcome: numpy's pairwise summation, per row.
+        layout = RegisterLayout((("B", 2), ("A", 7)))
+        rng = np.random.default_rng(11)
+        initial = StateVector(layout, random_state_vector(512, rng))
+        circuit = [(hadamard(), (2,)), (hadamard(), (8,))]
+        got = deferred_equivalence(circuit, initial, "B")
+        assert_same_report(got, project_loop_reference(circuit, initial, "B"))
+
+    def test_reports_pinned_to_their_digest(self):
+        # Recorded from the per-branch harness: sha256 of the JSON of the
+        # 121 reports' to_dict(), whose floats print round-trip exact.
+        doc = json.dumps([report.to_dict() for report in verify_harness_reports()])
+        digest = hashlib.sha256(doc.encode()).hexdigest()
+        assert digest == "7f97b0051315169e19a29cd850ed3db1679d328d4e13002343823e903df63086"
+
+    def test_outcome_indices_table(self):
+        for layout in (CANONICAL_LAYOUT, RegisterLayout((("A", 3), ("V", 1)))):
+            for register in layout.names:
+                table = _outcome_indices(layout, register)
+                values = _register_values(layout, register)
+                assert not table.flags.writeable
+                width = layout.width(register)
+                assert table.shape == (1 << width, layout.dim >> width)
+                for v, row in enumerate(table):
+                    assert row.tolist() == np.flatnonzero(values == v).tolist()
+
+    def test_project_names_the_first_impossible_outcome(self):
+        amps = basis_state(CANONICAL_LAYOUT, "0100").amps
+        table = _outcome_indices(CANONICAL_LAYOUT, "B")
+        with pytest.raises(ImpossibleOutcomeError, match="'10' of register 'B'"):
+            _project(amps, table[[1, 2, 0]], "B", ["01", "10", "00"])
+        probability, post = _project(amps, table[[1]], "B", ["01"])
+        assert probability.tolist() == [1.0] and np.array_equal(post[0], amps)
 
 
 def smuggled(matrix, target: int, n: int) -> Op:

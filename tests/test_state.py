@@ -1,6 +1,6 @@
 """Register layout, state construction, unitary application, partial trace."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -92,6 +92,14 @@ class TestRegisterLayout:
         # a bare ValueError or OverflowError.
         with pytest.raises(LayoutError, match="integers"):
             RegisterLayout((("A", width), ("V", 1)))
+
+    @pytest.mark.parametrize(
+        "groups", [None, 5, [("A", 1, 2)], [("A",)], [("A", 1), None]],
+        ids=["none", "int", "triple", "single", "none-group"],
+    )
+    def test_groups_not_name_width_pairs_rejected(self, groups):
+        with pytest.raises(LayoutError, match=r"\(name, width\) pairs"):
+            RegisterLayout(groups)
 
     def test_numpy_integer_width_accepted(self):
         layout = RegisterLayout((("B", np.int64(2)), ("A", np.uint8(1)), ("V", 1)))
@@ -471,6 +479,25 @@ class TestOp:
                     pos = CANONICAL_LAYOUT.qubit_positions(register)
                     leak = permutation_op(perm, targets).leak(pos)
                     assert leak == Op(u, targets, 4).leak(pos) and leak in (0.0, 1.0)
+
+    def test_leak_equals_the_full_mask_value(self):
+        # Every target tuple at n=4 against every qubit subset: an op that
+        # touches none of the subset returns 0 at once, which must be what
+        # the off-block entries of its mask give.
+        rng = np.random.default_rng(23)
+        subsets = [pos for k in range(5) for pos in combinations(range(4), k)]
+        for k in range(1, 5):
+            for targets in permutations(range(4), k):
+                perm = rng.permutation(1 << k)
+                u = haar_unitary(1 << k, rng)
+                for positions in subsets:
+                    mask = sum(1 << (k - 1 - i) for i, t in enumerate(targets) if t in positions)
+                    idx = np.arange(1 << k) & mask
+                    off = idx[:, None] != idx[None, :]
+                    want = float(np.max(np.abs(u[off]), initial=0.0))
+                    assert Op(u, targets, 4).leak(positions) == want, (targets, positions)
+                    want = float(((perm & mask) != idx).any())
+                    assert permutation_op(perm, targets).leak(positions) == want
 
     @pytest.mark.parametrize(
         "targets, n_qubits",

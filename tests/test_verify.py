@@ -53,6 +53,33 @@ def test_norm_preservation_cases_match_one_draw_at_a_time():
         assert np.array_equal(u, haar_unitary(1 << k, rng))
 
 
+def two_calls_per_block(shape, rng, blocks=1):
+    """``verify._gaussian`` as one generator call for the real parts and
+    one for the imaginary parts, block after block."""
+    return np.stack([rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(blocks)])
+
+
+def test_random_circuits_one_generator_call_per_block(monkeypatch):
+    got = verify._random_block_diagonal_circuits(np.random.default_rng(1905), 120)
+    monkeypatch.setattr(verify, "_gaussian", two_calls_per_block)
+    want = verify._random_block_diagonal_circuits(np.random.default_rng(1905), 120)
+    assert len(got) == len(want) == 120
+    for (initial, circuit), (ref_initial, ref_circuit) in zip(got, want):
+        assert initial.amps.tobytes() == ref_initial.amps.tobytes()
+        assert [t for _, t in circuit] == [t for _, t in ref_circuit]
+        assert [u.tobytes() for u, _ in circuit] == [u.tobytes() for u, _ in ref_circuit]
+
+
+def test_norm_preservation_cases_one_generator_call_per_block(monkeypatch):
+    got = verify._norm_preservation_cases(np.random.default_rng(77), 50)
+    monkeypatch.setattr(verify, "_gaussian", two_calls_per_block)
+    want = verify._norm_preservation_cases(np.random.default_rng(77), 50)
+    assert len(got) == len(want) == 50
+    for (state, u, targets), (ref_state, ref_u, ref_targets) in zip(got, want):
+        assert state.amps.tobytes() == ref_state.amps.tobytes()
+        assert u.tobytes() == ref_u.tobytes() and targets == ref_targets
+
+
 def test_random_circuits_deviation_unchanged():
     result = verify._CHECKS["deferred_equivalence_random_circuits"]()
     assert result.passed
