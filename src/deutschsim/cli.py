@@ -7,7 +7,6 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Sequence
@@ -155,6 +154,8 @@ def _emit_run(
     """Print a run as JSON (``summary`` plus stage dumps) or as text lines,
     the latter after the stage trace when ``--trace`` is given."""
     if args.json:
+        import json
+
         stages = [state_dump(state, label) for label, state in trace.stages]
         print(json.dumps({**summary, "stages": stages}, indent=2))
         return EXIT_OK
@@ -223,6 +224,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "shots": args.shots,
     }
     if args.json:
+        import json
+
         print(json.dumps({**fields, "counts": counts}, indent=2))
         return EXIT_OK
     print(" ".join(f"{key}={value}" for key, value in fields.items()))

@@ -17,7 +17,6 @@ a Hadamard, so every stage is reachable by unitaries from a basis state.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -39,6 +38,7 @@ from .gates import (
     hadamard,
 )
 from .measure import _marginal, measure, outcome_distribution
+from .record import Record
 from .state import (
     ATOL_STATE,
     DensityMatrix,
@@ -62,16 +62,14 @@ STAGES = ("input", "after_H_A", "after_H_f", "after_H_A_2")
 MAX_ARG_BITS = 8
 
 
-@dataclass(frozen=True)
-class StageTrace:
+class StageTrace(Record):
     """The four pipeline stages in order: input, after each unitary."""
 
-    stages: tuple[tuple[str, StateVector], ...]
-
-    def __post_init__(self) -> None:
-        labels = tuple(label for label, _ in self.stages)
+    def __init__(self, stages: tuple[tuple[str, StateVector], ...]):
+        labels = tuple(label for label, _ in stages)
         if labels != STAGES:
             raise ValueError(f"stage labels must be {STAGES}, got {labels}")
+        self.__dict__.update(stages=stages)
 
     def state(self, label: str) -> StateVector:
         for name, state in self.stages:
@@ -84,13 +82,15 @@ class StageTrace:
         return self.stages[-1][1]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of one run: measured bit, its reading, oracle uses."""
 
-    outcome_bit: int
-    classification: Classification
-    evaluations_used: int
+    def __init__(self, outcome_bit: int, classification: Classification, evaluations_used: int):
+        self.__dict__.update(
+            outcome_bit=outcome_bit,
+            classification=classification,
+            evaluations_used=evaluations_used,
+        )
 
 
 class CountedOracle(Op):
@@ -265,8 +265,7 @@ def classical_query_count(n: int) -> int:
     return 2 ** (n - 1) + 1
 
 
-@dataclass(frozen=True)
-class RhoInvarianceReport:
+class RhoInvarianceReport(Record):
     """How the reduced state of the setting register moves across stages.
 
     ``max_full_deviation`` compares each later stage's reduced matrix
@@ -276,11 +275,21 @@ class RhoInvarianceReport:
     expected to hold and off-diagonal deltas are reported, not judged.
     """
 
-    basis_state_input: bool
-    stage_rhos: tuple[tuple[str, DensityMatrix], ...]
-    max_full_deviation: float
-    max_diagonal_deviation: float
-    off_diagonal_deviation: dict[str, float]
+    def __init__(
+        self,
+        basis_state_input: bool,
+        stage_rhos: tuple[tuple[str, DensityMatrix], ...],
+        max_full_deviation: float,
+        max_diagonal_deviation: float,
+        off_diagonal_deviation: dict[str, float],
+    ):
+        self.__dict__.update(
+            basis_state_input=basis_state_input,
+            stage_rhos=stage_rhos,
+            max_full_deviation=max_full_deviation,
+            max_diagonal_deviation=max_diagonal_deviation,
+            off_diagonal_deviation=off_diagonal_deviation,
+        )
 
     @property
     def full_invariance_holds(self) -> bool:

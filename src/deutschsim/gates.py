@@ -9,12 +9,12 @@ matrix is built: ``verify`` reads one off the permutation op it judges.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import FunctionFormatError
+from .record import Record
 
 SQRT2 = np.sqrt(2.0)
 
@@ -78,22 +78,19 @@ def classify_function(values: Sequence[int]) -> Classification:
     return _classification(_validate_values(values))
 
 
-@dataclass(frozen=True)
-class FunctionTable:
+class FunctionTable(Record):
     """One boolean function per setting label: ``settings[b][a]`` is f_b(a).
 
     Every value list has the same power-of-two length ``2 ** arg_bits``, and
     every label is a bitstring of the same width.
     """
 
-    settings: Mapping[str, tuple[int, ...]]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.settings, Mapping):
-            raise FunctionFormatError(f"settings {type(self.settings).__name__} is not a mapping")
-        if not self.settings:
+    def __init__(self, settings: Mapping[str, tuple[int, ...]]):
+        if not isinstance(settings, Mapping):
+            raise FunctionFormatError(f"settings {type(settings).__name__} is not a mapping")
+        if not settings:
             raise FunctionFormatError("no function definitions found")
-        settings = {label: _validate_values(v) for label, v in self.settings.items()}
+        settings = {label: _validate_values(v) for label, v in settings.items()}
         lengths = {len(values) for values in settings.values()}
         if len(lengths) != 1:
             raise FunctionFormatError(f"value lists mix lengths {sorted(lengths)}")
@@ -103,7 +100,7 @@ class FunctionTable:
         widths = {len(label) for label in settings}
         if len(widths) != 1:
             raise FunctionFormatError(f"setting labels mix widths {sorted(widths)}")
-        object.__setattr__(self, "settings", settings)
+        self.__dict__.update(settings=settings)
 
     @property
     def arg_bits(self) -> int:

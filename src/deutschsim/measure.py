@@ -11,7 +11,6 @@ counts are reproducible for a fixed seed within this implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -23,6 +22,7 @@ from .errors import (
     ImpossibleOutcomeError,
     LayoutError,
 )
+from .record import Record
 from .state import (
     ATOL_STATE,
     PROB_EPS,
@@ -36,20 +36,20 @@ from .state import (
 RNG_ALGORITHM = "pcg64"
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+class OutcomeDistribution(Record):
     """Born-rule probabilities of a register's outcomes; zeros omitted."""
 
-    register: str
-    probs: dict[str, float]
+    def __init__(self, register: str, probs: dict[str, float]):
+        self.__dict__.update(register=register, probs=probs)
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    register: str
-    outcome: str
-    probability: float
-    post_state: StateVector
+class MeasurementRecord(Record):
+    """One conditioned outcome: its probability and the renormalized state."""
+
+    def __init__(self, register: str, outcome: str, probability: float, post_state: StateVector):
+        self.__dict__.update(
+            register=register, outcome=outcome, probability=probability, post_state=post_state
+        )
 
 
 @lru_cache(maxsize=64)
@@ -168,8 +168,7 @@ def inverse_circuit(circuit: Sequence[Op]) -> list[Op]:
     return [op.inverse() for op in reversed(circuit)]
 
 
-@dataclass(frozen=True)
-class BranchReport:
+class BranchReport(Record):
     """Both orderings of one measurement branch.
 
     ``project_first`` measures the deferred register before the circuit
@@ -179,19 +178,31 @@ class BranchReport:
     marginal as well.
     """
 
-    outcome: str
-    probability_project_first: float
-    probability_project_last: float
-    state_project_first: StateVector
-    state_project_last: StateVector
-    max_deviation: float
+    def __init__(
+        self,
+        outcome: str,
+        probability_project_first: float,
+        probability_project_last: float,
+        state_project_first: StateVector,
+        state_project_last: StateVector,
+        max_deviation: float,
+    ):
+        self.__dict__.update(
+            outcome=outcome,
+            probability_project_first=probability_project_first,
+            probability_project_last=probability_project_last,
+            state_project_first=state_project_first,
+            state_project_last=state_project_last,
+            max_deviation=max_deviation,
+        )
 
 
-@dataclass(frozen=True)
-class DeferredEquivalenceReport:
-    register: str
-    branches: tuple[BranchReport, ...]
-    max_deviation: float
+class DeferredEquivalenceReport(Record):
+    """Every branch of a deferred-measurement comparison and the largest
+    deviation between the two orderings over all of them."""
+
+    def __init__(self, register: str, branches: tuple[BranchReport, ...], max_deviation: float):
+        self.__dict__.update(register=register, branches=branches, max_deviation=max_deviation)
 
     @property
     def equivalent(self) -> bool:

@@ -8,13 +8,13 @@ semantic: every operation returns a new, immutable ``StateVector``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateStateError, LayoutError, UnitarityError
+from .record import Record
 
 # Equality of amplitudes and norms.
 ATOL_STATE = 1e-12
@@ -30,26 +30,23 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
+class RegisterLayout(Record):
     """Named qubit groups with a fixed ordering, e.g. ``(("B", 2), ("A", 1), ("V", 1))``."""
 
-    groups: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, groups: tuple[tuple[str, int], ...]):
         try:
-            groups = tuple((str(n), w) for n, w in self.groups)
+            pairs = tuple((str(n), w) for n, w in groups)
         except (TypeError, ValueError):
-            raise LayoutError(f"registers must be (name, width) pairs: {self.groups!r}") from None
-        if not all(_is_int(w) for _, w in groups):
-            raise LayoutError(f"register widths must be integers, got {groups}")
-        groups = tuple((n, int(w)) for n, w in groups)
-        object.__setattr__(self, "groups", groups)
-        names = [n for n, _ in groups]
+            raise LayoutError(f"registers must be (name, width) pairs: {groups!r}") from None
+        if not all(_is_int(w) for _, w in pairs):
+            raise LayoutError(f"register widths must be integers, got {pairs}")
+        pairs = tuple((n, int(w)) for n, w in pairs)
+        names = [n for n, _ in pairs]
         if len(set(names)) != len(names):
             raise LayoutError(f"duplicate register names in {names}")
-        if not groups or any(w < 1 for _, w in groups):
+        if not pairs or any(w < 1 for _, w in pairs):
             raise LayoutError("every register needs width >= 1")
+        self.__dict__.update(groups=pairs)
 
     # Geometry is computed once per instance and kept in its ``__dict__``;
     # equality, hash and repr still read ``groups`` only.
@@ -104,23 +101,19 @@ class RegisterLayout:
         return "".join(label[p] for p in pos)
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Record):
     """Complex amplitudes over the computational basis of a register layout."""
 
-    layout: RegisterLayout
-    amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.array(self.amps, dtype=np.complex128)
-        if amps.shape != (self.layout.dim,):
+    def __init__(self, layout: RegisterLayout, amps: np.ndarray):
+        amps = np.array(amps, dtype=np.complex128)
+        if amps.shape != (layout.dim,):
             raise LayoutError(
-                f"amplitude array has shape {amps.shape}, layout needs ({self.layout.dim},)"
+                f"amplitude array has shape {amps.shape}, layout needs ({layout.dim},)"
             )
         if not np.isfinite(amps).all():
             raise DegenerateStateError("non-finite amplitude")
         amps.flags.writeable = False
-        object.__setattr__(self, "amps", amps)
+        self.__dict__.update(layout=layout, amps=amps)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -146,8 +139,7 @@ class StateVector:
         return StateVector(self.layout, np.exp(1j * theta) * self.amps)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Record):
     """Reduced state of a kept register subset.
 
     Constructor enforces the invariants: finite entries, Hermitian within
@@ -155,12 +147,9 @@ class DensityMatrix:
     eigenvalue >= -1e-10).
     """
 
-    layout: RegisterLayout
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.complex128)
-        d = self.layout.dim
+    def __init__(self, layout: RegisterLayout, matrix: np.ndarray):
+        m = np.array(matrix, dtype=np.complex128)
+        d = layout.dim
         if m.shape != (d, d):
             raise LayoutError(f"matrix shape {m.shape} does not match layout dim {d}")
         if not np.isfinite(m).all():
@@ -173,7 +162,7 @@ class DensityMatrix:
         if not np.linalg.eigvalsh(m).min() >= -ATOL_MATRIX:
             raise ValueError("density matrix is not positive semidefinite")
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        self.__dict__.update(layout=layout, matrix=m)
 
     def diagonal(self) -> np.ndarray:
         return np.real(np.diag(self.matrix))
@@ -351,7 +340,7 @@ def _evolve(rows: np.ndarray, ops: Iterable[Op]) -> np.ndarray:
         rows = op.apply_rows(rows)
         before, norms = norms, np.sqrt((rows.conj() * rows).real.sum(-1))
         drift = abs(norms - before).max()
-        if drift > ATOL_STATE:
+        if not drift <= ATOL_STATE:
             raise UnitarityError(f"unitary application drifted the norm by {drift:.3e}")
     return rows
 

@@ -9,7 +9,6 @@ the bound they were held to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -37,6 +36,7 @@ from .measure import (
     outcome_distribution,
     sample,
 )
+from .record import Record
 from .state import (
     ATOL_MATRIX,
     ATOL_STATE,
@@ -123,13 +123,13 @@ CHECK_MANIFEST = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    deviation: float
-    bound: float
-    detail: str = ""
+class CheckResult(Record):
+    """One check's verdict, the deviation it measured and the bound it was held to."""
+
+    def __init__(self, name: str, passed: bool, deviation: float, bound: float, detail: str = ""):
+        self.__dict__.update(
+            name=name, passed=passed, deviation=deviation, bound=bound, detail=detail
+        )
 
 
 _CHECKS: dict[str, Callable[[], CheckResult]] = {}

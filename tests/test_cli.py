@@ -33,17 +33,36 @@ DJ_ALL_STDOUT = {
 }
 
 
-def run_optimized(*argv) -> subprocess.CompletedProcess:
-    """The CLI in a fresh ``python -O`` process, which drops asserts."""
+# `run 01 --json`, `superposed --json` and a seeded `sample --json`, byte for byte.
+JSON_STDOUT = {
+    argv: (Path(__file__).parent / name).read_text(encoding="utf-8")
+    for argv, name in [
+        (("run", "01", "--json"), "run_01_json_stdout.txt"),
+        (("superposed", "--json"), "superposed_json_stdout.txt"),
+        (
+            ("sample", "superposed", "--register", "B", "--shots", "1000", "--seed", "7", "--json"),
+            "sample_json_stdout.txt",
+        ),
+    ]
+}
+
+
+def fresh_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this package's source, run with ``args``."""
     src = str(Path(deutschsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-O", "-m", "deutschsim.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
     )
+
+
+def run_optimized(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh ``python -O`` process, which drops asserts."""
+    return fresh_python("-O", "-m", "deutschsim.cli", *argv)
 
 
 def run_cli(capsys, *argv):
@@ -514,6 +533,23 @@ class TestAmplitudeFormatting:
 
     def test_complex_fallback(self):
         assert "i" in format_amplitude(complex(0.5, 0.5))
+
+
+class TestColdStart:
+    def test_import_loads_no_dataclasses_json_rng_or_checks(self):
+        # What every command pays before it runs: the records are plain
+        # classes, json is the --json paths' own import, and numpy.random and
+        # the checks load only for sample and verify.
+        unwanted = ("dataclasses", "json", "numpy.random", "deutschsim.verify")
+        proc = fresh_python(
+            "-c", f"import sys, deutschsim.cli; print([m for m in {unwanted} if m in sys.modules])"
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    @pytest.mark.parametrize("argv", list(JSON_STDOUT), ids=lambda argv: argv[0])
+    def test_json_output_golden_in_a_fresh_process(self, argv):
+        proc = fresh_python("-m", "deutschsim.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, JSON_STDOUT[argv], "")
 
 
 def test_version_flag(capsys):

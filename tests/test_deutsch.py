@@ -519,18 +519,18 @@ class TestStagedEvolution:
             run_deutsch_jozsa(constant)
         validated, distributions, layouts = [], [], []
         real = state_module._validate_unitary
-        real_post_init = RegisterLayout.__post_init__
+        real_init = RegisterLayout.__init__
 
         def counting(u, n_targets):
             validated.append(n_targets)
             return real(u, n_targets)
 
-        def counting_layout(layout):
-            layouts.append(layout.groups)
-            real_post_init(layout)
+        def counting_layout(layout, groups):
+            layouts.append(groups)
+            real_init(layout, groups)
 
         monkeypatch.setattr(state_module, "_validate_unitary", counting)
-        monkeypatch.setattr(RegisterLayout, "__post_init__", counting_layout)
+        monkeypatch.setattr(RegisterLayout, "__init__", counting_layout)
         RegisterLayout((("A", 9), ("V", 1)))
         assert layouts == [(("A", 9), ("V", 1))]  # the count sees every build
         layouts.clear()

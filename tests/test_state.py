@@ -26,6 +26,7 @@ from deutschsim import (
     run_deutsch_superposed,
     superpose,
 )
+from deutschsim.state import _evolve
 
 from conftest import (
     FIXED_01_STAGES,
@@ -271,6 +272,13 @@ class TestApplyUnitary:
         s = basis_state(CANONICAL_LAYOUT, "0000")
         with pytest.raises(UnitarityError, match="norm"):
             apply_unitary(s, np.diag([1.0 + 2e-11, 1.0]), (0,))
+
+    def test_nan_row_rejected(self):
+        # Rows reach the kernel unchecked; a NaN drift is past the tolerance
+        # although it compares False against it.
+        rows = np.array([[np.nan, 0.0]], dtype=np.complex128)
+        with pytest.raises(UnitarityError, match="norm"):
+            _evolve(rows, [Op(hadamard(), (0,), 1)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_matrix_rejected(self, bad):
