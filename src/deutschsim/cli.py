@@ -15,7 +15,6 @@ import numpy as np
 
 from . import __version__
 from .deutsch import (
-    MAX_ARG_BITS,
     SETTING_LABELS,
     STAGES,
     StageTrace,
@@ -61,7 +60,7 @@ def _sig15(x: float) -> float:
     return float(f"{x:.15g}")
 
 
-def state_dump(state: StateVector, stage: str, meta: dict | None = None) -> dict:
+def state_dump(state: StateVector, stage: str) -> dict:
     """JSON-safe dump of the nonzero amplitudes, sorted by basis index."""
     entries = [
         {
@@ -75,7 +74,7 @@ def state_dump(state: StateVector, stage: str, meta: dict | None = None) -> dict
         "layout": [[name, width] for name, width in state.layout.groups],
         "stage": stage,
         "entries": entries,
-        "meta": {"tool": TOOL_NAME, "version": __version__, **(meta or {})},
+        "meta": {"tool": TOOL_NAME, "version": __version__},
     }
 
 
@@ -107,16 +106,10 @@ def load_state_dump(dump: dict) -> StateVector:
     string of the layout's width, a basis label named twice, a non-numeric
     amplitude part, or squared magnitudes that do not sum to 1 within 1e-12
     (as with any NaN or inf part) raise ``ValueError``."""
-    groups = _field(dump, "layout")
     try:
-        layout = RegisterLayout(tuple((name, width) for name, width in groups))
-    except (TypeError, ValueError, LayoutError):
-        raise ValueError(
-            f"dump layout {groups!r} is not a list of (name, width) pairs"
-        ) from None
-    # The largest state any command makes: dj's argument register plus V.
-    if layout.total_qubits > MAX_ARG_BITS + 1:
-        raise ValueError(f"dump layout has {layout.total_qubits} > {MAX_ARG_BITS + 1} qubits")
+        layout = RegisterLayout(_field(dump, "layout"))
+    except LayoutError as exc:
+        raise ValueError(f"dump layout: {exc}") from None
     amps, seen = np.zeros(layout.dim, dtype=np.complex128), set()
     for entry in _typed(dump, "entries", (list, tuple)):
         label = _typed(entry, "basis", str)

@@ -45,6 +45,7 @@ from .state import (
     Op,
     RegisterLayout,
     StateVector,
+    _MAX_QUBITS,
     _evolve,
     _is_int,
     apply_unitary,
@@ -56,10 +57,8 @@ CANONICAL_LAYOUT = RegisterLayout((("B", 2), ("A", 1), ("V", 1)))
 SETTING_LABELS = ("00", "01", "10", "11")
 STAGES = ("input", "after_H_A", "after_H_f", "after_H_A_2")
 
-# Cap on the generalized argument register: at 8 bits the state holds 512
-# amplitudes.  The oracle is an index array, so the cap bounds the state
-# and the per-qubit Hadamards rather than a dense oracle matrix.
-MAX_ARG_BITS = 8
+# Cap on the generalized argument register: the largest layout less V.
+MAX_ARG_BITS = _MAX_QUBITS - 1
 
 
 class StageTrace(Record):
@@ -94,23 +93,43 @@ class Verdict(Record):
 
 
 class CountedOracle(Op):
-    """An oracle's index permutation on all qubits, counting its applications.
+    """The black box |x,v> -> |x, v xor f(x)> on all n qubits: |j> goes to
+    |perm[j]>.  Built only if ``perm`` holds 2^n integers in range(2^n) and
+    ``perm[perm]`` is the identity, which makes it a bijection and its own
+    gather index.  ``apply`` counts its calls; ``apply_rows`` counts none."""
 
-    ``perm[j]`` is the basis index that |j> goes to.  The constructor checks
-    exactly that ``perm`` is a permutation that is its own inverse, as every
-    |x,v> -> |x, v xor f(x)> is.
-    """
+    _CHECKED = ("targets", "n_qubits", "perm")
 
     def __init__(self, perm: np.ndarray):
-        n = np.size(perm).bit_length() - 1
-        super().__init__(perm, range(n), n, permutation=True)
-        if (self._gather != self.perm).any():
+        perm = np.array(perm)
+        dim = perm.size
+        if perm.ndim != 1 or not dim or dim & (dim - 1):
+            raise LayoutError(f"oracle permutation shape {perm.shape} is not (2^n,)")
+        if perm.dtype.kind not in "iu":
+            raise UnitarityError(f"oracle permutation has non-integer dtype {perm.dtype}")
+        if perm.min() < 0 or perm.max() >= dim:
+            raise UnitarityError(f"oracle permutation entries out of range({dim})")
+        if (perm[perm] != np.arange(dim)).any():
             raise UnitarityError("oracle permutation is not its own inverse")
+        perm.flags.writeable = False
+        n = dim.bit_length() - 1
+        self._bind(tuple(range(n)), n, perm)
         self.calls = 0
 
     def apply(self, state: StateVector) -> StateVector:
         self.calls += 1
         return super().apply(state)
+
+    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+        return rows[..., self.perm]
+
+    def inverse(self) -> CountedOracle:
+        return self
+
+    def leak(self, positions: Sequence[int]) -> float:
+        """1.0 if the oracle changes a bit at ``positions``, else 0.0."""
+        mask = sum(1 << (self.n_qubits - 1 - t) for t in self.targets if t in positions)
+        return float(((self.perm ^ np.arange(self.perm.size)) & mask).any())
 
 
 def _canonical_perm() -> np.ndarray:
@@ -120,17 +139,13 @@ def _canonical_perm() -> np.ndarray:
     return _permutation([v for b in SETTING_LABELS for v in settings[b]])
 
 
-def deutsch_circuit(
-    layout: RegisterLayout = CANONICAL_LAYOUT, oracle: Op | None = None
-) -> list[Op]:
-    """The unitary part of a run on ``layout``: H on each A qubit, one
-    oracle call, H on each A qubit.  The default oracle is the canonical
-    setting-keyed one as a plain permutation op, which counts nothing."""
-    n = layout.total_qubits
-    if oracle is None:
-        oracle = Op(_canonical_perm(), range(n), n, permutation=True)
-    h_on_a = _hadamards_on_a(layout)
-    return [*h_on_a, oracle, *h_on_a]
+def deutsch_circuit() -> list[Op]:
+    """H on A, a fresh canonical ``CountedOracle``, H on A: the unitary part
+    of a canonical run.  ``apply_circuit``, ``deferred_equivalence`` and
+    ``inverse_circuit`` reach the oracle through ``apply_rows`` or ``inverse``,
+    so replaying the circuit counts no oracle call."""
+    h_on_a = _hadamards_on_a(CANONICAL_LAYOUT)
+    return [*h_on_a, CountedOracle(_canonical_perm()), *h_on_a]
 
 
 @lru_cache(maxsize=16)
@@ -145,8 +160,8 @@ def _run_pipeline(
     layout: RegisterLayout, input_labels: Sequence[str], oracle: CountedOracle
 ) -> StageTrace:
     """Run the equal superposition of ``input_labels`` through H on V (the
-    labels hold |1>_V), then ``deutsch_circuit(layout, oracle)``, recording
-    the state after the first Hadamards, the oracle and the last ones."""
+    labels hold |1>_V), then H on A, ``oracle`` and H on A, recording the
+    state after the first Hadamards, the oracle and the last ones."""
     h_on_a = _hadamards_on_a(layout)
     raw = superpose([(1.0, label) for label in input_labels], layout)
     state = apply_unitary(raw, hadamard(), layout.qubit_positions("V"))

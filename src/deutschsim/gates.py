@@ -1,9 +1,9 @@
 """Unitaries for oracle problems: Hadamard and black-box function evaluation.
 
 A black box |a,v> -> |a, v xor f(a)> permutes basis indices, so it exists
-only as one index array, perm[j] = j xor f(j >> 1), that the drivers apply
-by gather and check exactly as a self-inverse permutation.  No dense oracle
-matrix is built: ``verify`` reads one off the permutation op it judges.
+only as one index array, perm[j] = j xor f(j >> 1), that a ``CountedOracle``
+checks exactly as a self-inverse permutation and applies by gather.  No dense
+oracle matrix is built: ``verify`` reads one off the oracle it judges.
 """
 
 from __future__ import annotations

@@ -151,8 +151,21 @@ def sample(
 
 def _as_ops(circuit: Sequence, n: int) -> list[Op]:
     """``circuit`` as ops on n qubits, each ``(matrix, targets)`` pair made
-    an ``Op`` (and so checked) in circuit order."""
-    ops = [c if isinstance(c, Op) else Op(*c, n) for c in circuit]
+    an ``Op`` (and so checked) in circuit order.  LayoutError says the
+    circuit is not iterable, or names the first item that is neither."""
+    if not np.iterable(circuit):
+        raise LayoutError(f"circuit {circuit!r} is not a sequence of ops")
+    ops = []
+    for k, item in enumerate(circuit):
+        if not isinstance(item, Op):
+            try:
+                matrix, targets = item
+            except (TypeError, ValueError):
+                raise LayoutError(
+                    f"circuit item {k} is neither an Op nor a (matrix, targets) pair"
+                ) from None
+            item = Op(matrix, targets, n)
+        ops.append(item)
     if any(op.n_qubits != n for op in ops):
         raise LayoutError(f"circuit holds an op on other than {n} qubits")
     return ops

@@ -22,6 +22,8 @@ ATOL_STATE = 1e-12
 ATOL_MATRIX = 1e-10
 # Probabilities below this (amplitude below ATOL_STATE) count as zero.
 PROB_EPS = 1e-24
+# Largest layout: 512 amplitudes, the Deutsch-Jozsa run at 8 argument bits.
+_MAX_QUBITS = 9
 
 
 def _is_int(value) -> bool:
@@ -47,6 +49,8 @@ class RegisterLayout(Record):
         if not pairs or any(w < 1 for _, w in pairs):
             raise LayoutError("every register needs width >= 1")
         self.__dict__.update(groups=pairs)
+        if self.total_qubits > _MAX_QUBITS:
+            raise LayoutError(f"layout has {self.total_qubits} > {_MAX_QUBITS} qubits")
 
     # Geometry is computed once per instance and kept in its ``__dict__``;
     # equality, hash and repr still read ``groups`` only.
@@ -237,21 +241,16 @@ def _axis_orders(
 
 
 class Op:
-    """One gate on fixed targets of an n-qubit register: a unitary matrix,
-    or (``permutation=True``) an index array sending |j> to |perm[j]>.
+    """One unitary gate on fixed targets of an n-qubit register.
 
     It is checked once, here: the targets, then U†U against the identity
-    within 1e-10, or exactly in O(2^k) that ``perm`` is a bijection of
-    range(2^k) in an integer dtype.  The op keeps read-only copies of its
-    arrays, and what was checked cannot be rebound, so nothing the caller
-    does later changes it.
+    within 1e-10.  The op keeps a read-only copy of its matrix, and what was
+    checked cannot be rebound, so nothing the caller does later changes it.
     """
 
-    _CHECKED = ("targets", "n_qubits", "matrix", "perm", "_gather")
+    _CHECKED = ("targets", "n_qubits", "matrix")
 
-    def __init__(
-        self, action, targets: Sequence[int], n_qubits: int, *, permutation: bool = False
-    ):
+    def __init__(self, matrix, targets: Sequence[int], n_qubits: int):
         targets = tuple(targets) if np.iterable(targets) else targets
         if not isinstance(targets, tuple) or not all(map(_is_int, (*targets, n_qubits))):
             raise LayoutError(f"targets {targets} and qubit count {n_qubits!r} must be integers")
@@ -260,33 +259,16 @@ class Op:
             raise LayoutError(f"duplicate target qubits {targets}")
         if any(t < 0 or t >= n_qubits for t in targets):
             raise LayoutError(f"targets {targets} out of range for {n_qubits} qubits")
-        if not permutation:
-            self._bind(targets, n_qubits, _validate_unitary(action, len(targets)), None, None)
-            return
-        perm = np.array(action)
-        dim = 1 << len(targets)
-        if perm.shape != (dim,):
-            raise LayoutError(f"permutation shape {perm.shape} does not match dim {dim}")
-        if perm.dtype.kind not in "iu":
-            raise UnitarityError(f"permutation has non-integer dtype {perm.dtype}")
-        if perm.min() < 0 or perm.max() >= dim:
-            raise UnitarityError(f"permutation entries out of range({dim})")
-        # The inverse permutation is the gather index: |j> lands at perm[j].
-        gather = np.full(dim, -1, dtype=np.intp)
-        gather[perm] = np.arange(dim)
-        if (gather < 0).any():
-            raise UnitarityError("permutation is not a bijection")
-        perm.flags.writeable = gather.flags.writeable = False
-        self._bind(targets, n_qubits, None, perm, gather)
+        self._bind(targets, n_qubits, _validate_unitary(matrix, len(targets)))
 
     def _bind(self, *values) -> None:
         """Set the checked attributes, in ``_CHECKED`` order, the one time."""
-        for name, value in zip(Op._CHECKED, values):
+        for name, value in zip(type(self)._CHECKED, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
-        if name in Op._CHECKED:
-            raise AttributeError(f"Op.{name} was checked when the op was built")
+        if name in type(self)._CHECKED:
+            raise AttributeError(f"{type(self).__name__}.{name} was checked when the op was built")
         super().__setattr__(name, value)
 
     def apply(self, state: StateVector) -> StateVector:
@@ -309,25 +291,20 @@ class Op:
         order, inverse = _axis_orders(len(batch), self.targets, self.n_qubits)
         psi = rows.reshape(cube).transpose(order)
         psi = psi.reshape(batch + (1 << len(self.targets), -1))
-        psi = psi[..., self._gather, :] if self.matrix is None else self.matrix @ psi
+        psi = self.matrix @ psi
         return psi.reshape(cube).transpose(inverse).reshape(rows.shape)
 
     def inverse(self) -> Op:
-        """The conjugate transpose, or the inverse permutation."""
-        if self.perm is None:
-            return Op(self.matrix.conj().T, self.targets, self.n_qubits)
-        return Op(self._gather, self.targets, self.n_qubits, permutation=True)
+        """The conjugate transpose."""
+        return Op(self.matrix.conj().T, self.targets, self.n_qubits)
 
     def leak(self, positions: Sequence[int]) -> float:
         """Largest amplitude the op moves between basis states that differ on
-        the qubits ``positions`` (0 if it has none as a target); exactly 0
-        or 1 for a permutation."""
+        the qubits ``positions`` (0 if it has none as a target)."""
         if not any(t in positions for t in self.targets):
             return 0.0
         mask = sum(1 << i for i, t in enumerate(reversed(self.targets)) if t in positions)
         idx = np.arange(1 << len(self.targets)) & mask
-        if self.perm is not None:
-            return float(((self.perm & mask) != idx).any())
         return float(np.max(np.abs(self.matrix[idx[:, None] != idx[None, :]]), initial=0.0))
 
 

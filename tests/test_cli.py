@@ -505,6 +505,13 @@ class TestStateDumpRoundTrip:
         with pytest.raises(ValueError):
             load_state_dump(dump)
 
+    def test_loader_names_the_qubit_count_and_bound(self):
+        trace, _ = run_deutsch("01")
+        dump = json.loads(json.dumps(state_dump(trace.final, "after_H_A_2")))
+        dump["layout"] = [["A", 9], ["V", 1]]
+        with pytest.raises(ValueError, match=r"10 > 9 qubits"):
+            load_state_dump(dump)
+
     def test_loader_accepts_the_largest_state(self):
         state = basis_state(RegisterLayout((("A", 8), ("V", 1))), "0" * 8 + "1")
         dump = json.loads(json.dumps(state_dump(state, "input")))

@@ -25,9 +25,11 @@ from deutschsim import (
     basis_state,
     classical_query_count,
     classify_function,
+    deferred_equivalence,
     deutsch_circuit,
     enumerate_promise_functions,
     hadamard,
+    inverse_circuit,
     measure,
     outcome_distribution,
     rho_B_invariance,
@@ -39,7 +41,7 @@ from deutschsim import (
 )
 from deutschsim import deutsch as deutsch_module
 from deutschsim import state as state_module
-from deutschsim.deutsch import _run_pipeline
+from deutschsim.deutsch import _hadamards_on_a, _run_pipeline
 from deutschsim.gates import _permutation
 
 from conftest import (
@@ -89,7 +91,7 @@ def per_gate_stages(layout: RegisterLayout, labels, oracle: np.ndarray) -> Stage
     h_on_a = [Op(hadamard(), (q,), n) for q in layout.qubit_positions("A")]
     perm = np.argmax(oracle.real, axis=0)
     stages = [state]
-    for ops in (h_on_a, [Op(perm, range(n), n, permutation=True)], h_on_a):
+    for ops in (h_on_a, [CountedOracle(perm)], h_on_a):
         for op in ops:
             state = op.apply(state)
         stages.append(state)
@@ -139,10 +141,10 @@ class TestRunDeutsch:
 
     def test_consecutive_stages_related_by_declared_unitaries(self, monkeypatch):
         # Every fixed and superposed run (initial A 0 and 1) and every
-        # Deutsch-Jozsa promise function with n <= 3: replaying
-        # deutsch_circuit(layout, oracle) op by op from the input stage
-        # gives each later stage bit for bit.  On the canonical layout,
-        # verify's own deutsch_circuit() gives the same stages.
+        # Deutsch-Jozsa promise function with n <= 3: replaying H on A, the
+        # run's oracle and H on A op by op from the input stage gives each
+        # later stage bit for bit.  On the canonical layout, verify's own
+        # deutsch_circuit() gives the same stages.
         runs = []
 
         def recording(layout, labels, oracle):
@@ -162,7 +164,8 @@ class TestRunDeutsch:
         assert len(runs) == 10 + 4 + 8 + 72
         for layout, oracle, trace in runs:
             w = layout.width("A")
-            circuits = [deutsch_circuit(layout, oracle)]
+            h_on_a = _hadamards_on_a(layout)
+            circuits = [[*h_on_a, oracle, *h_on_a]]
             if layout == CANONICAL_LAYOUT:
                 circuits.append(deutsch_circuit())
             for circuit in circuits:
@@ -506,11 +509,15 @@ class TestStagedEvolution:
 
     def test_hadamard_ops_shared_circuits_fresh(self):
         layout = RegisterLayout((("A", 3), ("V", 1)))
-        first, second = deutsch_circuit(layout), deutsch_circuit(layout)
-        assert first is not second
+        oracle = CountedOracle(_permutation([0, 1] * 4))
+        first, second = ([*_hadamards_on_a(layout), oracle, *_hadamards_on_a(layout)]
+                         for _ in range(2))
         assert all(x is y for x, y in zip(first[:3] + first[4:], second[:3] + second[4:]))
+        first, second = deutsch_circuit(), deutsch_circuit()
+        assert first is not second and first[1] is not second[1]
+        assert first[0] is second[0] and first[2] is second[2]
         first.clear()
-        assert len(deutsch_circuit(layout)) == 7
+        assert len(deutsch_circuit()) == 3
 
     def test_run_validates_one_matrix_and_builds_no_distribution(self, monkeypatch):
         # Nor a layout: a width already seen reuses its cached RegisterLayout.
@@ -531,8 +538,8 @@ class TestStagedEvolution:
 
         monkeypatch.setattr(state_module, "_validate_unitary", counting)
         monkeypatch.setattr(RegisterLayout, "__init__", counting_layout)
-        RegisterLayout((("A", 9), ("V", 1)))
-        assert layouts == [(("A", 9), ("V", 1))]  # the count sees every build
+        RegisterLayout((("A", 4), ("W", 1)))
+        assert layouts == [(("A", 4), ("W", 1))]  # the count sees every build
         layouts.clear()
         for module in (deutsch_module, measure_module):
             monkeypatch.setattr(
@@ -584,6 +591,15 @@ class TestTraceAndOracle:
     def test_counted_oracle_rejects_bad_permutations(self, perm):
         with pytest.raises(UnitarityError):
             CountedOracle(perm)
+
+    def test_circuit_replays_count_no_oracle_call(self):
+        circuit = deutsch_circuit()
+        input_state = run_deutsch_superposed().state("input")
+        final = apply_circuit(input_state, circuit)
+        deferred_equivalence(circuit, input_state, "B")
+        apply_circuit(final, inverse_circuit(circuit))
+        assert isinstance(circuit[1], CountedOracle)
+        assert circuit[1].calls == 0
 
     def test_counted_oracle_rejects_wrong_length(self):
         oracle = CountedOracle(np.arange(8))

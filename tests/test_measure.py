@@ -397,6 +397,24 @@ class TestBatchedHarness:
         with pytest.raises(error):
             deferred_equivalence(circuit, state_from(SUPERPOSED_STAGES["input"]), "B")
 
+    @pytest.mark.parametrize(
+        "circuit, where",
+        [
+            ([None], "item 0"),
+            (5, "5 is not"),
+            ([(1,)], "item 0"),
+            ([(hadamard(), (2,)), (hadamard(), (0,), 9)], "item 1"),
+        ],
+        ids=["none-item", "int-circuit", "one-part-item", "three-part-item"],
+    )
+    def test_malformed_circuit_named(self, circuit, where):
+        # Each leaked TypeError before: the circuit is not iterable, or an
+        # item is neither an op nor a (matrix, targets) pair.
+        initial = state_from(SUPERPOSED_STAGES["input"])
+        for run in (apply_circuit, lambda s, c: deferred_equivalence(c, s, "B")):
+            with pytest.raises(LayoutError, match=where):
+                run(initial, circuit)
+
     def test_norm_drift_rejected(self):
         # Unitary to within 1e-10, yet it scales every row's norm by
         # 1 + 2e-11 (A is 0 throughout the input), past 1e-12.

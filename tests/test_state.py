@@ -19,6 +19,7 @@ from deutschsim import (
     apply_unitary,
     basis_state,
     deferred_equivalence,
+    enumerate_promise_functions,
     hadamard,
     inner_product,
     partial_trace,
@@ -26,7 +27,10 @@ from deutschsim import (
     run_deutsch_superposed,
     superpose,
 )
+from deutschsim.deutsch import _canonical_perm
+from deutschsim.gates import _permutation
 from deutschsim.state import _evolve
+from deutschsim.verify import _matrix
 
 from conftest import (
     FIXED_01_STAGES,
@@ -79,6 +83,13 @@ class TestRegisterLayout:
     def test_duplicate_names_rejected(self):
         with pytest.raises(LayoutError):
             RegisterLayout((("B", 2), ("B", 1)))
+
+    def test_more_than_nine_qubits_rejected(self):
+        # 512 amplitudes is the largest state; 40 qubits asked numpy for 16 TiB.
+        assert RegisterLayout((("A", 8), ("V", 1))).dim == 512
+        for groups in ((("A", 9), ("V", 1)), (("A", 40),)):
+            with pytest.raises(LayoutError, match=r"> 9 qubits"):
+                RegisterLayout(groups)
 
     def test_zero_width_rejected(self):
         with pytest.raises(LayoutError):
@@ -378,46 +389,48 @@ class TestCachedAxisOrders:
                     assert np.array_equal(rho.matrix, m @ m.conj().T)
 
 
-def permutation_op(perm, targets) -> Op:
-    return Op(perm, targets, 4, permutation=True)
+def random_involution(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A seeded index array that is its own inverse: random disjoint swaps."""
+    perm, order = np.arange(dim), rng.permutation(dim)
+    pairs = order[: 2 * int(rng.integers(0, dim // 2 + 1))].reshape(-1, 2)
+    perm[pairs[:, 0]], perm[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    assert np.array_equal(perm[perm], np.arange(dim))
+    return perm
 
 
 class TestApplyPermutation:
     def test_matches_dense_scatter_on_every_target_tuple(self):
-        # Each ordered tuple of 1-4 canonical qubits, a seeded random
-        # bijection and state: the permutation op's gather equals
-        # apply_unitary of the 0/1 matrix with u[perm[j], j] = 1, exactly.
+        # The oracle acts on every qubit in order: for n = 1 to 4 and 16
+        # seeded involutions each, its gather equals apply_unitary of the
+        # 0/1 matrix with u[perm[j], j] = 1 on range(n), exactly.
         rng = np.random.default_rng(16)
-        tuples = [t for k in range(1, 5) for t in permutations(range(4), k)]
-        assert len(tuples) == 64
-        for targets in tuples:
-            d = 1 << len(targets)
-            perm = rng.permutation(d)
-            u = np.zeros((d, d))
-            u[perm, np.arange(d)] = 1.0
-            s = StateVector(CANONICAL_LAYOUT, random_state_vector(16, rng))
-            got = permutation_op(perm, targets).apply(s)
-            assert np.array_equal(got.amps, apply_unitary(s, u, targets).amps)
+        for n in range(1, 5):
+            layout = RegisterLayout((("Q", n),))
+            for _ in range(16):
+                perm = random_involution(1 << n, rng)
+                u = np.zeros((1 << n, 1 << n))
+                u[perm, np.arange(1 << n)] = 1.0
+                s = StateVector(layout, random_state_vector(1 << n, rng))
+                got = CountedOracle(perm).apply(s)
+                assert np.array_equal(got.amps, apply_unitary(s, u, range(n)).amps)
 
     @pytest.mark.parametrize(
         "perm, error",
         [
             (np.array([0, 0, 2, 3]), UnitarityError),  # not a bijection
-            (np.arange(8), LayoutError),  # wrong length for 2 targets
+            (np.arange(6), LayoutError),  # not a power of two
             (np.array([0.0, 1.0, 2.0, 3.0]), UnitarityError),  # float dtype
             (np.array([True, False, True, False]), UnitarityError),  # bool dtype
             (np.array([0, 1, 2, 4]), UnitarityError),  # out of range
             (np.array([-1, 1, 2, 3]), UnitarityError),  # out of range
+            (np.array([], dtype=np.intp), LayoutError),
+            (np.array([[0, 1], [1, 0]]), LayoutError),
         ],
-        ids=["duplicate", "length", "float", "bool", "above", "negative"],
+        ids=["duplicate", "length", "float", "bool", "above", "negative", "empty", "2d"],
     )
     def test_malformed_permutation_rejected(self, perm, error):
         with pytest.raises(error):
-            permutation_op(perm, (1, 2))
-
-    def test_bad_targets_rejected(self):
-        with pytest.raises(LayoutError):
-            permutation_op(np.arange(4), (1, 1))
+            CountedOracle(perm)
 
 
 class TestOp:
@@ -426,40 +439,41 @@ class TestOp:
     def test_caller_mutation_does_not_reach_the_op(self):
         rng = np.random.default_rng(17)
         s = StateVector(CANONICAL_LAYOUT, random_state_vector(16, rng))
-        u, perm = haar_unitary(4, rng), rng.permutation(4)
-        ops = [Op(u, (3, 1), 4), permutation_op(perm, (3, 1))]
+        u, perm = haar_unitary(4, rng), random_involution(16, rng)
+        ops = [Op(u, (3, 1), 4), CountedOracle(perm)]
         before = [op.apply(s).amps for op in ops]
         u[:] = np.eye(4) * 7.0
         perm[:] = 0
         assert all(np.array_equal(op.apply(s).amps, b) for op, b in zip(ops, before))
 
     def test_op_arrays_are_read_only(self):
-        ops = [Op(hadamard(), (2,), 4), permutation_op(np.array([1, 0, 3, 2]), (0, 2))]
+        ops = [Op(hadamard(), (2,), 4), CountedOracle(np.array([1, 0, 3, 2]))]
         ops += [op.inverse() for op in ops]
-        arrays = [a for op in ops for a in (op.matrix, op.perm, getattr(op, "_gather", None))]
-        arrays = [a for a in arrays if a is not None]
-        assert len(arrays) == 6
+        arrays = [op.perm if isinstance(op, CountedOracle) else op.matrix for op in ops]
+        assert len(arrays) == 4
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = 0
 
     def test_checked_attributes_cannot_be_rebound(self):
         # A matrix of ones would make a Hadamard send [1, 0] to [1, 1], and
-        # a gather index that is not a bijection a non-unitary result.
-        ops = [Op(hadamard(), (0,), 1), permutation_op(np.array([2, 3, 0, 1]), (3, 1))]
-        ops.append(CountedOracle(np.array([1, 0, 3, 2])))
+        # an index array that is not a bijection a non-unitary result.  Each
+        # class protects the fields it names in its own _CHECKED.
+        ops = [Op(hadamard(), (0,), 1), CountedOracle(np.array([1, 0, 3, 2]))]
         fakes = {
             "matrix": np.ones((2, 2)),
             "perm": np.zeros(4, dtype=np.intp),
-            "_gather": np.zeros(4, dtype=np.intp),
             "targets": (1,),
             "n_qubits": 3,
         }
+        assert type(ops[0])._CHECKED == ("targets", "n_qubits", "matrix")
+        assert type(ops[1])._CHECKED == ("targets", "n_qubits", "perm")
         for op in ops:
             before = op.apply_rows(np.eye(1 << op.n_qubits))
-            for name, fake in fakes.items():
+            op._CHECKED = ()  # an instance attribute does not lift the guard
+            for name in type(op)._CHECKED:
                 with pytest.raises(AttributeError, match="checked"):
-                    setattr(op, name, fake)
+                    setattr(op, name, fakes[name])
             assert np.array_equal(op.apply_rows(np.eye(1 << op.n_qubits)), before)
         oracle = ops[-1]
         oracle.apply(basis_state(RegisterLayout((("A", 1), ("V", 1))), "00"))
@@ -469,34 +483,37 @@ class TestOp:
         rng = np.random.default_rng(18)
         s = StateVector(CANONICAL_LAYOUT, random_state_vector(16, rng))
         matrix = Op(haar_unitary(8, rng), (0, 3, 2), 4)
-        perm = permutation_op(rng.permutation(8), (2, 0, 1))
+        oracle = CountedOracle(random_involution(16, rng))
         assert matrix.inverse().apply(matrix.apply(s)).max_delta(s) < 1e-12
-        assert np.array_equal(perm.inverse().apply(perm.apply(s)).amps, s.amps)
-        assert perm.inverse().perm.tolist() == np.argsort(perm.perm).tolist()
+        assert np.array_equal(oracle.inverse().apply(oracle.apply(s)).amps, s.amps)
+        assert oracle.inverse() is oracle
+        assert oracle.perm.tolist() == np.argsort(oracle.perm).tolist()
 
     def test_permutation_leak_equals_its_matrix_leak(self):
-        # The exact index test against the off-block entries of the 0/1
-        # matrix, for every register and a seeded bijection per target tuple.
-        rng = np.random.default_rng(19)
-        for k in range(1, 5):
-            for targets in permutations(range(4), k):
-                perm = rng.permutation(1 << k)
-                u = np.zeros((1 << k, 1 << k))
-                u[perm, np.arange(1 << k)] = 1.0
-                for register in CANONICAL_LAYOUT.names:
-                    pos = CANONICAL_LAYOUT.qubit_positions(register)
-                    leak = permutation_op(perm, targets).leak(pos)
-                    assert leak == Op(u, targets, 4).leak(pos) and leak in (0.0, 1.0)
+        # The oracle's exact bit test against the off-block entries of its
+        # matrix, read off it as verify does, for every qubit subset: every
+        # promise function with n <= 3 and the canonical oracle.
+        perms = [_permutation(f) for n in (1, 2, 3) for f in enumerate_promise_functions(n)]
+        canonical = CountedOracle(_canonical_perm())
+        for oracle in [CountedOracle(perm) for perm in perms] + [canonical]:
+            n = oracle.n_qubits
+            dense = Op(_matrix(oracle), range(n), n)
+            for k in range(n + 1):
+                for positions in combinations(range(n), k):
+                    leak = oracle.leak(positions)
+                    assert leak == dense.leak(positions) and leak in (0.0, 1.0)
+        assert canonical.leak(CANONICAL_LAYOUT.qubit_positions("B")) == 0.0
+        assert canonical.leak(CANONICAL_LAYOUT.qubit_positions("V")) == 1.0
 
     def test_leak_equals_the_full_mask_value(self):
         # Every target tuple at n=4 against every qubit subset: an op that
         # touches none of the subset returns 0 at once, which must be what
-        # the off-block entries of its mask give.
+        # the off-block entries of its mask give.  An oracle acts on every
+        # qubit, and leaks exactly when it flips a bit of the subset.
         rng = np.random.default_rng(23)
         subsets = [pos for k in range(5) for pos in combinations(range(4), k)]
         for k in range(1, 5):
             for targets in permutations(range(4), k):
-                perm = rng.permutation(1 << k)
                 u = haar_unitary(1 << k, rng)
                 for positions in subsets:
                     mask = sum(1 << (k - 1 - i) for i, t in enumerate(targets) if t in positions)
@@ -504,8 +521,12 @@ class TestOp:
                     off = idx[:, None] != idx[None, :]
                     want = float(np.max(np.abs(u[off]), initial=0.0))
                     assert Op(u, targets, 4).leak(positions) == want, (targets, positions)
-                    want = float(((perm & mask) != idx).any())
-                    assert permutation_op(perm, targets).leak(positions) == want
+        for _ in range(16):
+            perm = random_involution(16, rng)
+            for positions in subsets:
+                mask = sum(1 << (3 - p) for p in positions)
+                want = float(((perm & mask) != (np.arange(16) & mask)).any())
+                assert CountedOracle(perm).leak(positions) == want
 
     @pytest.mark.parametrize(
         "targets, n_qubits",
@@ -516,9 +537,8 @@ class TestOp:
     )
     def test_non_integer_targets_and_counts_rejected(self, targets, n_qubits):
         # int() would truncate 0.5 and read "0" and True as qubit 0.
-        for action, permutation in ((hadamard(), False), (np.array([1, 0]), True)):
-            with pytest.raises(LayoutError, match="must be integers"):
-                Op(action, targets, n_qubits, permutation=permutation)
+        with pytest.raises(LayoutError, match="must be integers"):
+            Op(hadamard(), targets, n_qubits)
         if n_qubits == 2:  # apply_unitary takes its qubit count from the state
             with pytest.raises(LayoutError, match="must be integers"):
                 apply_unitary(basis_state(CANONICAL_LAYOUT, "0000"), hadamard(), targets)
@@ -532,7 +552,7 @@ class TestOp:
 
     def test_wrong_qubit_count_rejected(self):
         s = basis_state(CANONICAL_LAYOUT, "0000")
-        for op in (Op(hadamard(), (0,), 3), Op(np.arange(4), (0, 1), 5, permutation=True)):
+        for op in (Op(hadamard(), (0,), 3), CountedOracle(np.arange(32))):
             with pytest.raises(LayoutError, match="qubits"):
                 op.apply(s)
 

@@ -88,9 +88,10 @@ def test_random_circuits_deviation_unchanged():
 
 def test_counted_oracle_applied_only_inside_algorithm_runs(monkeypatch):
     # The checks that replay deutsch_circuit() (reversibility, the
-    # deferred-measurement branches, global phase) must use its plain
-    # permutation op: a counted oracle there would be applied outside any
-    # run, and oracle calls would no longer match verdicts one to one.
+    # deferred-measurement branches, global phase) reach its oracle only
+    # through apply_rows or inverse, which count nothing: an apply call
+    # there would count an oracle call outside any run, and oracle calls
+    # would no longer match verdicts one to one.
     applied, completed = [], []
     apply = CountedOracle.apply
     monkeypatch.setattr(
