@@ -11,7 +11,6 @@ counts are reproducible for a fixed seed within this implementation.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -27,10 +26,10 @@ from .state import (
     ATOL_STATE,
     PROB_EPS,
     Op,
-    RegisterLayout,
     StateVector,
     _evolve,
     _is_int,
+    _outcome_indices,
 )
 
 RNG_ALGORITHM = "pcg64"
@@ -52,36 +51,10 @@ class MeasurementRecord(Record):
         )
 
 
-@lru_cache(maxsize=64)
-def _register_values(layout: RegisterLayout, register: str) -> np.ndarray:
-    """Integer value of ``register``'s bits for every basis index, computed
-    once per layout and register and returned read-only."""
-    n = layout.total_qubits
-    idx = np.arange(layout.dim)
-    val = np.zeros(layout.dim, dtype=np.int64)
-    for p in layout.qubit_positions(register):
-        val = (val << 1) | ((idx >> (n - 1 - p)) & 1)
-    val.flags.writeable = False
-    return val
-
-
-@lru_cache(maxsize=64)
-def _outcome_indices(layout: RegisterLayout, register: str) -> np.ndarray:
-    """Row v holds the basis indices where ``register`` reads v, in index
-    order: a read-only (2^w, dim / 2^w) table, computed once per register."""
-    values = _register_values(layout, register)
-    table = np.argsort(values, kind="stable").reshape(1 << layout.width(register), -1)
-    table.flags.writeable = False
-    return table
-
-
 def _marginal(state: StateVector, register: str) -> np.ndarray:
     """Probability of each register outcome, indexed by outcome value;
     DegenerateStateError if the state is not normalized."""
-    width = state.layout.width(register)
-    values = _register_values(state.layout, register)
-    probs = np.abs(state.amps) ** 2
-    marg = np.bincount(values, weights=probs, minlength=1 << width)
+    marg = (np.abs(state.amps[_outcome_indices(state.layout, register)]) ** 2).sum(-1)
     if abs(marg.sum() - 1.0) > ATOL_STATE:
         raise DegenerateStateError(f"state is not normalized (norm^2 {marg.sum()})")
     return marg
@@ -90,8 +63,8 @@ def _marginal(state: StateVector, register: str) -> np.ndarray:
 def outcome_distribution(state: StateVector, register: str) -> OutcomeDistribution:
     """Probability of each outcome of ``register``: sum of |amplitude|^2
     over the basis labels carrying that outcome."""
-    marg = _marginal(state, register)
     width = state.layout.width(register)
+    marg = _marginal(state, register)
     probs = {
         format(i, f"0{width}b"): float(p)
         for i, p in enumerate(marg)
@@ -141,10 +114,10 @@ def sample(
     for name, value, low in (("shots", shots, 1), ("seed", seed, 0)):
         if not _is_int(value) or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    width = state.layout.width(register)
     marg = _marginal(state, register)
     rng = np.random.default_rng(seed)
     drawn = rng.choice(marg.size, size=shots, p=marg)
-    width = state.layout.width(register)
     values, counts = np.unique(drawn, return_counts=True)
     return {format(v, f"0{width}b"): int(c) for v, c in zip(values, counts)}
 
@@ -177,8 +150,16 @@ def apply_circuit(state: StateVector, circuit: Sequence) -> StateVector:
 
 
 def inverse_circuit(circuit: Sequence[Op]) -> list[Op]:
-    """The circuit undoing ``circuit``: each op's inverse, in reverse order."""
-    return [op.inverse() for op in reversed(circuit)]
+    """The circuit undoing ``circuit``: each op's inverse, in reverse order.
+    Ops only, as a ``(matrix, targets)`` pair needs a qubit count; LayoutError
+    says the circuit is not iterable, or names the first item that is no op."""
+    if not np.iterable(circuit):
+        raise LayoutError(f"circuit {circuit!r} is not a sequence of ops")
+    ops = list(circuit)
+    for k, item in enumerate(ops):
+        if not isinstance(item, Op):
+            raise LayoutError(f"circuit item {k} is not an Op")
+    return [op.inverse() for op in reversed(ops)]
 
 
 class BranchReport(Record):

@@ -140,6 +140,8 @@ class StateVector(Record):
 
     def with_phase(self, theta: float) -> StateVector:
         """The same ray multiplied by the unit phase exp(i*theta)."""
+        if not abs(theta) < np.inf:
+            raise DegenerateStateError(f"phase {theta} is not finite")
         return StateVector(self.layout, np.exp(1j * theta) * self.amps)
 
 
@@ -196,13 +198,16 @@ def superpose(
     for weight, label in terms:
         amps[layout.index_of_label(label)] += weight
     norm = np.linalg.norm(amps)
-    if norm < ATOL_STATE:
-        raise DegenerateStateError("superposition weights sum to zero norm")
+    if not ATOL_STATE <= norm < np.inf:
+        raise DegenerateStateError(f"superposition weights have norm {norm}: zero or not finite")
     return StateVector(layout, amps / norm)
 
 
 def _validate_unitary(u: np.ndarray, n_targets: int) -> np.ndarray:
-    u = np.array(u, dtype=np.complex128)
+    try:
+        u = np.array(u, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UnitarityError(f"matrix is not an array of complex numbers ({exc})") from None
     dim = 1 << n_targets
     if u.shape != (dim, dim):
         raise LayoutError(
@@ -238,6 +243,19 @@ def _axis_orders(
     rest = [q for q in range(n) if q not in targets]
     order = (*range(batch_rank), *(batch_rank + q for q in (*targets, *rest)))
     return order, tuple(sorted(range(len(order)), key=order.__getitem__))
+
+
+@lru_cache(maxsize=64)
+def _outcome_indices(layout: RegisterLayout, register: str) -> np.ndarray:
+    """Row v holds the basis indices where ``register`` reads v, in index
+    order, in the axis order of ``Op.apply_rows``: a read-only (2^w, dim/2^w)
+    table.  Callers check ``register`` first: an unhashable one is a TypeError here."""
+    pos = layout.qubit_positions(register)
+    n = layout.total_qubits
+    order, _ = _axis_orders(0, pos, n)
+    table = np.arange(layout.dim).reshape((2,) * n).transpose(order).reshape(1 << len(pos), -1)
+    table.flags.writeable = False
+    return table
 
 
 class Op:
@@ -337,11 +355,6 @@ def inner_product(s1: StateVector, s2: StateVector) -> complex:
 
 def partial_trace(state: StateVector, keep: str) -> DensityMatrix:
     """Reduced density matrix of register ``keep``, tracing out the rest."""
-    layout = state.layout
-    pos = layout.qubit_positions(keep)
-    n = layout.total_qubits
-    k = len(pos)
-    order, _ = _axis_orders(0, pos, n)
-    m = state.amps.reshape((2,) * n).transpose(order).reshape(1 << k, -1)
-    rho = m @ m.conj().T
-    return DensityMatrix(RegisterLayout(((keep, k),)), rho)
+    width = state.layout.width(keep)
+    m = state.amps[_outcome_indices(state.layout, keep)]
+    return DensityMatrix(RegisterLayout(((keep, width),)), m @ m.conj().T)

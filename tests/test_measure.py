@@ -20,6 +20,7 @@ from deutschsim import (
     StateVector,
     UnitarityError,
     apply_circuit,
+    apply_unitary,
     basis_state,
     deferred_equivalence,
     deutsch_circuit,
@@ -27,18 +28,14 @@ from deutschsim import (
     inverse_circuit,
     measure,
     outcome_distribution,
+    partial_trace,
     run_deutsch_jozsa,
     sample,
 )
 from deutschsim import deutsch as deutsch_module
 from deutschsim import state as state_module
-from deutschsim.measure import (
-    _as_ops,
-    _outcome_indices,
-    _project,
-    _register_values,
-)
-from deutschsim.state import PROB_EPS, _evolve
+from deutschsim.measure import _as_ops, _project
+from deutschsim.state import PROB_EPS, _evolve, _outcome_indices
 from deutschsim.verify import _random_block_diagonal_circuits
 
 from conftest import (
@@ -55,6 +52,18 @@ from conftest import (
 
 def state_from(golden: dict[str, float]) -> StateVector:
     return StateVector(CANONICAL_LAYOUT, golden_vector(golden))
+
+
+def register_values(layout: RegisterLayout, register: str) -> np.ndarray:
+    """The integer value of ``register``'s bits at every basis index, by
+    shifting each of its bits out of the big-endian index: an account of the
+    register that shares no code with ``state._outcome_indices``."""
+    n = layout.total_qubits
+    idx = np.arange(layout.dim)
+    val = np.zeros(layout.dim, dtype=np.int64)
+    for p in layout.qubit_positions(register):
+        val = (val << 1) | ((idx >> (n - 1 - p)) & 1)
+    return val
 
 
 class TestOutcomeDistribution:
@@ -108,13 +117,30 @@ class TestOutcomeDistribution:
         with pytest.raises(LayoutError):
             outcome_distribution(basis_state(CANONICAL_LAYOUT, "0000"), "Q")
 
-    def test_cached_register_values_are_read_only(self):
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda s, r: outcome_distribution(s, r),
+            lambda s, r: sample(s, r, shots=1, seed=0),
+            lambda s, r: measure(s, r, "0"),
+            lambda s, r: deferred_equivalence([], s, r),
+            lambda s, r: partial_trace(s, r),
+        ],
+        ids=["outcome_distribution", "sample", "measure", "deferred_equivalence",
+             "partial_trace"],
+    )
+    def test_unhashable_register_rejected_before_the_table(self, read):
+        # The cached table hashes its key; each reader checks the name first.
+        with pytest.raises(LayoutError, match="unknown register"):
+            read(basis_state(CANONICAL_LAYOUT, "0000"), ["B"])
+
+    def test_cached_outcome_indices_are_read_only(self):
         state = state_from(SUPERPOSED_STAGES["after_H_A_2"])
         before = outcome_distribution(state, "B")
-        values = _register_values(CANONICAL_LAYOUT, "B")
-        assert _register_values(RegisterLayout(CANONICAL_LAYOUT.groups), "B") is values
+        table = _outcome_indices(CANONICAL_LAYOUT, "B")
+        assert _outcome_indices(RegisterLayout(CANONICAL_LAYOUT.groups), "B") is table
         with pytest.raises(ValueError):
-            values[0] = 3
+            table[0, 0] = 3
         assert outcome_distribution(state, "B") == before
 
 
@@ -415,6 +441,26 @@ class TestBatchedHarness:
             with pytest.raises(LayoutError, match=where):
                 run(initial, circuit)
 
+    @pytest.mark.parametrize(
+        "matrix",
+        ["ab", [[1, 0], [0, "x"]], {}, [[1, 0], [0, object()]]],
+        ids=["string", "string-entry", "dict", "object-entry"],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda s, m: Op(m, (0,), 4),
+            lambda s, m: apply_unitary(s, m, (0,)),
+            lambda s, m: apply_circuit(s, [(m, (0,))]),
+            lambda s, m: deferred_equivalence([(m, (0,))], s, "B"),
+        ],
+        ids=["Op", "apply_unitary", "apply_circuit", "deferred_equivalence"],
+    )
+    def test_unreadable_matrix_is_not_unitary(self, matrix, build):
+        # numpy's complex conversion leaked ValueError or TypeError before.
+        with pytest.raises(UnitarityError, match="not an array of complex numbers"):
+            build(state_from(SUPERPOSED_STAGES["input"]), matrix)
+
     def test_norm_drift_rejected(self):
         # Unitary to within 1e-10, yet it scales every row's norm by
         # 1 + 2e-11 (A is 0 throughout the input), past 1e-12.
@@ -441,7 +487,7 @@ def project_loop_reference(circuit, initial: StateVector, register: str):
         return probability, np.where(mask, amps, 0.0) / np.sqrt(probability)
 
     outcomes = list(outcome_distribution(initial, register).probs)
-    values = _register_values(layout, register)
+    values = register_values(layout, register)
     masks = [values == int(outcome, 2) for outcome in outcomes]
     firsts = [project(initial.amps, mask) for mask in masks]
     rows = _evolve(np.stack([initial.amps] + [post for _, post in firsts]), ops)
@@ -531,7 +577,7 @@ class TestAllBranchesAtOnce:
         for layout in (CANONICAL_LAYOUT, RegisterLayout((("A", 3), ("V", 1)))):
             for register in layout.names:
                 table = _outcome_indices(layout, register)
-                values = _register_values(layout, register)
+                values = register_values(layout, register)
                 assert not table.flags.writeable
                 width = layout.width(register)
                 assert table.shape == (1 << width, layout.dim >> width)
@@ -607,6 +653,24 @@ class TestCircuitHelpers:
         final = state_from(FIXED_01_STAGES["after_H_A_2"])
         recovered = apply_circuit(final, inverse_circuit(deutsch_circuit()))
         assert recovered.max_delta(state_from(FIXED_01_STAGES["input"])) < 1e-12
+
+    @pytest.mark.parametrize(
+        "circuit, where",
+        [
+            (5, "5 is not"),
+            ([None], "item 0"),
+            ([Op(hadamard(), (2,), 4), (hadamard(), (2,))], "item 1"),
+        ],
+        ids=["int-circuit", "none-item", "pair-item"],
+    )
+    def test_inverse_circuit_takes_ops_only(self, circuit, where):
+        # These leaked TypeError or AttributeError before.
+        with pytest.raises(LayoutError, match=where):
+            inverse_circuit(circuit)
+
+    def test_inverse_circuit_takes_any_iterable_of_ops(self):
+        ops = deutsch_circuit()
+        assert inverse_circuit(iter(ops))[0].targets == ops[-1].targets
 
     def test_apply_circuit_runs_pipeline(self):
         out = apply_circuit(state_from(FIXED_01_STAGES["input"]), deutsch_circuit())

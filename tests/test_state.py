@@ -207,6 +207,12 @@ class TestSuperpose:
         with pytest.raises(DegenerateStateError):
             superpose([], CANONICAL_LAYOUT)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, complex(np.inf, 0), complex(0, np.nan)])
+    def test_non_finite_weight_rejected(self, weight):
+        # A NaN norm passed the zero-norm test and the division warned.
+        with pytest.raises(DegenerateStateError, match="not finite"):
+            superpose([(weight, "0000"), (1.0, "0001")], CANONICAL_LAYOUT)
+
 
 class TestApplyUnitary:
     def test_hadamard_on_a_reproduces_next_stage(self):
@@ -688,6 +694,12 @@ class TestStateVector:
         rotated = s.with_phase(1.3)
         np.testing.assert_allclose(np.abs(rotated.amps), np.abs(s.amps), atol=1e-15)
         assert rotated.max_delta(s) > 0.1
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phase_rejected(self, theta):
+        # exp(1j * inf) warned before the amplitudes were checked.
+        with pytest.raises(DegenerateStateError, match="not finite"):
+            state_from(FIXED_01_STAGES["input"]).with_phase(theta)
 
     def test_nonzero_reports_sorted_labels(self):
         s = state_from(SUPERPOSED_STAGES["after_H_A_2"])
