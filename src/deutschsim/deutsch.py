@@ -22,21 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BlockStructureError,
-    LayoutError,
-    PromiseViolationError,
-    SimulatorError,
-    UnitarityError,
-)
-from .gates import (
-    Classification,
-    FunctionTable,
-    _classification,
-    _permutation,
-    _validate_values,
-    hadamard,
-)
+from .errors import BlockStructureError, LayoutError, PromiseViolationError, SimulatorError
+from .gates import Classification, FunctionTable, _classification, _validate_values, hadamard
 from .measure import _marginal, measure, outcome_distribution
 from .record import Record
 from .state import (
@@ -93,26 +80,20 @@ class Verdict(Record):
 
 
 class CountedOracle(Op):
-    """The black box |x,v> -> |x, v xor f(x)> on all n qubits: |j> goes to
-    |perm[j]>.  Built only if ``perm`` holds 2^n integers in range(2^n) and
-    ``perm[perm]`` is the identity, which makes it a bijection and its own
-    gather index.  ``apply`` counts its calls; ``apply_rows`` counts none."""
+    """The black box |x,v> -> |x, v xor f(x)> of the function whose 2^n
+    values of 0 or 1 are ``values``, on n + 1 qubits: basis index j goes to
+    perm[j] = j xor f(j >> 1), argument bits then the value bit, big endian.
+    Malformed values raise the ValueError of ``classify_function``.
+    ``apply`` counts its calls; ``apply_rows`` counts none."""
 
     _CHECKED = ("targets", "n_qubits", "perm")
 
-    def __init__(self, perm: np.ndarray):
-        perm = np.array(perm)
-        dim = perm.size
-        if perm.ndim != 1 or not dim or dim & (dim - 1):
-            raise LayoutError(f"oracle permutation shape {perm.shape} is not (2^n,)")
-        if perm.dtype.kind not in "iu":
-            raise UnitarityError(f"oracle permutation has non-integer dtype {perm.dtype}")
-        if perm.min() < 0 or perm.max() >= dim:
-            raise UnitarityError(f"oracle permutation entries out of range({dim})")
-        if (perm[perm] != np.arange(dim)).any():
-            raise UnitarityError("oracle permutation is not its own inverse")
+    def __init__(self, values: Sequence[int]):
+        vals = np.array(_validate_values(values), dtype=np.intp)
+        cols = np.arange(2 * vals.size)
+        perm = cols ^ vals[cols >> 1]
         perm.flags.writeable = False
-        n = dim.bit_length() - 1
+        n = perm.size.bit_length() - 1
         self._bind(tuple(range(n)), n, perm)
         self.calls = 0
 
@@ -132,11 +113,11 @@ class CountedOracle(Op):
         return float(((self.perm ^ np.arange(self.perm.size)) & mask).any())
 
 
-def _canonical_perm() -> np.ndarray:
-    """The setting-keyed oracle |b,a,v> -> |b,a, v xor f_b(a)> as the fixed
+def _canonical_values() -> list[int]:
+    """The setting-keyed oracle |b,a,v> -> |b,a, v xor f_b(a)> is the fixed
     oracle of g(b||a) = f_b(a): the settings' values in label order."""
     settings = FunctionTable.canonical().settings
-    return _permutation([v for b in SETTING_LABELS for v in settings[b]])
+    return [v for b in SETTING_LABELS for v in settings[b]]
 
 
 def deutsch_circuit() -> list[Op]:
@@ -145,7 +126,7 @@ def deutsch_circuit() -> list[Op]:
     ``inverse_circuit`` reach the oracle through ``apply_rows`` or ``inverse``,
     so replaying the circuit counts no oracle call."""
     h_on_a = _hadamards_on_a(CANONICAL_LAYOUT)
-    return [*h_on_a, CountedOracle(_canonical_perm()), *h_on_a]
+    return [*h_on_a, CountedOracle(_canonical_values()), *h_on_a]
 
 
 @lru_cache(maxsize=16)
@@ -200,7 +181,7 @@ def run_deutsch(b: str, initial_a: int = 0) -> tuple[StageTrace, Verdict]:
     if b not in SETTING_LABELS:
         raise ValueError(f"unknown setting {b!r}; choose one of {SETTING_LABELS}")
     _check_bit(initial_a, "initial A state")
-    oracle = CountedOracle(_canonical_perm())
+    oracle = CountedOracle(_canonical_values())
     trace = _run_pipeline(CANONICAL_LAYOUT, [b + str(initial_a) + "1"], oracle)
     classification = _classify(trace.final, str(initial_a))
     outcome_bit = initial_a ^ (classification is Classification.BALANCED)
@@ -211,7 +192,7 @@ def run_deutsch_superposed(initial_a: int = 0) -> StageTrace:
     """The same pipeline on an equal superposition of all four settings."""
     _check_bit(initial_a, "initial A state")
     labels = [b + str(initial_a) + "1" for b in SETTING_LABELS]
-    return _run_pipeline(CANONICAL_LAYOUT, labels, CountedOracle(_canonical_perm()))
+    return _run_pipeline(CANONICAL_LAYOUT, labels, CountedOracle(_canonical_values()))
 
 
 def solution_correlation(
@@ -249,7 +230,7 @@ def run_deutsch_jozsa(values: Sequence[int]) -> Verdict:
     n = len(vals).bit_length() - 1
     if n > MAX_ARG_BITS:
         raise LayoutError(f"argument register capped at {MAX_ARG_BITS} qubits")
-    oracle = CountedOracle(_permutation(vals))
+    oracle = CountedOracle(vals)
     trace = _run_pipeline(_dj_layout(n), ["0" * n + "1"], oracle)
     classification = _classify(trace.final, "0" * n)
     outcome_bit = int(classification is Classification.BALANCED)

@@ -14,9 +14,7 @@ class DegenerateStateError(SimulatorError):
 
 
 class UnitarityError(SimulatorError):
-    """Operator that fails its check (a matrix that is not unitary, an index
-    array that is not a permutation, an oracle that is not its own inverse)
-    or drifts the norm."""
+    """Matrix that is not unitary, or an operator that drifts the norm."""
 
 
 class ImpossibleOutcomeError(SimulatorError):

@@ -1,9 +1,10 @@
 """Unitaries for oracle problems: Hadamard and black-box function evaluation.
 
-A black box |a,v> -> |a, v xor f(a)> permutes basis indices, so it exists
-only as one index array, perm[j] = j xor f(j >> 1), that a ``CountedOracle``
-checks exactly as a self-inverse permutation and applies by gather.  No dense
-oracle matrix is built: ``verify`` reads one off the oracle it judges.
+A black box |a,v> -> |a, v xor f(a)> is built from f's values:
+``CountedOracle(values)`` checks them with ``_validate_values`` here, the one
+value validator, and builds the index array perm[j] = j xor f(j >> 1) that it
+applies by gather.  No dense oracle matrix is built: ``verify`` reads one off
+the oracle it judges.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ class Classification(enum.Enum):
 
 def _integer(v) -> int | None:
     """``int(v)`` for the text "0" or "1" or a number equal to an integer,
-    else None; int(0.9) would truncate, and int(inf) and int(nan) raise.
+    else None; int(0.9) would truncate, int(inf) and int(nan) raise, and so
+    does int() of None, a complex number or a list.
     Other text raises ValueError: int() would also read "0_1", "+1", "-0"
     and full-width or other non-ASCII digits as 0/1 values."""
     if isinstance(v, str):
@@ -42,7 +44,7 @@ def _integer(v) -> int | None:
         return int(text)
     try:
         i = int(v)
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         return None
     return i if v == i else None
 
@@ -143,12 +145,3 @@ def parse_function_table(text: str) -> FunctionTable:
             raise FunctionFormatError(f"line {lineno}: duplicate label {label!r}")
         settings[label] = values
     return FunctionTable(settings)
-
-
-def _permutation(vals: Sequence[int]) -> np.ndarray:
-    """The black box |a,v> -> |a, v xor f(a)> of validated values as an
-    index array: basis index j goes to perm[j] = j xor f(j >> 1), with the
-    argument bits then the value bit, big endian."""
-    vals = np.array(vals, dtype=np.intp)
-    cols = np.arange(2 * vals.size)
-    return cols ^ vals[cols >> 1]

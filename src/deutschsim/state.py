@@ -8,6 +8,7 @@ semantic: every operation returns a new, immutable ``StateVector``.
 
 from __future__ import annotations
 
+import numbers
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
@@ -139,9 +140,10 @@ class StateVector(Record):
         return float(np.max(np.abs(self.amps - other.amps)))
 
     def with_phase(self, theta: float) -> StateVector:
-        """The same ray multiplied by the unit phase exp(i*theta)."""
-        if not abs(theta) < np.inf:
-            raise DegenerateStateError(f"phase {theta} is not finite")
+        """The same ray multiplied by the unit phase exp(i*theta); theta
+        must be a finite real number, numpy's included."""
+        if not isinstance(theta, numbers.Real) or not abs(theta) < np.inf:
+            raise DegenerateStateError(f"phase {theta!r} is not finite or not real")
         return StateVector(self.layout, np.exp(1j * theta) * self.amps)
 
 
@@ -194,9 +196,12 @@ def superpose(
     Weights are relative; repeated labels accumulate.  Raises
     DegenerateStateError when the weights cancel to (numerically) nothing.
     """
-    amps = np.zeros(layout.dim, dtype=np.complex128)
+    amps, peak = np.zeros(layout.dim, dtype=np.complex128), 0.0
     for weight, label in terms:
         amps[layout.index_of_label(label)] += weight
+        peak = max(peak, abs(weight.real), abs(weight.imag))
+    if 1 < peak < np.inf:  # then no part tops 1, and the norm's squares cannot overflow
+        amps /= peak
     norm = np.linalg.norm(amps)
     if not ATOL_STATE <= norm < np.inf:
         raise DegenerateStateError(f"superposition weights have norm {norm}: zero or not finite")

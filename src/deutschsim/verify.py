@@ -27,7 +27,7 @@ from .deutsch import (
     run_deutsch_superposed,
     solution_correlation,
 )
-from .gates import Classification, FunctionTable, _permutation, classify_function, hadamard
+from .gates import Classification, FunctionTable, classify_function, hadamard
 from .measure import (
     apply_circuit,
     deferred_equivalence,
@@ -400,7 +400,7 @@ def _gate_unitarity():
     circuit = deutsch_circuit()
     ops = [circuit[1]]
     for f in ([0, 1], [1, 0], [0, 0], [1, 1], [0, 1, 1, 0], [0, 0, 1, 1, 0, 1, 1, 0]):
-        ops.append(CountedOracle(_permutation(f)))
+        ops.append(CountedOracle(f))
     mats = [hadamard()] + [_matrix(op) for op in ops + circuit]
     dev = max(
         float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))) for m in mats
@@ -411,7 +411,7 @@ def _gate_unitarity():
 @_check("oracle_self_inverse", 0.0)
 def _oracle_self_inverse():
     settings = FunctionTable.canonical().settings
-    ops = [deutsch_circuit()[1]] + [CountedOracle(_permutation(v)) for v in settings.values()]
+    ops = [deutsch_circuit()[1]] + [CountedOracle(v) for v in settings.values()]
     dev = 0.0
     ok = True
     for u in map(_matrix, ops):

@@ -34,7 +34,6 @@ from deutschsim import (
     solution_correlation,
     FunctionTable,
 )
-from deutschsim.gates import _permutation
 
 from conftest import (
     FIXED_01_STAGES,
@@ -201,7 +200,7 @@ def test_criterion_11_structural_properties():
         # and the fixed ones run_deutsch_jozsa applies.
         circuit = deutsch_circuit()
         settings = FunctionTable.canonical().settings
-        fixed = [CountedOracle(_permutation(v)) for v in settings.values()]
+        fixed = [CountedOracle(v) for v in settings.values()]
         oracles = [op.apply_rows(np.eye(1 << op.n_qubits)).T for op in [circuit[1], *fixed]]
         gates = [hadamard(), *oracles]
         gates += [op.apply_rows(np.eye(16)).T for op in circuit]

@@ -20,7 +20,6 @@ from deutschsim import (
     RegisterLayout,
     StageTrace,
     StateVector,
-    UnitarityError,
     apply_circuit,
     basis_state,
     classical_query_count,
@@ -42,7 +41,6 @@ from deutschsim import (
 from deutschsim import deutsch as deutsch_module
 from deutschsim import state as state_module
 from deutschsim.deutsch import _hadamards_on_a, _run_pipeline
-from deutschsim.gates import _permutation
 
 from conftest import (
     FIXED_01_STAGES,
@@ -83,15 +81,14 @@ def assert_same_stages(got: StageTrace, expected: StageTrace) -> None:
 
 def per_gate_stages(layout: RegisterLayout, labels, oracle: np.ndarray) -> StageTrace:
     """The pipeline one gate at a time, each gate built here and applied by
-    ``Op.apply``: H on V, each H on A, the oracle (read off its dense
-    matrix as an index array), each H on A again."""
+    ``Op.apply``: H on V, each H on A, the oracle as its dense matrix on
+    every qubit, each H on A again."""
     n = layout.total_qubits
     state = superpose([(1.0, label) for label in labels], layout)
     state = Op(hadamard(), layout.qubit_positions("V"), n).apply(state)
     h_on_a = [Op(hadamard(), (q,), n) for q in layout.qubit_positions("A")]
-    perm = np.argmax(oracle.real, axis=0)
     stages = [state]
-    for ops in (h_on_a, [CountedOracle(perm)], h_on_a):
+    for ops in (h_on_a, [Op(oracle, range(n), n)], h_on_a):
         for op in ops:
             state = op.apply(state)
         stages.append(state)
@@ -332,24 +329,24 @@ class TestRunDeutschJozsa:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_indeterminate_readout_rejected_after_one_call(self, n, monkeypatch):
-        # After the promise check passes, the oracle of a "neither" function
-        # with a single 1 is patched in; it leaves p(A=0...0) at
-        # ((2^n - 2) / 2^n)^2: 1/4 at n=2, 9/16 at n=3.  No permutation of
-        # the four basis states at n=1 leaves it strictly between 0 and 1.
+        # The promise check is patched to pass a "neither" function with a
+        # single 1, so its own oracle is built and applied; it leaves
+        # p(A=0...0) at ((2^n - 2) / 2^n)^2: 1/4 at n=2, 9/16 at n=3.  No
+        # function at n=1 leaves it strictly between 0 and 1.
         neither = (0,) * ((1 << n) - 1) + (1,)
         monkeypatch.setattr(
-            "deutschsim.deutsch._permutation", lambda vals: _permutation(neither)
+            "deutschsim.deutsch._classification", lambda vals: Classification.BALANCED
         )
         oracles = []
 
         class RecordedOracle(CountedOracle):
-            def __init__(self, perm):
-                super().__init__(perm)
+            def __init__(self, values):
+                super().__init__(values)
                 oracles.append(self)
 
         monkeypatch.setattr("deutschsim.deutsch.CountedOracle", RecordedOracle)
         with pytest.raises(BlockStructureError, match="is neither 0 nor 1") as info:
-            run_deutsch_jozsa([0, 1] * (1 << (n - 1)))
+            run_deutsch_jozsa(neither)
         assert [oracle.calls for oracle in oracles] == [1]
         p = float(str(info.value).split(" = ")[1].split()[0])
         assert p == pytest.approx(((1 << n) - 2) ** 2 / (1 << (2 * n)), abs=1e-12)
@@ -362,7 +359,7 @@ class TestRunDeutschJozsa:
         labels = ["0" * n + "1"]
         for f in enumerate_promise_functions(n):
             assert_same_stages(
-                _run_pipeline(layout, labels, CountedOracle(_permutation(f))),
+                _run_pipeline(layout, labels, CountedOracle(f)),
                 _run_pipeline(layout, labels, DenseOracle(brute_oracle(f))),
             )
 
@@ -503,13 +500,13 @@ class TestStagedEvolution:
         labels = ["0" * n + "1"]
         for f in enumerate_promise_functions(n):
             assert_same_stages(
-                _run_pipeline(layout, labels, CountedOracle(_permutation(f))),
+                _run_pipeline(layout, labels, CountedOracle(f)),
                 per_gate_stages(layout, labels, brute_oracle(f)),
             )
 
     def test_hadamard_ops_shared_circuits_fresh(self):
         layout = RegisterLayout((("A", 3), ("V", 1)))
-        oracle = CountedOracle(_permutation([0, 1] * 4))
+        oracle = CountedOracle([0, 1] * 4)
         first, second = ([*_hadamards_on_a(layout), oracle, *_hadamards_on_a(layout)]
                          for _ in range(2))
         assert all(x is y for x, y in zip(first[:3] + first[4:], second[:3] + second[4:]))
@@ -568,9 +565,8 @@ class TestTraceAndOracle:
         assert trace.state("after_H_f") is trace.stages[2][1]
 
     def test_counted_oracle_tallies_applications(self):
-        # The index array read back from the brute-force matrix: u[perm[j], j] = 1.
-        perm = np.argmax(brute_oracle_16().real, axis=0)
-        oracle = CountedOracle(perm)
+        # The canonical oracle, built from the truth table's values in label order.
+        oracle = CountedOracle([v for b in sorted(TRUTH_TABLE) for v in TRUTH_TABLE[b]])
         s = state_from(FIXED_01_STAGES["after_H_A"])
         assert oracle.calls == 0
         s = oracle.apply(s)
@@ -585,12 +581,18 @@ class TestTraceAndOracle:
             np.array([0.0, 1.0, 2.0, 3.0]),  # float dtype
             np.array([0, 1, 2, 4]),  # out of range
             np.array([1, 2, 3, 0]),  # a 4-cycle: a bijection, not an involution
+            np.array([2, 3, 0, 1]),  # an involution that flips the argument bit
         ],
-        ids=["duplicate", "float", "out_of_range", "not_involution"],
+        ids=["duplicate", "float", "out_of_range", "not_involution", "argument_flip"],
     )
     def test_counted_oracle_rejects_bad_permutations(self, perm):
-        with pytest.raises(UnitarityError):
+        # An index array is no function's values, not even an involution
+        # that the old raw-permutation constructor accepted as a black box.
+        with pytest.raises(ValueError) as want:
+            classify_function(perm)
+        with pytest.raises(ValueError, match="must be 0 or 1") as got:
             CountedOracle(perm)
+        assert str(got.value) == str(want.value)
 
     def test_circuit_replays_count_no_oracle_call(self):
         circuit = deutsch_circuit()
@@ -602,7 +604,7 @@ class TestTraceAndOracle:
         assert circuit[1].calls == 0
 
     def test_counted_oracle_rejects_wrong_length(self):
-        oracle = CountedOracle(np.arange(8))
+        oracle = CountedOracle([0] * 4)
         with pytest.raises(LayoutError):
             oracle.apply(basis_state(CANONICAL_LAYOUT, "0000"))
         assert oracle.calls == 1

@@ -17,7 +17,6 @@ from deutschsim import (
     parse_function_table,
     run_deutsch_jozsa,
 )
-from deutschsim.gates import _permutation
 
 from conftest import TRUTH_TABLE, brute_oracle, brute_oracle_16
 
@@ -55,7 +54,7 @@ def op_matrix(op) -> np.ndarray:
 
 def fixed_oracle(values) -> np.ndarray:
     """The matrix of the oracle op that run_deutsch_jozsa applies."""
-    return op_matrix(CountedOracle(_permutation(values)))
+    return op_matrix(CountedOracle(values))
 
 
 class TestOracleWithSetting:
@@ -106,7 +105,7 @@ class TestOracleWithSetting:
                         f = settings[format(b, f"0{w}b")][a]
                         expected.append((b << (n + 1)) | (a << 1) | (v ^ f))
                     values = [v for b in sorted(settings) for v in settings[b]]
-                    assert _permutation(values).tolist() == expected
+                    assert CountedOracle(values).perm.tolist() == expected
 
 
 class TestOracleFixed:
@@ -161,6 +160,17 @@ class TestClassifyFunction:
     def test_non_iterable_values_rejected(self, values):
         for call in (classify_function, run_deutsch_jozsa, lambda v: FunctionTable({"0": v})):
             with pytest.raises(ValueError, match="not a sequence"):
+                call(values)
+
+    @pytest.mark.parametrize(
+        "values", [[None, 1], [1j, 0], [[0, 1], [1, 0]]], ids=["none", "complex", "2d"]
+    )
+    def test_values_that_are_not_numbers_rejected(self, values):
+        # int() raises TypeError for these, which leaked untyped before.
+        calls = (classify_function, run_deutsch_jozsa, CountedOracle,
+                 lambda v: FunctionTable({"0": v}))
+        for call in calls:
+            with pytest.raises(ValueError, match="must be integers"):
                 call(values)
 
     def test_bad_length_rejected(self):

@@ -36,7 +36,7 @@ from deutschsim import (
 )
 from deutschsim.cli import main
 from deutschsim.deutsch import _run_pipeline
-from deutschsim.gates import _integer, _permutation, _validate_values
+from deutschsim.gates import _integer, _validate_values
 
 from conftest import brute_oracle, haar_unitary, random_state_vector
 from test_deutsch import assert_same_stages, per_gate_stages
@@ -77,7 +77,7 @@ def test_deutsch_jozsa_stages_equal_gate_by_gate_pipeline(values):
     layout = RegisterLayout((("A", n), ("V", 1)))
     labels = ["0" * n + "1"]
     assert_same_stages(
-        _run_pipeline(layout, labels, CountedOracle(_permutation(values))),
+        _run_pipeline(layout, labels, CountedOracle(values)),
         per_gate_stages(layout, labels, brute_oracle(values)),
     )
 
@@ -147,7 +147,8 @@ def function_tables(draw) -> FunctionTable:
 def test_oracle_permutation_is_self_inverse_and_scatters_to_the_matrix(table):
     # The setting-keyed oracle is the fixed oracle of g(b||a) = f_b(a).
     n, w = table.arg_bits, len(next(iter(table.settings)))
-    perm = _permutation([v for b in sorted(table.settings) for v in table.settings[b]])
+    oracle = CountedOracle([v for b in sorted(table.settings) for v in table.settings[b]])
+    perm = oracle.perm
     expected = []
     for i in range(perm.size):
         b, a, v = i >> (n + 1), (i >> 1) & ((1 << n) - 1), i & 1
@@ -155,7 +156,6 @@ def test_oracle_permutation_is_self_inverse_and_scatters_to_the_matrix(table):
         expected.append((b << (n + 1)) | (a << 1) | (v ^ f))
     assert perm.tolist() == expected
     assert np.array_equal(perm[perm], np.arange(perm.size))
-    oracle = CountedOracle(perm)  # its own exact bijection and involution checks
     # The matrix an op is judged by (its action on each basis state) is
     # the scatter u[perm[j], j] = 1.
     u = np.zeros((perm.size, perm.size))

@@ -18,6 +18,7 @@ from deutschsim import (
     UnitarityError,
     apply_unitary,
     basis_state,
+    classify_function,
     deferred_equivalence,
     enumerate_promise_functions,
     hadamard,
@@ -27,14 +28,14 @@ from deutschsim import (
     run_deutsch_superposed,
     superpose,
 )
-from deutschsim.deutsch import _canonical_perm
-from deutschsim.gates import _permutation
+from deutschsim.deutsch import _canonical_values
 from deutschsim.state import _evolve
 from deutschsim.verify import _matrix
 
 from conftest import (
     FIXED_01_STAGES,
     SUPERPOSED_STAGES,
+    brute_oracle,
     brute_rho_of_b,
     golden_vector,
     haar_unitary,
@@ -206,6 +207,18 @@ class TestSuperpose:
     def test_empty_terms_rejected(self):
         with pytest.raises(DegenerateStateError):
             superpose([], CANONICAL_LAYOUT)
+
+    def test_huge_weights_scaled_before_the_norm(self):
+        # The sum of squares of 1e200 overflowed in np.linalg.norm and its
+        # warning escaped; the weights name a unit vector all the same.
+        one = superpose([(1e200, "0000")], CANONICAL_LAYOUT)
+        assert np.array_equal(one.amps, basis_state(CANONICAL_LAYOUT, "0000").amps)
+        two = superpose([(1e200, "0000"), (-1e200j, "0011")], CANONICAL_LAYOUT)
+        unit = superpose([(1.0, "0000"), (-1j, "0011")], CANONICAL_LAYOUT)
+        assert np.array_equal(two.amps, unit.amps)
+        # abs() of this weight overflows; its largest part does not.
+        big = superpose([(complex(1.5e308, 1.5e308), "0000")], CANONICAL_LAYOUT)
+        assert np.array_equal(big.amps, superpose([(1 + 1j, "0000")], CANONICAL_LAYOUT).amps)
 
     @pytest.mark.parametrize("weight", [np.nan, np.inf, complex(np.inf, 0), complex(0, np.nan)])
     def test_non_finite_weight_rejected(self, weight):
@@ -395,48 +408,41 @@ class TestCachedAxisOrders:
                     assert np.array_equal(rho.matrix, m @ m.conj().T)
 
 
-def random_involution(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A seeded index array that is its own inverse: random disjoint swaps."""
-    perm, order = np.arange(dim), rng.permutation(dim)
-    pairs = order[: 2 * int(rng.integers(0, dim // 2 + 1))].reshape(-1, 2)
-    perm[pairs[:, 0]], perm[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
-    assert np.array_equal(perm[perm], np.arange(dim))
-    return perm
+def random_values(n: int, rng: np.random.Generator) -> list[int]:
+    """Seeded values of a random function on n argument bits."""
+    return rng.integers(0, 2, 1 << n).tolist()
 
 
 class TestApplyPermutation:
     def test_matches_dense_scatter_on_every_target_tuple(self):
-        # The oracle acts on every qubit in order: for n = 1 to 4 and 16
-        # seeded involutions each, its gather equals apply_unitary of the
-        # 0/1 matrix with u[perm[j], j] = 1 on range(n), exactly.
+        # The oracle acts on every qubit in order: for 1 to 4 argument bits
+        # and 16 seeded random functions each, its gather equals
+        # apply_unitary of the brute-force matrix on range(n + 1), exactly.
         rng = np.random.default_rng(16)
         for n in range(1, 5):
-            layout = RegisterLayout((("Q", n),))
+            layout = RegisterLayout((("Q", n + 1),))
             for _ in range(16):
-                perm = random_involution(1 << n, rng)
-                u = np.zeros((1 << n, 1 << n))
-                u[perm, np.arange(1 << n)] = 1.0
-                s = StateVector(layout, random_state_vector(1 << n, rng))
-                got = CountedOracle(perm).apply(s)
-                assert np.array_equal(got.amps, apply_unitary(s, u, range(n)).amps)
+                values = random_values(n, rng)
+                s = StateVector(layout, random_state_vector(2 << n, rng))
+                got = CountedOracle(values).apply(s)
+                want = apply_unitary(s, brute_oracle(values), range(n + 1))
+                assert np.array_equal(got.amps, want.amps)
 
     @pytest.mark.parametrize(
-        "perm, error",
-        [
-            (np.array([0, 0, 2, 3]), UnitarityError),  # not a bijection
-            (np.arange(6), LayoutError),  # not a power of two
-            (np.array([0.0, 1.0, 2.0, 3.0]), UnitarityError),  # float dtype
-            (np.array([True, False, True, False]), UnitarityError),  # bool dtype
-            (np.array([0, 1, 2, 4]), UnitarityError),  # out of range
-            (np.array([-1, 1, 2, 3]), UnitarityError),  # out of range
-            (np.array([], dtype=np.intp), LayoutError),
-            (np.array([[0, 1], [1, 0]]), LayoutError),
-        ],
-        ids=["duplicate", "length", "float", "bool", "above", "negative", "empty", "2d"],
+        "values",
+        [[[0, 1], [1, 0]], [0, 2], [], [0.5, 1], [0, 1, 1], [-1, 0], [np.nan, 0], ["x", 1], [1],
+         None],
+        ids=["2d", "above", "empty", "float", "length", "negative", "nan", "text", "single",
+             "none"],
     )
-    def test_malformed_permutation_rejected(self, perm, error):
-        with pytest.raises(error):
-            CountedOracle(perm)
+    def test_malformed_permutation_rejected(self, values):
+        # The oracle's index array is built from a function's values, so it
+        # rejects what classify_function rejects, with the same message.
+        with pytest.raises(ValueError) as want:
+            classify_function(values)
+        with pytest.raises(ValueError) as got:
+            CountedOracle(values)
+        assert str(got.value) == str(want.value)
 
 
 class TestOp:
@@ -445,15 +451,15 @@ class TestOp:
     def test_caller_mutation_does_not_reach_the_op(self):
         rng = np.random.default_rng(17)
         s = StateVector(CANONICAL_LAYOUT, random_state_vector(16, rng))
-        u, perm = haar_unitary(4, rng), random_involution(16, rng)
-        ops = [Op(u, (3, 1), 4), CountedOracle(perm)]
+        u, values = haar_unitary(4, rng), np.array(random_values(3, rng))
+        ops = [Op(u, (3, 1), 4), CountedOracle(values)]
         before = [op.apply(s).amps for op in ops]
         u[:] = np.eye(4) * 7.0
-        perm[:] = 0
+        values[:] = 1 - values
         assert all(np.array_equal(op.apply(s).amps, b) for op, b in zip(ops, before))
 
     def test_op_arrays_are_read_only(self):
-        ops = [Op(hadamard(), (2,), 4), CountedOracle(np.array([1, 0, 3, 2]))]
+        ops = [Op(hadamard(), (2,), 4), CountedOracle([1, 1])]
         ops += [op.inverse() for op in ops]
         arrays = [op.perm if isinstance(op, CountedOracle) else op.matrix for op in ops]
         assert len(arrays) == 4
@@ -465,7 +471,7 @@ class TestOp:
         # A matrix of ones would make a Hadamard send [1, 0] to [1, 1], and
         # an index array that is not a bijection a non-unitary result.  Each
         # class protects the fields it names in its own _CHECKED.
-        ops = [Op(hadamard(), (0,), 1), CountedOracle(np.array([1, 0, 3, 2]))]
+        ops = [Op(hadamard(), (0,), 1), CountedOracle([1, 1])]
         fakes = {
             "matrix": np.ones((2, 2)),
             "perm": np.zeros(4, dtype=np.intp),
@@ -489,7 +495,7 @@ class TestOp:
         rng = np.random.default_rng(18)
         s = StateVector(CANONICAL_LAYOUT, random_state_vector(16, rng))
         matrix = Op(haar_unitary(8, rng), (0, 3, 2), 4)
-        oracle = CountedOracle(random_involution(16, rng))
+        oracle = CountedOracle(random_values(3, rng))
         assert matrix.inverse().apply(matrix.apply(s)).max_delta(s) < 1e-12
         assert np.array_equal(oracle.inverse().apply(oracle.apply(s)).amps, s.amps)
         assert oracle.inverse() is oracle
@@ -499,9 +505,9 @@ class TestOp:
         # The oracle's exact bit test against the off-block entries of its
         # matrix, read off it as verify does, for every qubit subset: every
         # promise function with n <= 3 and the canonical oracle.
-        perms = [_permutation(f) for n in (1, 2, 3) for f in enumerate_promise_functions(n)]
-        canonical = CountedOracle(_canonical_perm())
-        for oracle in [CountedOracle(perm) for perm in perms] + [canonical]:
+        functions = [f for n in (1, 2, 3) for f in enumerate_promise_functions(n)]
+        canonical = CountedOracle(_canonical_values())
+        for oracle in [CountedOracle(f) for f in functions] + [canonical]:
             n = oracle.n_qubits
             dense = Op(_matrix(oracle), range(n), n)
             for k in range(n + 1):
@@ -515,7 +521,8 @@ class TestOp:
         # Every target tuple at n=4 against every qubit subset: an op that
         # touches none of the subset returns 0 at once, which must be what
         # the off-block entries of its mask give.  An oracle acts on every
-        # qubit, and leaks exactly when it flips a bit of the subset.
+        # qubit: for 16 seeded random functions, its leak is the same mask
+        # value read off the brute-force matrix.
         rng = np.random.default_rng(23)
         subsets = [pos for k in range(5) for pos in combinations(range(4), k)]
         for k in range(1, 5):
@@ -528,11 +535,12 @@ class TestOp:
                     want = float(np.max(np.abs(u[off]), initial=0.0))
                     assert Op(u, targets, 4).leak(positions) == want, (targets, positions)
         for _ in range(16):
-            perm = random_involution(16, rng)
+            values = random_values(3, rng)
+            u = brute_oracle(values)
             for positions in subsets:
-                mask = sum(1 << (3 - p) for p in positions)
-                want = float(((perm & mask) != (np.arange(16) & mask)).any())
-                assert CountedOracle(perm).leak(positions) == want
+                idx = np.arange(16) & sum(1 << (3 - p) for p in positions)
+                want = float(np.max(np.abs(u[idx[:, None] != idx[None, :]]), initial=0.0))
+                assert CountedOracle(values).leak(positions) == want
 
     @pytest.mark.parametrize(
         "targets, n_qubits",
@@ -558,7 +566,7 @@ class TestOp:
 
     def test_wrong_qubit_count_rejected(self):
         s = basis_state(CANONICAL_LAYOUT, "0000")
-        for op in (Op(hadamard(), (0,), 3), CountedOracle(np.arange(32))):
+        for op in (Op(hadamard(), (0,), 3), CountedOracle([0] * 16)):
             with pytest.raises(LayoutError, match="qubits"):
                 op.apply(s)
 
@@ -700,6 +708,23 @@ class TestStateVector:
         # exp(1j * inf) warned before the amplitudes were checked.
         with pytest.raises(DegenerateStateError, match="not finite"):
             state_from(FIXED_01_STAGES["input"]).with_phase(theta)
+
+    @pytest.mark.parametrize(
+        "theta", [1j, complex(0.3, 0.0), "a", None, np.array([0.3])],
+        ids=["imaginary", "complex", "text", "none", "array"],
+    )
+    def test_phase_that_is_not_real_rejected(self, theta):
+        # 1j scaled the norm by exp(-1) and "a" leaked TypeError from abs().
+        with pytest.raises(DegenerateStateError, match="not real"):
+            basis_state(CANONICAL_LAYOUT, "0000").with_phase(theta)
+
+    def test_real_phases_of_every_number_type_accepted(self):
+        s = state_from(FIXED_01_STAGES["input"])
+        want = np.exp(1j * 0.3) * s.amps
+        for theta in (0.3, np.float64(0.3)):
+            assert np.array_equal(s.with_phase(theta).amps, want)
+        for theta in (2, np.int64(2), True):
+            assert np.array_equal(s.with_phase(theta).amps, np.exp(1j * theta) * s.amps)
 
     def test_nonzero_reports_sorted_labels(self):
         s = state_from(SUPERPOSED_STAGES["after_H_A_2"])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import deutschsim
-from deutschsim import CountedOracle, UnitarityError, verify
+from deutschsim import CountedOracle, verify
 
 from conftest import haar_unitary, random_block_diagonal_circuit, random_state_vector
 
@@ -114,16 +114,17 @@ def test_counted_oracle_applied_only_inside_algorithm_runs(monkeypatch):
 
 
 def test_oracle_self_inverse_judges_the_oracle_that_runs(monkeypatch):
-    # A bijection of range(16) that is not its own inverse, handed to every
-    # canonical run: the check reads its matrix off the circuit's op, so it
-    # must fail rather than judge a matrix of its own.
+    # Every 16-entry oracle acts as a gather by a 16-cycle, a bijection that
+    # is not its own inverse: the check reads its matrix off the circuit's
+    # op, so it must fail rather than judge a matrix of its own.
     cycle = np.roll(np.arange(16), 1)
-    monkeypatch.setattr("deutschsim.deutsch._canonical_perm", lambda: cycle)
-    try:
-        passed = verify._CHECKS["oracle_self_inverse"]().passed
-    except UnitarityError:
-        passed = False
-    assert not passed
+    apply_rows = CountedOracle.apply_rows
+    monkeypatch.setattr(
+        CountedOracle,
+        "apply_rows",
+        lambda self, rows: rows[..., cycle] if self.perm.size == 16 else apply_rows(self, rows),
+    )
+    assert not verify._CHECKS["oracle_self_inverse"]().passed
 
 
 @pytest.fixture
