@@ -24,10 +24,10 @@ from .deutsch import (
     run_deutsch_superposed,
     solution_correlation,
 )
-from .errors import LayoutError, PromiseViolationError, SimulatorError
+from .errors import DegenerateStateError, LayoutError, PromiseViolationError, SimulatorError
 from .gates import parse_function_table
 from .measure import RNG_ALGORITHM, sample
-from .state import ATOL_STATE, RegisterLayout, StateVector
+from .state import RegisterLayout, StateVector
 
 TOOL_NAME = "deutschsim"
 EXIT_OK = 0
@@ -121,10 +121,10 @@ def load_state_dump(dump: dict) -> StateVector:
             raise ValueError(f"dump names basis label {label!r} twice")
         seen.add(index)
         amps[index] = complex(_number(entry, "re"), _number(entry, "im"))
-    total = float(np.sum(np.abs(amps) ** 2))
-    if not abs(total - 1.0) <= ATOL_STATE:
-        raise ValueError(f"dump squared magnitudes sum to {total}, not 1")
-    return StateVector(layout, amps)
+    try:
+        return StateVector(layout, amps)
+    except DegenerateStateError as exc:
+        raise ValueError(f"dump squared magnitudes do not sum to 1: {exc}") from None
 
 
 def _grouped_label(layout: RegisterLayout, label: str) -> str:

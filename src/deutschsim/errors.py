@@ -10,7 +10,7 @@ class LayoutError(SimulatorError):
 
 
 class DegenerateStateError(SimulatorError):
-    """Zero-norm superposition, or a state without unit norm read as a distribution."""
+    """A state without unit norm, weights that cancel, or a phase that is not finite and real."""
 
 
 class UnitarityError(SimulatorError):

@@ -107,16 +107,20 @@ class RegisterLayout(Record):
 
 
 class StateVector(Record):
-    """Complex amplitudes over the computational basis of a register layout."""
+    """A unit vector over a layout's basis: its squared magnitudes sum to 1 within ATOL_STATE."""
 
     def __init__(self, layout: RegisterLayout, amps: np.ndarray):
+        if not isinstance(layout, RegisterLayout):
+            raise LayoutError(f"layout must be a RegisterLayout, got {layout!r}")
         amps = np.array(amps, dtype=np.complex128)
         if amps.shape != (layout.dim,):
             raise LayoutError(
                 f"amplitude array has shape {amps.shape}, layout needs ({layout.dim},)"
             )
-        if not np.isfinite(amps).all():
-            raise DegenerateStateError("non-finite amplitude")
+        # A NaN or inf amplitude makes norm2 NaN or inf and fails it too; vdot never warns.
+        norm2 = np.vdot(amps, amps).real
+        if not abs(norm2 - 1.0) <= ATOL_STATE:
+            raise DegenerateStateError(f"state is not normalized (norm^2 {norm2})")
         amps.flags.writeable = False
         self.__dict__.update(layout=layout, amps=amps)
 
@@ -144,7 +148,11 @@ class StateVector(Record):
         must be a finite real number, numpy's included."""
         if not isinstance(theta, numbers.Real) or not abs(theta) < np.inf:
             raise DegenerateStateError(f"phase {theta!r} is not finite or not real")
-        return StateVector(self.layout, np.exp(1j * theta) * self.amps)
+        try:  # float() keeps a float32 phase from rounding exp() to single precision
+            phase = np.exp(1j * float(theta))
+        except OverflowError:  # an int or Fraction past float range
+            raise DegenerateStateError("phase is not finite as a float") from None
+        return StateVector(self.layout, phase * self.amps)
 
 
 class DensityMatrix(Record):
@@ -193,18 +201,23 @@ def superpose(
 ) -> StateVector:
     """Normalized superposition of weighted basis labels.
 
-    Weights are relative; repeated labels accumulate.  Raises
-    DegenerateStateError when the weights cancel to (numerically) nothing.
+    Weights are relative; repeated labels accumulate.  Each weight is first
+    divided by the largest real or imaginary part of any weight, so no sum
+    overflows and a lone tiny weight names its label.  Raises
+    DegenerateStateError for a NaN or infinite weight, or when the scaled
+    weights cancel to (numerically) nothing.
     """
-    amps, peak = np.zeros(layout.dim, dtype=np.complex128), 0.0
+    terms = list(terms)
+    parts = [abs(p) for weight, _ in terms for p in (weight.real, weight.imag)]
+    if not all(p < np.inf for p in parts):
+        raise DegenerateStateError("a superposition weight is not finite")
+    peak = max(parts, default=0.0) or 1.0  # all-zero weights stay zero for the norm test
+    amps = np.zeros(layout.dim, dtype=np.complex128)
     for weight, label in terms:
-        amps[layout.index_of_label(label)] += weight
-        peak = max(peak, abs(weight.real), abs(weight.imag))
-    if 1 < peak < np.inf:  # then no part tops 1, and the norm's squares cannot overflow
-        amps /= peak
+        amps[layout.index_of_label(label)] += weight / peak
     norm = np.linalg.norm(amps)
-    if not ATOL_STATE <= norm < np.inf:
-        raise DegenerateStateError(f"superposition weights have norm {norm}: zero or not finite")
+    if not norm >= ATOL_STATE:
+        raise DegenerateStateError(f"superposition weights cancel (scaled norm {norm})")
     return StateVector(layout, amps / norm)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -431,6 +432,17 @@ class TestStateDumpRoundTrip:
         dump["entries"][0]["re"] *= np.sqrt(1.0 + 2e-10)
         with pytest.raises(ValueError, match="sum to"):
             load_state_dump(dump)
+
+    def test_loader_rejects_a_1e200_part_without_a_warning(self):
+        # The loader's own sum of squares overflowed with numpy's RuntimeWarning.
+        dump = {
+            "layout": [["B", 2], ["A", 1], ["V", 1]],
+            "entries": [{"basis": "0000", "re": 1e200, "im": 0.0}],
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sum to"):
+                load_state_dump(dump)
 
     def test_loader_names_a_duplicate_basis_label(self):
         # The later entry used to overwrite the earlier one, so this dump

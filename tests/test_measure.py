@@ -469,8 +469,9 @@ class TestBatchedHarness:
             deferred_equivalence(circuit, state_from(SUPERPOSED_STAGES["input"]), "B")
 
     def test_unnormalized_initial_state_rejected(self):
-        initial = StateVector(CANONICAL_LAYOUT, np.eye(16)[0] * 2.0)
-        with pytest.raises(DegenerateStateError):
+        # The state itself is refused, before the harness could see a norm of 2.
+        with pytest.raises(DegenerateStateError, match="not normalized"):
+            initial = StateVector(CANONICAL_LAYOUT, np.eye(16)[0] * 2.0)
             deferred_equivalence(deutsch_circuit(), initial, "B")
 
 

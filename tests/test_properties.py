@@ -3,9 +3,10 @@ Deutsch-Jozsa verdict on drawn promise functions against a count of ones,
 its stages against a gate-by-gate pipeline, the oracle index array of drawn
 function tables against one built bit by bit, the deferred-measurement
 precondition on drawn ops against a dense expansion built with np.kron and
-int(label, 2) arithmetic, value validation against a per-value pass, and
-the exit code of `dj --function-file` on drawn file text.  Last, that a
-failing property test is reported as a failure under this suite's settings."""
+int(label, 2) arithmetic, value validation against a per-value pass, the
+register readouts of drawn unit states against each other, and the exit
+code of `dj --function-file` on drawn file text.  Last, that a failing
+property test is reported as a failure under this suite's settings."""
 
 import contextlib
 import io
@@ -21,7 +22,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from deutschsim import (
     CANONICAL_LAYOUT,
@@ -29,9 +30,13 @@ from deutschsim import (
     Classification,
     CountedOracle,
     FunctionTable,
+    ImpossibleOutcomeError,
     RegisterLayout,
     StateVector,
     deferred_equivalence,
+    measure,
+    outcome_distribution,
+    partial_trace,
     run_deutsch_jozsa,
 )
 from deutschsim.cli import main
@@ -211,6 +216,35 @@ def test_deferred_equivalence_rejects_exactly_the_leaking_ops(op, register, seed
             deferred_equivalence([op], initial, register)
     else:
         assert deferred_equivalence([op], initial, register).equivalent
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+        min_size=16,
+        max_size=16,
+    )
+)
+def test_register_readouts_of_a_unit_state_agree(amps):
+    # measure() read a probability of 4.0 off an unnormalized state.
+    amps = np.array(amps)
+    assume(np.linalg.norm(amps) > 1e-6)
+    state = StateVector(CANONICAL_LAYOUT, amps / np.linalg.norm(amps))
+    for register, bits in REGISTER_BITS.items():
+        outcomes = ["".join(o) for o in itertools.product("01", repeat=len(bits))]
+        probs = outcome_distribution(state, register).probs
+        assert abs(sum(probs.values()) - 1.0) <= 1e-12
+        diagonal = partial_trace(state, register).diagonal()
+        assert np.abs(diagonal - [probs.get(o, 0.0) for o in outcomes]).max() <= 1e-12
+        for o in outcomes:
+            try:
+                p = measure(state, register, o).probability
+            except ImpossibleOutcomeError:
+                assert o not in probs
+                continue
+            assert 0.0 <= p <= 1.0 + 1e-12
+            assert abs(p - probs.get(o, 0.0)) <= 1e-12
 
 
 # Value tokens: the two valid ones, padded ones, and junk that int() or a

@@ -1,5 +1,8 @@
 """Register layout, state construction, unitary application, partial trace."""
 
+import math
+import warnings
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
@@ -28,7 +31,7 @@ from deutschsim import (
     run_deutsch_superposed,
     superpose,
 )
-from deutschsim.deutsch import _canonical_values
+from deutschsim.deutsch import _canonical_values, _run_pipeline
 from deutschsim.state import _evolve
 from deutschsim.verify import _matrix
 
@@ -220,9 +223,25 @@ class TestSuperpose:
         big = superpose([(complex(1.5e308, 1.5e308), "0000")], CANONICAL_LAYOUT)
         assert np.array_equal(big.amps, superpose([(1 + 1j, "0000")], CANONICAL_LAYOUT).amps)
 
-    @pytest.mark.parametrize("weight", [np.nan, np.inf, complex(np.inf, 0), complex(0, np.nan)])
+    @pytest.mark.parametrize(
+        "terms",
+        [[(1e308, "0000"), (1e308, "0000")], [(1e-13, "0000")], [(1e-200, "0000")]],
+        ids=["1e308_twice", "1e-13", "1e-200"],
+    )
+    def test_weights_scaled_by_their_largest_part_before_they_accumulate(self, terms):
+        # 2e308 overflowed in the sum with a numpy warning, and a lone tiny
+        # weight failed the absolute zero-norm test; each names |0000>.
+        got = superpose(terms, CANONICAL_LAYOUT)
+        assert np.array_equal(got.amps, basis_state(CANONICAL_LAYOUT, "0000").amps)
+
+    @pytest.mark.parametrize(
+        "weight",
+        [np.nan, np.inf, complex(np.inf, 0), complex(0, np.nan)]
+        + [pytest.param(np.float64(np.inf), id="float64_inf")],
+    )
     def test_non_finite_weight_rejected(self, weight):
-        # A NaN norm passed the zero-norm test and the division warned.
+        # A NaN norm passed the zero-norm test and the division warned;
+        # numpy's inf / inf would warn too, so the test comes before any.
         with pytest.raises(DegenerateStateError, match="not finite"):
             superpose([(weight, "0000"), (1.0, "0001")], CANONICAL_LAYOUT)
 
@@ -686,6 +705,71 @@ class TestDensityMatrixInvariants:
             DensityMatrix(RegisterLayout((("B", 1),)), matrix)
 
 
+def reference_norm2(amps) -> float:
+    """Sum of squared magnitudes in plain Python, one rounding from exact."""
+    return math.fsum(z.real**2 + z.imag**2 for z in map(complex, amps))
+
+
+def two_equal_amps(norm2: float) -> np.ndarray:
+    """|0000> and |0001> with equal amplitudes, squared magnitudes summing to ``norm2``."""
+    amps = np.zeros(16)
+    amps[:2] = math.sqrt(norm2 / 2)
+    assert abs(reference_norm2(amps) - norm2) < 1e-15
+    return amps
+
+
+def every_run_stage() -> list[StateVector]:
+    """Each stage of every fixed, superposed and DJ (n <= 3) run."""
+    traces = [run_deutsch(b, initial_a=a)[0] for b in SETTING_LABELS for a in (0, 1)]
+    traces.append(run_deutsch_superposed())
+    for n in (1, 2, 3):
+        layout = RegisterLayout((("A", n), ("V", 1)))
+        traces += [
+            _run_pipeline(layout, ["0" * n + "1"], CountedOracle(values))
+            for values in enumerate_promise_functions(n)
+        ]
+    return [state for trace in traces for _, state in trace.stages]
+
+
+class TestUnitNorm:
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            np.eye(16)[0] * 2.0,
+            [1e200] + [0] * 15,
+            [np.nan] + [0] * 15,
+            [0.6, complex(0, np.inf)] + [0] * 14,
+            np.zeros(16),
+            two_equal_amps(1 + 2e-12),
+        ],
+        ids=["two_e0", "part_1e200", "nan", "inf", "zero", "norm2_1_plus_2e-12"],
+    )
+    def test_vector_off_the_unit_sphere_rejected(self, amps):
+        # The constructor held only finiteness, so measure() read a
+        # probability of 4.0 off 2 e0.  No case may warn, 1e200's overflow included.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateStateError, match="not normalized"):
+                StateVector(CANONICAL_LAYOUT, amps)
+
+    @pytest.mark.parametrize("norm2", [1 + 5e-13, 1 - 5e-13])
+    def test_vector_within_the_tolerance_accepted(self, norm2):
+        StateVector(CANONICAL_LAYOUT, two_equal_amps(norm2))
+
+    def test_every_run_stage_accepted(self):
+        stages = every_run_stage()
+        assert len(stages) == 4 * (8 + 1 + 4 + 8 + 72)
+        for state in stages:
+            assert abs(reference_norm2(state.amps) - 1.0) <= 1e-12
+            StateVector(state.layout, state.amps)
+
+    @pytest.mark.parametrize("layout", ["x", None, (("A", 1),)], ids=["str", "none", "groups"])
+    def test_layout_that_is_not_a_register_layout_rejected(self, layout):
+        # "x" leaked AttributeError: 'str' object has no attribute 'dim'.
+        with pytest.raises(LayoutError, match="RegisterLayout"):
+            StateVector(layout, [1.0, 0.0])
+
+
 class TestStateVector:
     def test_non_finite_amplitudes_rejected(self):
         amps = np.zeros(16)
@@ -703,9 +787,14 @@ class TestStateVector:
         np.testing.assert_allclose(np.abs(rotated.amps), np.abs(s.amps), atol=1e-15)
         assert rotated.max_delta(s) > 0.1
 
-    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "theta",
+        [np.nan, np.inf, -np.inf]
+        + [pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400")],
+    )
     def test_non_finite_phase_rejected(self, theta):
-        # exp(1j * inf) warned before the amplitudes were checked.
+        # exp(1j * inf) warned before the amplitudes were checked, and an
+        # int past float range leaked OverflowError from 1j * theta.
         with pytest.raises(DegenerateStateError, match="not finite"):
             state_from(FIXED_01_STAGES["input"]).with_phase(theta)
 
@@ -725,6 +814,10 @@ class TestStateVector:
             assert np.array_equal(s.with_phase(theta).amps, want)
         for theta in (2, np.int64(2), True):
             assert np.array_equal(s.with_phase(theta).amps, np.exp(1j * theta) * s.amps)
+        # exp() of a float32 phase was rounded to single precision, its
+        # squared magnitude 5e-8 off 1; the phase is widened first.
+        for theta in (np.float32(0.3), Fraction(3, 10)):
+            assert np.array_equal(s.with_phase(theta).amps, np.exp(1j * float(theta)) * s.amps)
 
     def test_nonzero_reports_sorted_labels(self):
         s = state_from(SUPERPOSED_STAGES["after_H_A_2"])
