@@ -128,6 +128,8 @@ def parse_function_table(text: str) -> FunctionTable:
     Blank lines and ``#`` comments are ignored.  A line's own faults name its
     number; what makes a whole table valid is ``FunctionTable``'s to judge.
     """
+    if not isinstance(text, str):
+        raise FunctionFormatError(f"function table must be text, got {text!r}")
     settings: dict[str, tuple[int, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -112,7 +112,7 @@ class StateVector(Record):
     def __init__(self, layout: RegisterLayout, amps: np.ndarray):
         if not isinstance(layout, RegisterLayout):
             raise LayoutError(f"layout must be a RegisterLayout, got {layout!r}")
-        amps = np.array(amps, dtype=np.complex128)
+        amps = _complex_array(amps, DegenerateStateError, "state")
         if amps.shape != (layout.dim,):
             raise LayoutError(
                 f"amplitude array has shape {amps.shape}, layout needs ({layout.dim},)"
@@ -164,7 +164,9 @@ class DensityMatrix(Record):
     """
 
     def __init__(self, layout: RegisterLayout, matrix: np.ndarray):
-        m = np.array(matrix, dtype=np.complex128)
+        if not isinstance(layout, RegisterLayout):
+            raise LayoutError(f"layout must be a RegisterLayout, got {layout!r}")
+        m = _complex_array(matrix, ValueError, "density matrix")
         d = layout.dim
         if m.shape != (d, d):
             raise LayoutError(f"matrix shape {m.shape} does not match layout dim {d}")
@@ -204,10 +206,12 @@ def superpose(
     Weights are relative; repeated labels accumulate.  Each weight is first
     divided by the largest real or imaginary part of any weight, so no sum
     overflows and a lone tiny weight names its label.  Raises
-    DegenerateStateError for a NaN or infinite weight, or when the scaled
-    weights cancel to (numerically) nothing.
+    DegenerateStateError for a weight that is not a finite number, or when
+    the scaled weights cancel to (numerically) nothing.
     """
     terms = list(terms)
+    if not all(isinstance(weight, numbers.Complex) for weight, _ in terms):
+        raise DegenerateStateError("a superposition weight is not a number")
     parts = [abs(p) for weight, _ in terms for p in (weight.real, weight.imag)]
     if not all(p < np.inf for p in parts):
         raise DegenerateStateError("a superposition weight is not finite")
@@ -221,11 +225,16 @@ def superpose(
     return StateVector(layout, amps / norm)
 
 
-def _validate_unitary(u: np.ndarray, n_targets: int) -> np.ndarray:
+def _complex_array(values, error: type[Exception], what: str) -> np.ndarray:
+    """``values`` as a new complex128 array; ``error`` names ``what`` if numpy cannot."""
     try:
-        u = np.array(u, dtype=np.complex128)
+        return np.array(values, dtype=np.complex128)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise UnitarityError(f"matrix is not an array of complex numbers ({exc})") from None
+        raise error(f"{what} is not an array of complex numbers ({exc})") from None
+
+
+def _validate_unitary(u: np.ndarray, n_targets: int) -> np.ndarray:
+    u = _complex_array(u, UnitarityError, "matrix")
     dim = 1 << n_targets
     if u.shape != (dim, dim):
         raise LayoutError(
@@ -250,30 +259,23 @@ def _identity(dim: int) -> np.ndarray:
     return eye
 
 
-@lru_cache(maxsize=1024)
-def _axis_orders(
-    batch_rank: int, targets: tuple[int, ...], n: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The transpose that brings the targets' axes of a (batch, 2, ..., 2)
-    array to the front of the qubit axes, in target order, with the other
-    qubits after them in their own order; and its inverse.  This is the
-    axis order ``np.moveaxis`` gives, so the views are the same."""
+@lru_cache(maxsize=256)
+def _index_table(n: int, targets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The one place the bit convention is encoded: a read-only (2^k, 2^n/2^k)
+    table whose row v holds the basis indices of n qubits where ``targets``
+    read v, first target most significant, in index order; and its inverse,
+    the place of each basis index in the flattened table."""
     rest = [q for q in range(n) if q not in targets]
-    order = (*range(batch_rank), *(batch_rank + q for q in (*targets, *rest)))
-    return order, tuple(sorted(range(len(order)), key=order.__getitem__))
+    table = np.arange(1 << n).reshape((2,) * n).transpose((*targets, *rest))
+    table = table.reshape(1 << len(targets), -1)
+    inverse = np.argsort(table, axis=None)
+    table.flags.writeable = inverse.flags.writeable = False
+    return table, inverse
 
 
-@lru_cache(maxsize=64)
 def _outcome_indices(layout: RegisterLayout, register: str) -> np.ndarray:
-    """Row v holds the basis indices where ``register`` reads v, in index
-    order, in the axis order of ``Op.apply_rows``: a read-only (2^w, dim/2^w)
-    table.  Callers check ``register`` first: an unhashable one is a TypeError here."""
-    pos = layout.qubit_positions(register)
-    n = layout.total_qubits
-    order, _ = _axis_orders(0, pos, n)
-    table = np.arange(layout.dim).reshape((2,) * n).transpose(order).reshape(1 << len(pos), -1)
-    table.flags.writeable = False
-    return table
+    """``_index_table`` of ``register``'s qubits: row v is where it reads v."""
+    return _index_table(layout.total_qubits, layout.qubit_positions(register))[0]
 
 
 class Op:
@@ -316,19 +318,14 @@ class Op:
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """The op on each row of a (..., 2^n) amplitude array, unchecked.
 
-        Any axes before the last are a batch, and each row is transformed
-        alone: the targets' axes go to the front of the qubit axes, so the
-        (..., 2^k, r) view has the targets' basis index, first target most
-        significant, and ``u @ m`` runs one (2^k, 2^k) by (2^k, r) product
-        per row.
+        Any axes before the last are a batch.  The targets' index table
+        gathers each row into a (2^k, 2^n/2^k) block whose row v reads v on
+        the targets, ``u @ block`` runs one product per row, and a take
+        through the table's inverse puts each amplitude back at its index
+        (numpy's fancy-index scatter is up to 2.5x slower on a batch).
         """
-        batch = rows.shape[:-1]
-        cube = batch + (2,) * self.n_qubits
-        order, inverse = _axis_orders(len(batch), self.targets, self.n_qubits)
-        psi = rows.reshape(cube).transpose(order)
-        psi = psi.reshape(batch + (1 << len(self.targets), -1))
-        psi = self.matrix @ psi
-        return psi.reshape(cube).transpose(inverse).reshape(rows.shape)
+        table, inverse = _index_table(self.n_qubits, self.targets)
+        return (self.matrix @ rows.take(table, -1)).reshape(rows.shape).take(inverse, -1)
 
     def inverse(self) -> Op:
         """The conjugate transpose."""

@@ -298,6 +298,12 @@ class TestParseFunctionTable:
         with pytest.raises(FunctionFormatError):
             parse_function_table("# nothing here\n")
 
+    @pytest.mark.parametrize("text", [5, None, b"00: 0,0\n"], ids=["int", "none", "bytes"])
+    def test_text_that_is_not_a_string_rejected(self, text):
+        # 5 and None leaked AttributeError from .splitlines(), bytes TypeError.
+        with pytest.raises(FunctionFormatError, match="must be text"):
+            parse_function_table(text)
+
     def test_single_line_infers_width(self):
         table = parse_function_table("01: 0,1,1,0\n")
         assert table.arg_bits == 2

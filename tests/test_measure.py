@@ -130,7 +130,7 @@ class TestOutcomeDistribution:
              "partial_trace"],
     )
     def test_unhashable_register_rejected_before_the_table(self, read):
-        # The cached table hashes its key; each reader checks the name first.
+        # qubit_positions names the register before any table is built.
         with pytest.raises(LayoutError, match="unknown register"):
             read(basis_state(CANONICAL_LAYOUT, "0000"), ["B"])
 

@@ -1,7 +1,8 @@
 """Property-based checks, each judged against a reference made here: the
 Deutsch-Jozsa verdict on drawn promise functions against a count of ones,
 its stages against a gate-by-gate pipeline, the oracle index array of drawn
-function tables against one built bit by bit, the deferred-measurement
+function tables against one built bit by bit, an op on drawn targets and
+batches against two np.moveaxis calls, the deferred-measurement
 precondition on drawn ops against a dense expansion built with np.kron and
 int(label, 2) arithmetic, value validation against a per-value pass, the
 register readouts of drawn unit states against each other, and the exit
@@ -31,6 +32,7 @@ from deutschsim import (
     CountedOracle,
     FunctionTable,
     ImpossibleOutcomeError,
+    Op,
     RegisterLayout,
     StateVector,
     deferred_equivalence,
@@ -45,6 +47,7 @@ from deutschsim.gates import _integer, _validate_values
 
 from conftest import brute_oracle, haar_unitary, random_state_vector
 from test_deutsch import assert_same_stages, per_gate_stages
+from test_state import moveaxis_reference
 
 # Qubit positions of each canonical register in the 4-bit label (B B A V).
 REGISTER_BITS = {"B": (0, 1), "A": (2,), "V": (3,)}
@@ -166,6 +169,28 @@ def test_oracle_permutation_is_self_inverse_and_scatters_to_the_matrix(table):
     u = np.zeros((perm.size, perm.size))
     u[perm, np.arange(perm.size)] = 1.0
     assert np.array_equal(oracle.apply_rows(np.eye(perm.size)).T, u)
+
+
+@st.composite
+def targeted_batches(draw) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """A qubit count n of 1 to 9, 1 to n distinct targets in any order, and a
+    batch shape of rank 0 to 2."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    targets = tuple(draw(st.permutations(range(n)))[: draw(st.integers(1, n))])
+    batch = tuple(draw(st.lists(st.integers(min_value=1, max_value=3), max_size=2)))
+    return n, targets, batch
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(targeted_batches(), st.integers(0, 2**32 - 1))
+def test_op_rows_equal_the_moveaxis_reference(drawn, seed):
+    # Widths 2 to 8 are the dj runs'; the unit tests pin only n = 4 and 9.
+    n, targets, batch = drawn
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(1 << len(targets), rng)
+    amps = rng.normal(size=batch + (1 << n,)) + 1j * rng.normal(size=batch + (1 << n,))
+    got = Op(u, targets, n).apply_rows(amps)
+    assert np.array_equal(got, moveaxis_reference(amps, targets, n, lambda m: u @ m))
 
 
 @st.composite

@@ -32,7 +32,7 @@ from deutschsim import (
     superpose,
 )
 from deutschsim.deutsch import _canonical_values, _run_pipeline
-from deutschsim.state import _evolve
+from deutschsim.state import _evolve, _index_table
 from deutschsim.verify import _matrix
 
 from conftest import (
@@ -245,6 +245,12 @@ class TestSuperpose:
         with pytest.raises(DegenerateStateError, match="not finite"):
             superpose([(weight, "0000"), (1.0, "0001")], CANONICAL_LAYOUT)
 
+    @pytest.mark.parametrize("weight", ["a", None], ids=["text", "none"])
+    def test_weight_that_is_not_a_number_rejected(self, weight):
+        # Reading the weight's .real leaked AttributeError.
+        with pytest.raises(DegenerateStateError, match="not a number"):
+            superpose([(weight, "0000")], CANONICAL_LAYOUT)
+
 
 class TestApplyUnitary:
     def test_hadamard_on_a_reproduces_next_stage(self):
@@ -413,6 +419,14 @@ class TestCachedAxisOrders:
         u = haar_unitary(1 << len(targets), rng)
         got = Op(u, targets, 9).apply_rows(amps)
         assert np.array_equal(got, moveaxis_reference(amps, targets, 9, lambda m: u @ m))
+
+    def test_index_table_inverse_undoes_the_table_and_is_read_only(self):
+        # The cache hands both arrays to every caller.
+        table, inverse = _index_table(5, (3, 0))
+        assert np.array_equal(table.ravel()[inverse], np.arange(32))
+        for a in (table, inverse):
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0
 
     def test_partial_trace_matches_moveaxis_on_canonical_runs(self):
         traces = [run_deutsch(b, initial_a=a)[0] for b in SETTING_LABELS for a in (0, 1)]
@@ -704,6 +718,19 @@ class TestDensityMatrixInvariants:
         with pytest.raises(ValueError, match="non-finite"):
             DensityMatrix(RegisterLayout((("B", 1),)), matrix)
 
+    @pytest.mark.parametrize(
+        "layout, matrix, error, match",
+        [
+            (RegisterLayout((("B", 1),)), {}, ValueError, "not an array of complex numbers"),
+            ("x", [[1]], LayoutError, "RegisterLayout"),
+        ],
+        ids=["dict-matrix", "str-layout"],
+    )
+    def test_malformed_arguments_rejected(self, layout, matrix, error, match):
+        # numpy's conversion leaked TypeError, and layout.dim AttributeError.
+        with pytest.raises(error, match=match):
+            DensityMatrix(layout, matrix)
+
 
 def reference_norm2(amps) -> float:
     """Sum of squared magnitudes in plain Python, one rounding from exact."""
@@ -780,6 +807,12 @@ class TestStateVector:
     def test_wrong_length_rejected(self):
         with pytest.raises(LayoutError):
             StateVector(CANONICAL_LAYOUT, np.zeros(8))
+
+    @pytest.mark.parametrize("amps", ["abc", {}], ids=["text", "dict"])
+    def test_amplitudes_that_are_not_numbers_rejected(self, amps):
+        # numpy's complex conversion leaked ValueError and TypeError.
+        with pytest.raises(DegenerateStateError, match="not an array of complex numbers"):
+            StateVector(CANONICAL_LAYOUT, amps)
 
     def test_with_phase_changes_no_magnitude(self):
         s = state_from(FIXED_01_STAGES["input"])
