@@ -35,7 +35,7 @@ from deutschsim import (
 from deutschsim import deutsch as deutsch_module
 from deutschsim import state as state_module
 from deutschsim.measure import _as_ops, _project
-from deutschsim.state import PROB_EPS, _evolve, _outcome_indices
+from deutschsim.state import PROB_EPS, _evolve, _index_table, _outcome_indices
 from deutschsim.verify import _random_block_diagonal_circuits
 
 from conftest import (
@@ -141,6 +141,8 @@ class TestOutcomeDistribution:
         assert _outcome_indices(RegisterLayout(CANONICAL_LAYOUT.groups), "B") is table
         with pytest.raises(ValueError):
             table[0, 0] = 3
+        with pytest.raises(ValueError):
+            _index_table(CANONICAL_LAYOUT.total_qubits, (0, 1))[1][0] = 3
         assert outcome_distribution(state, "B") == before
 
 

@@ -32,7 +32,7 @@ from deutschsim import (
     superpose,
 )
 from deutschsim.deutsch import _canonical_values, _run_pipeline
-from deutschsim.state import _evolve, _index_table
+from deutschsim.state import _evolve
 from deutschsim.verify import _matrix
 
 from conftest import (
@@ -419,14 +419,6 @@ class TestCachedAxisOrders:
         u = haar_unitary(1 << len(targets), rng)
         got = Op(u, targets, 9).apply_rows(amps)
         assert np.array_equal(got, moveaxis_reference(amps, targets, 9, lambda m: u @ m))
-
-    def test_index_table_inverse_undoes_the_table_and_is_read_only(self):
-        # The cache hands both arrays to every caller.
-        table, inverse = _index_table(5, (3, 0))
-        assert np.array_equal(table.ravel()[inverse], np.arange(32))
-        for a in (table, inverse):
-            with pytest.raises(ValueError, match="read-only"):
-                a.flat[0] = 0
 
     def test_partial_trace_matches_moveaxis_on_canonical_runs(self):
         traces = [run_deutsch(b, initial_a=a)[0] for b in SETTING_LABELS for a in (0, 1)]

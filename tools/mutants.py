@@ -1,6 +1,6 @@
 """Re-run the named mutations of deutschsim against the tier-1 suite.
 
-Usage: python tools/mutants.py [SUBSTRING ...]
+Usage: python tools/mutants.py
 
 Each entry of ``MUTANTS`` replaces one exact piece of text in one file
 under ``src/``.  For each, the script copies ``src/``, ``tests/`` and
@@ -9,7 +9,6 @@ runs ``python -m pytest -q -x`` on the copy.  A failing run kills the
 mutant; a passing run means it survived.  The working tree is never
 changed, and no test is.
 
-With SUBSTRINGs, only the entries whose ``why`` contains one of them run.
 The unmutated copy runs first and must pass.  The exit code is 0 when every
 mutant is killed or survives with a declared equivalence reason, and 1 when
 a mutant survives undeclared or an entry's text is not found exactly once.
@@ -137,8 +136,7 @@ def copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or any(s in m.why for s in argv)]
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="deutschsim-mutants-") as tmp:
         base = Path(tmp) / "base"
         copy_tree(base)
@@ -146,7 +144,7 @@ def main(argv: list[str]) -> int:
             print("the unmutated suite fails; no mutant can be judged")
             return 1
         bad = 0
-        for k, m in enumerate(chosen):
+        for k, m in enumerate(MUTANTS):
             text = (ROOT / m.file).read_text()
             if text.count(m.old) != 1:
                 print(f"STALE     {m.file}: {m.old!r} found {text.count(m.old)} times ({m.why})")
@@ -166,9 +164,9 @@ def main(argv: list[str]) -> int:
             else:
                 print(f"SURVIVED  {secs:5.1f}s  {m.why}")
                 bad += 1
-    print(f"{len(chosen)} mutants, {bad} undeclared survivors or stale entries")
+    print(f"{len(MUTANTS)} mutants, {bad} undeclared survivors or stale entries")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
