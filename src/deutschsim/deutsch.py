@@ -33,6 +33,7 @@ from .state import (
     RegisterLayout,
     StateVector,
     _MAX_QUBITS,
+    _check_state,
     _evolve,
     _is_int,
     apply_unitary,
@@ -98,6 +99,7 @@ class CountedOracle(Op):
         self.calls = 0
 
     def apply(self, state: StateVector) -> StateVector:
+        _check_state(state)  # what is not a state is no query and counts no call
         self.calls += 1
         return super().apply(state)
 

@@ -8,6 +8,7 @@ semantic: every operation returns a new, immutable ``StateVector``.
 
 from __future__ import annotations
 
+import math
 import numbers
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -186,7 +187,16 @@ class DensityMatrix(Record):
         return np.real(np.diag(self.matrix))
 
 
+def _check_state(value) -> None:
+    """LayoutError unless ``value`` is a ``StateVector``, as the records
+    raise for a layout of the wrong type."""
+    if not isinstance(value, StateVector):
+        raise LayoutError(f"expected a StateVector, got {value!r}")
+
+
 def _check_same_layout(s1: StateVector, s2: StateVector) -> None:
+    _check_state(s1)
+    _check_state(s2)
     if s1.layout != s2.layout:
         raise LayoutError("states live on different register layouts")
 
@@ -311,6 +321,7 @@ class Op:
 
     def apply(self, state: StateVector) -> StateVector:
         """The op on ``state``, identity on every other qubit."""
+        _check_state(state)
         if state.layout.total_qubits != self.n_qubits:
             raise LayoutError(f"op needs {self.n_qubits} qubits, not {state.layout.total_qubits}")
         return StateVector(state.layout, _evolve(state.amps, (self,)))
@@ -343,22 +354,39 @@ class Op:
 
 def _evolve(rows: np.ndarray, ops: Iterable[Op]) -> np.ndarray:
     """Each op in turn on every row of a (..., 2^n) amplitude array, by
-    ``apply_rows``; UnitarityError if an op moves a row's norm past ATOL_STATE."""
-    # np.linalg.norm(rows, axis=-1), without its argument handling.
-    norms = np.sqrt((rows.conj() * rows).real.sum(-1))
+    ``apply_rows``, checked after each op: UnitarityError if the op moved a
+    row's norm from its norm before that op by more than ATOL_STATE, or by
+    NaN.  A single state (a 1-D array) costs one dot product per op and its
+    drift is a float; a batch's drift is per row, with the same bound and
+    the same NaN rule.  A row whose norm is not finite is rejected before
+    the first op."""
+    single = rows.ndim == 1
+    norms = _norms(rows)
+    # Rejected here, an inf never reaches an op's product, where numpy warns.
+    if not (norms if single else norms.max()) < math.inf:
+        raise UnitarityError("amplitudes have a non-finite norm before the first op")
     for op in ops:
         rows = op.apply_rows(rows)
-        before, norms = norms, np.sqrt((rows.conj() * rows).real.sum(-1))
-        drift = abs(norms - before).max()
+        before, norms = norms, _norms(rows)
+        drift = abs(norms - before) if single else abs(norms - before).max()
         if not drift <= ATOL_STATE:
             raise UnitarityError(f"unitary application drifted the norm by {drift:.3e}")
     return rows
+
+
+def _norms(rows: np.ndarray) -> float | np.ndarray:
+    """A 1-D state's norm as a float, by one ``vdot``; a batch's row norms,
+    by one ``einsum``.  Neither warns on an inf or NaN amplitude."""
+    if rows.ndim == 1:
+        return math.sqrt(np.vdot(rows, rows).real)
+    return np.sqrt(np.einsum("...i,...i->...", rows.conj(), rows).real)
 
 
 def apply_unitary(
     state: StateVector, u: np.ndarray, targets: Sequence[int]
 ) -> StateVector:
     """Apply ``u`` to ``targets``, identity on every other qubit."""
+    _check_state(state)
     return Op(u, targets, state.layout.total_qubits).apply(state)
 
 

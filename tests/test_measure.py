@@ -622,9 +622,19 @@ class TestEvolveDriftCheck:
             rows = op.apply_rows(rows)
         assert abs(np.linalg.norm(rows) - np.linalg.norm(amps)) < 1e-15
 
-    def test_op_apply(self):
+    @pytest.mark.parametrize("matrix", [GROW, np.diag([1.0 - 2e-11, 1.0])], ids=["grow", "shrink"])
+    def test_op_apply(self, matrix):
         with pytest.raises(UnitarityError, match="norm"):
-            smuggled(GROW, 2, 4).apply(state_from(SUPERPOSED_STAGES["input"]))
+            smuggled(matrix, 2, 4).apply(state_from(SUPERPOSED_STAGES["input"]))
+
+    @pytest.mark.parametrize("batch", [(), (1,), (2,)], ids=["state", "one-row", "two-rows"])
+    def test_drift_is_measured_against_the_previous_op(self, batch):
+        # Each op grows |0000>'s norm by 7e-13, within the bound; three of
+        # them move it by 2.1e-12 from where it started, past the bound.
+        ops = [smuggled(np.diag([1.0 + 7e-13, 1.0]), 0, 4)] * 3
+        rows = np.broadcast_to(np.eye(16)[0], batch + (16,)).astype(np.complex128)
+        final = _evolve(rows, ops)
+        assert np.allclose(final[..., 0], (1.0 + 7e-13) ** 3, rtol=0, atol=1e-15)
 
     def test_apply_circuit(self):
         with pytest.raises(UnitarityError, match="norm"):

@@ -4,8 +4,9 @@ its stages against a gate-by-gate pipeline, the oracle index array of drawn
 function tables against one built bit by bit, an op on drawn targets and
 batches against two np.moveaxis calls, the deferred-measurement
 precondition on drawn ops against a dense expansion built with np.kron and
-int(label, 2) arithmetic, value validation against a per-value pass, the
-register readouts of drawn unit states against each other, and the exit
+int(label, 2) arithmetic, the evolution kernel's single-state drift check
+on drawn circuits against its batch one, value validation against a
+per-value pass, the register readouts of drawn unit states against each other, and the exit
 code of `dj --function-file` on drawn file text.  Last, that a failing
 property test is reported as a failure under this suite's settings."""
 
@@ -16,6 +17,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,9 @@ from deutschsim import (
     Op,
     RegisterLayout,
     StateVector,
+    UnitarityError,
     deferred_equivalence,
+    hadamard,
     measure,
     outcome_distribution,
     partial_trace,
@@ -44,9 +48,11 @@ from deutschsim import (
 from deutschsim.cli import main
 from deutschsim.deutsch import _run_pipeline
 from deutschsim.gates import _integer, _validate_values
+from deutschsim.state import _evolve
 
 from conftest import brute_oracle, haar_unitary, random_state_vector
 from test_deutsch import assert_same_stages, per_gate_stages
+from test_measure import smuggled
 from test_state import moveaxis_reference
 
 # Qubit positions of each canonical register in the 4-bit label (B B A V).
@@ -270,6 +276,65 @@ def test_register_readouts_of_a_unit_state_agree(amps):
                 continue
             assert 0.0 <= p <= 1.0 + 1e-12
             assert abs(p - probs.get(o, 0.0)) <= 1e-12
+
+
+@st.composite
+def evolutions(draw) -> tuple[np.ndarray, list[Op]]:
+    """A random unit row on n = 1 to 9 qubits and 1 to 6 ops on it: Hadamards,
+    Haar-random ops on 1 to 3 targets in any order, and oracles of drawn
+    functions on all n qubits (n >= 2)."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kinds = ["hadamard", "haar"] + ["oracle"] * (n > 1)
+    ops = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6)):
+        if kind == "hadamard":
+            ops.append(Op(hadamard(), (draw(st.integers(0, n - 1)),), n))
+        elif kind == "haar":
+            targets = draw(st.permutations(range(n)))[: draw(st.integers(1, min(3, n)))]
+            ops.append(Op(haar_unitary(1 << len(targets), rng), targets, n))
+        else:
+            ops.append(CountedOracle(rng.integers(0, 2, 1 << (n - 1)).tolist()))
+    return random_state_vector(1 << n, rng), ops
+
+
+def both_shapes(row: np.ndarray, ops: list[Op]) -> list:
+    """What ``_evolve`` gives ``row`` alone and as a batch of one row: the
+    evolved row, or the type of the error it raised."""
+    out = []
+    for rows in (row, row[None]):
+        try:
+            out.append(_evolve(rows, ops).reshape(row.shape))
+        except UnitarityError as exc:
+            out.append(type(exc))
+    return out
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(evolutions(), st.data())
+def test_single_state_and_batch_drift_checks_agree(drawn, data):
+    row, ops = drawn
+    alone, batched = both_shapes(row, ops)
+    assert isinstance(alone, np.ndarray) and np.array_equal(alone, batched)
+    # Swap op k for diag(1 + delta, 1) on a qubit that reads 0 with
+    # probability p0 > 0.1 before it: the norm moves by about delta * p0.
+    k = data.draw(st.integers(0, len(ops) - 1))
+    n = ops[k].n_qubits
+    probs = np.abs(_evolve(row, ops[:k]).reshape((2,) * n)) ** 2
+    p0 = [probs.take(0, axis=q).sum() for q in range(n)]
+    assume(max(p0) > 0.1)
+    for delta, want in ((1e-14, None), (2e-11, UnitarityError)):
+        bent = ops[:k] + [smuggled(np.diag([1.0 + delta, 1.0]), int(np.argmax(p0)), n)] + ops[k + 1:]
+        alone, batched = both_shapes(row, bent)
+        if want is None:
+            assert isinstance(alone, np.ndarray) and np.array_equal(alone, batched)
+        else:
+            assert alone is batched is want
+    bad = row.copy()
+    bad[data.draw(st.integers(0, row.size - 1))] = data.draw(st.sampled_from([np.nan, np.inf]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(out is UnitarityError for out in both_shapes(bad, ops))
 
 
 # Value tokens: the two valid ones, padded ones, and junk that int() or a

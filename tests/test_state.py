@@ -320,6 +320,9 @@ class TestApplyUnitary:
             apply_unitary(s, np.eye(2), (4,))
         with pytest.raises(LayoutError):
             apply_unitary(s, np.eye(4), (0,))
+        # None leaked AttributeError: 'NoneType' object has no attribute 'layout'.
+        with pytest.raises(LayoutError, match="StateVector"):
+            apply_unitary(None, hadamard(), (0,))
 
     def test_norm_drift_rejected(self):
         # Unitary to within the 1e-10 matrix tolerance, yet it moves a
@@ -334,6 +337,12 @@ class TestApplyUnitary:
         rows = np.array([[np.nan, 0.0]], dtype=np.complex128)
         with pytest.raises(UnitarityError, match="norm"):
             _evolve(rows, [Op(hadamard(), (0,), 1)])
+        # An op whose matrix went NaN after its check drifts a unit row by NaN.
+        op = Op(np.eye(2), (0,), 1)
+        object.__setattr__(op, "matrix", np.diag([np.nan, 1.0]))
+        for rows in (np.array([1.0, 0.0j]), np.array([[1.0, 0.0j]])):
+            with pytest.raises(UnitarityError, match="drifted the norm by nan"):
+                _evolve(rows, [op])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_matrix_rejected(self, bad):
@@ -592,6 +601,10 @@ class TestOp:
     def test_wrong_qubit_count_rejected(self):
         s = basis_state(CANONICAL_LAYOUT, "0000")
         for op in (Op(hadamard(), (0,), 3), CountedOracle([0] * 16)):
+            # None leaked AttributeError; an oracle counted it as a call.
+            with pytest.raises(LayoutError, match="StateVector"):
+                op.apply(None)
+            assert getattr(op, "calls", 0) == 0
             with pytest.raises(LayoutError, match="qubits"):
                 op.apply(s)
 
@@ -634,6 +647,11 @@ class TestInnerProduct:
             inner_product(
                 basis_state(CANONICAL_LAYOUT, "0000"), basis_state(other, "0000")
             )
+        # Each leaked AttributeError: 'int' object has no attribute 'layout'.
+        with pytest.raises(LayoutError, match="StateVector"):
+            inner_product(1, 2)
+        with pytest.raises(LayoutError, match="StateVector"):
+            basis_state(CANONICAL_LAYOUT, "0000").max_delta(1)
 
 
 class TestPartialTrace:

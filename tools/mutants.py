@@ -108,6 +108,48 @@ MUTANTS = [
         "_evolve lets a NaN norm drift through",
     ),
     Mutant(
+        "src/deutschsim/state.py",
+        "drift = abs(norms - before) if single else",
+        "drift = 0.0 if single else",
+        "_evolve skips the drift check for a single state",
+    ),
+    Mutant(
+        "src/deutschsim/state.py",
+        "drift = abs(norms - before) if single else",
+        "drift = abs(norms - 1.0) if single else",
+        "_evolve measures a single state's drift from its norm before the first op",
+    ),
+    Mutant(
+        "src/deutschsim/state.py",
+        "drift = abs(norms - before) if single else",
+        "drift = norms - before if single else",
+        "_evolve lets a single state's norm shrink past the bound",
+    ),
+    Mutant(
+        "src/deutschsim/state.py",
+        "if not (norms if single else norms.max()) < math.inf:",
+        "if not (0.0 if single else norms.max()) < math.inf:",
+        "_evolve lets a single state with an inf amplitude reach the ops",
+    ),
+    Mutant(
+        "src/deutschsim/state.py",
+        'np.sqrt(np.einsum("...i,...i->...", rows.conj(), rows).real)',
+        "np.sqrt((rows.conj() * rows).real.sum(-1))",
+        "batch row norms by a product that warns on an inf amplitude",
+    ),
+    Mutant(
+        "src/deutschsim/state.py",
+        "if not isinstance(value, StateVector):",
+        "if False:",
+        "the state guard lets any argument through",
+    ),
+    Mutant(
+        "src/deutschsim/deutsch.py",
+        "_check_state(state)  # what is not a state is no query and counts no call",
+        "pass",
+        "CountedOracle counts a call for an argument that is not a state",
+    ),
+    Mutant(
         "src/deutschsim/deutsch.py",
         "if p > 1.0 - ATOL_STATE:",
         "if p >= 1.0 - ATOL_STATE:",
