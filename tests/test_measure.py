@@ -622,10 +622,11 @@ class TestEvolveDriftCheck:
             rows = op.apply_rows(rows)
         assert abs(np.linalg.norm(rows) - np.linalg.norm(amps)) < 1e-15
 
-    @pytest.mark.parametrize("matrix", [GROW, np.diag([1.0 - 2e-11, 1.0])], ids=["grow", "shrink"])
-    def test_op_apply(self, matrix):
-        with pytest.raises(UnitarityError, match="norm"):
-            smuggled(matrix, 2, 4).apply(state_from(SUPERPOSED_STAGES["input"]))
+    def test_op_apply(self):
+        # A norm that shrinks past the bound is rejected as one that grows.
+        for matrix in (GROW, np.diag([1.0 - 2e-11, 1.0])):
+            with pytest.raises(UnitarityError, match="norm"):
+                smuggled(matrix, 2, 4).apply(state_from(SUPERPOSED_STAGES["input"]))
 
     @pytest.mark.parametrize("batch", [(), (1,), (2,)], ids=["state", "one-row", "two-rows"])
     def test_drift_is_measured_against_the_previous_op(self, batch):

@@ -6,9 +6,10 @@ batches against two np.moveaxis calls, the deferred-measurement
 precondition on drawn ops against a dense expansion built with np.kron and
 int(label, 2) arithmetic, the evolution kernel's single-state drift check
 on drawn circuits against its batch one, value validation against a
-per-value pass, the register readouts of drawn unit states against each other, and the exit
-code of `dj --function-file` on drawn file text.  Last, that a failing
-property test is reported as a failure under this suite's settings."""
+per-value pass, the register readouts of drawn unit states against each
+other, and the exit code of `dj --function-file` on drawn file text.
+Last, that a failing property test is reported as a failure under this
+suite's settings."""
 
 import contextlib
 import io
