@@ -11,8 +11,6 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
 from .deutsch import (
     SETTING_LABELS,
@@ -24,7 +22,7 @@ from .deutsch import (
     run_deutsch_superposed,
     solution_correlation,
 )
-from .errors import DegenerateStateError, LayoutError, PromiseViolationError, SimulatorError
+from .errors import PromiseViolationError, SimulatorError
 from .gates import parse_function_table
 from .measure import RNG_ALGORITHM, sample
 from .state import RegisterLayout, StateVector
@@ -76,55 +74,6 @@ def state_dump(state: StateVector, stage: str) -> dict:
         "entries": entries,
         "meta": {"tool": TOOL_NAME, "version": __version__},
     }
-
-
-def _field(obj, key: str):
-    try:
-        return obj[key]
-    except (KeyError, TypeError):
-        raise ValueError(f"dump has no {key!r} field") from None
-
-
-def _number(entry: dict, key: str) -> float:
-    value = _field(entry, key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"dump entry {key!r} is not a number: {value!r}")
-    return float(value)
-
-
-def _typed(obj, key: str, kind: type | tuple[type, ...]):
-    value = _field(obj, key)
-    if not isinstance(value, kind):
-        raise ValueError(f"dump field {key!r} has the wrong type: {value!r}")
-    return value
-
-
-def load_state_dump(dump: dict) -> StateVector:
-    """Rebuild a state from its dump.  A missing or wrong-typed field, a
-    layout item that is not a (name, integer width) pair, a layout of more
-    qubits than any command produces, a basis label that is not a 0/1
-    string of the layout's width, a basis label named twice, a non-numeric
-    amplitude part, or squared magnitudes that do not sum to 1 within 1e-12
-    (as with any NaN or inf part) raise ``ValueError``."""
-    try:
-        layout = RegisterLayout(_field(dump, "layout"))
-    except LayoutError as exc:
-        raise ValueError(f"dump layout: {exc}") from None
-    amps, seen = np.zeros(layout.dim, dtype=np.complex128), set()
-    for entry in _typed(dump, "entries", (list, tuple)):
-        label = _typed(entry, "basis", str)
-        try:
-            index = layout.index_of_label(label)
-        except LayoutError as exc:
-            raise ValueError(f"dump entry basis: {exc}") from None
-        if index in seen:
-            raise ValueError(f"dump names basis label {label!r} twice")
-        seen.add(index)
-        amps[index] = complex(_number(entry, "re"), _number(entry, "im"))
-    try:
-        return StateVector(layout, amps)
-    except DegenerateStateError as exc:
-        raise ValueError(f"dump squared magnitudes do not sum to 1: {exc}") from None
 
 
 def _grouped_label(layout: RegisterLayout, label: str) -> str:

@@ -33,7 +33,6 @@ from .state import (
     RegisterLayout,
     StateVector,
     _MAX_QUBITS,
-    _check_state,
     _evolve,
     _is_int,
     apply_unitary,
@@ -85,7 +84,7 @@ class CountedOracle(Op):
     values of 0 or 1 are ``values``, on n + 1 qubits: basis index j goes to
     perm[j] = j xor f(j >> 1), argument bits then the value bit, big endian.
     Malformed values raise the ValueError of ``classify_function``.
-    ``apply`` counts its calls; ``apply_rows`` counts none."""
+    ``apply`` counts each call it does not reject; ``apply_rows`` counts none."""
 
     _CHECKED = ("targets", "n_qubits", "perm")
 
@@ -99,9 +98,9 @@ class CountedOracle(Op):
         self.calls = 0
 
     def apply(self, state: StateVector) -> StateVector:
-        _check_state(state)  # what is not a state is no query and counts no call
+        after = super().apply(state)  # an argument it rejects is no query
         self.calls += 1
-        return super().apply(state)
+        return after
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         return rows[..., self.perm]
@@ -268,7 +267,7 @@ class RhoInvarianceReport(Record):
 
     ``max_full_deviation`` compares each later stage's reduced matrix
     against the input stage's, entrywise; the diagonal and off-diagonal
-    parts are also tracked separately.  Full invariance is asserted only
+    parts are also tracked separately.  Full invariance is expected only
     for basis-state inputs; for superposed inputs only the diagonal is
     expected to hold and off-diagonal deltas are reported, not judged.
     """
@@ -288,14 +287,6 @@ class RhoInvarianceReport(Record):
             max_diagonal_deviation=max_diagonal_deviation,
             off_diagonal_deviation=off_diagonal_deviation,
         )
-
-    @property
-    def full_invariance_holds(self) -> bool:
-        return self.max_full_deviation <= ATOL_STATE
-
-    @property
-    def diagonal_invariance_holds(self) -> bool:
-        return self.max_diagonal_deviation <= ATOL_STATE
 
 
 def rho_B_invariance(trace: StageTrace) -> RhoInvarianceReport:

@@ -22,6 +22,7 @@ from .state import (
     PROB_EPS,
     Op,
     StateVector,
+    _check_state,
     _evolve,
     _is_int,
     _outcome_indices,
@@ -55,6 +56,7 @@ def _marginal(state: StateVector, register: str) -> np.ndarray:
 def outcome_distribution(state: StateVector, register: str) -> OutcomeDistribution:
     """Probability of each outcome of ``register``: sum of |amplitude|^2
     over the basis labels carrying that outcome."""
+    _check_state(state)
     width = state.layout.width(register)
     marg = _marginal(state, register)
     probs = {
@@ -71,6 +73,7 @@ def measure(state: StateVector, register: str, outcome: str) -> MeasurementRecor
     If the state already lies in the outcome's eigenspace the post state is
     the input state itself (the measurement does not disturb it).
     """
+    _check_state(state)
     layout = state.layout
     width = layout.width(register)
     if not isinstance(outcome, str) or len(outcome) != width or set(outcome) - {"0", "1"}:
@@ -103,6 +106,7 @@ def sample(
 ) -> dict[str, int]:
     """Seeded Born-rule sampling; returns outcome -> count for observed outcomes.
     ``shots`` must be an integer >= 1 and ``seed`` one >= 0 (bools are not)."""
+    _check_state(state)
     for name, value, low in (("shots", shots, 1), ("seed", seed, 0)):
         if not _is_int(value) or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
@@ -137,6 +141,7 @@ def _as_ops(circuit: Sequence, n: int) -> list[Op]:
 
 
 def apply_circuit(state: StateVector, circuit: Sequence) -> StateVector:
+    _check_state(state)
     ops = _as_ops(circuit, state.layout.total_qubits)
     return StateVector(state.layout, _evolve(state.amps, ops))
 
@@ -194,33 +199,6 @@ class DeferredEquivalenceReport(Record):
     def equivalent(self) -> bool:
         return self.max_deviation <= ATOL_STATE
 
-    def to_dict(self) -> dict:
-        return {
-            "register": self.register,
-            "equivalent": self.equivalent,
-            "max_deviation": self.max_deviation,
-            "branches": [
-                {
-                    "outcome": b.outcome,
-                    "probability_project_first": b.probability_project_first,
-                    "probability_project_last": b.probability_project_last,
-                    "joint_project_first": _joint_probs(b.state_project_first),
-                    "joint_project_last": _joint_probs(b.state_project_last),
-                    "max_deviation": b.max_deviation,
-                }
-                for b in self.branches
-            ],
-        }
-
-
-def _joint_probs(state: StateVector) -> dict[str, float]:
-    p = np.abs(state.amps) ** 2
-    return {
-        state.layout.label_of_index(i): float(v)
-        for i, v in enumerate(p)
-        if v > PROB_EPS
-    }
-
 
 def deferred_equivalence(
     circuit: Sequence, initial: StateVector, register: str
@@ -232,7 +210,7 @@ def deferred_equivalence(
     precondition is checked explicitly, not assumed, and its violation
     raises BlockDiagonalityError.  For each register outcome of nonzero
     probability the report carries the final state computed both ways and
-    the verdict that their joint distributions (``to_dict``) agree to 1e-12.
+    the verdict that their joint distributions agree to 1e-12.
 
     ``circuit`` holds ops or ``(matrix, targets)`` pairs, each checked as an
     op in circuit order before any op's own leak is judged.  Every outcome
@@ -241,6 +219,7 @@ def deferred_equivalence(
     together, as the rows of one array, with the norm drift of each row
     checked per op; the project-last branches are read off the evolved row 0.
     """
+    _check_state(initial)
     layout = initial.layout
     ops = _as_ops(circuit, layout.total_qubits)
     positions = layout.qubit_positions(register)

@@ -390,14 +390,9 @@ def apply_unitary(
     return Op(u, targets, state.layout.total_qubits).apply(state)
 
 
-def inner_product(s1: StateVector, s2: StateVector) -> complex:
-    """<s1|s2>, conjugate linear in the first argument."""
-    _check_same_layout(s1, s2)
-    return complex(np.vdot(s1.amps, s2.amps))
-
-
 def partial_trace(state: StateVector, keep: str) -> DensityMatrix:
     """Reduced density matrix of register ``keep``, tracing out the rest."""
+    _check_state(state)
     width = state.layout.width(keep)
     m = state.amps[_outcome_indices(state.layout, keep)]
     return DensityMatrix(RegisterLayout(((keep, width),)), m @ m.conj().T)

@@ -27,6 +27,7 @@ from .deutsch import (
     run_deutsch_superposed,
     solution_correlation,
 )
+from .errors import SimulatorError
 from .gates import Classification, FunctionTable, classify_function, hadamard
 from .measure import (
     apply_circuit,
@@ -138,11 +139,18 @@ _CHECKS: dict[str, Callable[[], CheckResult]] = {}
 def _check(name: str, bound: float):
     """Register a check under ``name`` with its ``bound``.  The body returns
     ``(deviation, detail)`` or ``(deviation, detail, ok)``; the check passes
-    when ``ok`` holds and the deviation is within the bound, which NaN is not."""
+    when ``ok`` holds and the deviation is within the bound, which NaN is not.
+    A body that raises ``SimulatorError`` or ``ValueError`` fails its check
+    with deviation inf; any other exception is a fault of the check itself
+    and propagates."""
 
     def register(body: Callable[[], tuple]):
         def run() -> CheckResult:
-            deviation, detail, *ok = body()
+            try:
+                deviation, detail, *ok = body()
+            except (SimulatorError, ValueError) as exc:
+                detail = f"raised {type(exc).__name__}: {exc}"
+                return CheckResult(name, False, math.inf, bound, detail)
             passed = bool(all(ok) and deviation <= bound)
             return CheckResult(name, passed, deviation, bound, detail)
 

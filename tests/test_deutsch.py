@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from deutschsim import (
+    ATOL_STATE,
     CANONICAL_LAYOUT,
     SETTING_LABELS,
     STAGES,
@@ -442,8 +443,7 @@ class TestRhoInvariance:
     def test_basis_setting_keeps_rho_constant(self):
         report = rho_B_invariance(run_deutsch("01")[0])
         assert report.basis_state_input
-        assert report.full_invariance_holds
-        assert report.max_full_deviation < 1e-12
+        assert report.max_full_deviation <= ATOL_STATE
         projector = np.zeros((4, 4))
         projector[1, 1] = 1.0
         for _, rho in report.stage_rhos:
@@ -452,13 +452,13 @@ class TestRhoInvariance:
     def test_all_basis_settings_hold(self):
         for b in SETTING_LABELS:
             report = rho_B_invariance(run_deutsch(b)[0])
-            assert report.basis_state_input and report.full_invariance_holds
+            assert report.basis_state_input and report.max_full_deviation <= ATOL_STATE
 
     def test_superposed_diagonal_constant(self):
         trace = run_deutsch_superposed()
         report = rho_B_invariance(trace)
         assert not report.basis_state_input
-        assert report.diagonal_invariance_holds
+        assert report.max_diagonal_deviation <= ATOL_STATE
         # Independent oracle: brute-force partial trace per stage.
         for label, state in trace.stages:
             brute = brute_rho_of_b(state.amps)
@@ -467,7 +467,7 @@ class TestRhoInvariance:
     def test_superposed_off_diagonals_move(self):
         trace = run_deutsch_superposed()
         report = rho_B_invariance(trace)
-        assert not report.full_invariance_holds
+        assert report.max_full_deviation > ATOL_STATE
         assert report.off_diagonal_deviation["input"] == 0.0
         assert report.off_diagonal_deviation["after_H_A_2"] > 0.1
         # The (00, 01) entry starts at 1/4 and vanishes at the end.
@@ -607,7 +607,8 @@ class TestTraceAndOracle:
         oracle = CountedOracle([0] * 4)
         with pytest.raises(LayoutError):
             oracle.apply(basis_state(CANONICAL_LAYOUT, "0000"))
-        assert oracle.calls == 1
+        # A rejected argument is no query, whatever the reason it is rejected.
+        assert oracle.calls == 0
 
     def test_canonical_stages_equal_dense_oracle_pipeline(self):
         dense = brute_oracle_16()

@@ -31,6 +31,7 @@ from deutschsim import (
     partial_trace,
     run_deutsch_jozsa,
     sample,
+    solution_correlation,
 )
 from deutschsim import deutsch as deutsch_module
 from deutschsim import state as state_module
@@ -133,6 +134,25 @@ class TestOutcomeDistribution:
         # qubit_positions names the register before any table is built.
         with pytest.raises(LayoutError, match="unknown register"):
             read(basis_state(CANONICAL_LAYOUT, "0000"), ["B"])
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda s: measure(s, "B", "00"),
+            lambda s: outcome_distribution(s, "B"),
+            lambda s: sample(s, "B", shots=1, seed=0),
+            lambda s: partial_trace(s, "B"),
+            lambda s: apply_circuit(s, []),
+            lambda s: deferred_equivalence([], s, "B"),
+            lambda s: solution_correlation(s),
+        ],
+        ids=["measure", "outcome_distribution", "sample", "partial_trace",
+             "apply_circuit", "deferred_equivalence", "solution_correlation"],
+    )
+    def test_non_state_rejected(self, read):
+        # Each leaked AttributeError: 'NoneType' object has no attribute 'layout'.
+        with pytest.raises(LayoutError, match="StateVector"):
+            read(None)
 
     def test_cached_outcome_indices_are_read_only(self):
         state = state_from(SUPERPOSED_STAGES["after_H_A_2"])
@@ -238,6 +258,36 @@ class TestSample:
         assert sample(s, "B", np.int64(500), seed=np.uint32(9)) == sample(s, "B", 500, seed=9)
 
 
+def _joint_probs(state: StateVector) -> dict[str, float]:
+    p = np.abs(state.amps) ** 2
+    return {
+        state.layout.label_of_index(i): float(v)
+        for i, v in enumerate(p)
+        if v > PROB_EPS
+    }
+
+
+def report_dict(report: DeferredEquivalenceReport) -> dict:
+    """A report as JSON-safe data, each branch's final states as their joint
+    distributions: the form the pinned digest below was recorded from."""
+    return {
+        "register": report.register,
+        "equivalent": report.equivalent,
+        "max_deviation": report.max_deviation,
+        "branches": [
+            {
+                "outcome": b.outcome,
+                "probability_project_first": b.probability_project_first,
+                "probability_project_last": b.probability_project_last,
+                "joint_project_first": _joint_probs(b.state_project_first),
+                "joint_project_last": _joint_probs(b.state_project_last),
+                "max_deviation": b.max_deviation,
+            }
+            for b in report.branches
+        ],
+    }
+
+
 def _sequential_report(circuit, initial: StateVector, register: str) -> dict:
     """The harness done one state at a time: the circuit by ``apply_circuit``
     on the initial state and on each branch, every projection by ``measure``."""
@@ -260,9 +310,9 @@ def _sequential_report(circuit, initial: StateVector, register: str) -> dict:
             outcome, first.probability, last.probability,
             state_first, last.post_state, deviation,
         ))
-    return DeferredEquivalenceReport(
+    return report_dict(DeferredEquivalenceReport(
         register, tuple(branches), max(b.max_deviation for b in branches)
-    ).to_dict()
+    ))
 
 
 class TestDeferredEquivalence:
@@ -318,7 +368,7 @@ class TestDeferredEquivalence:
         report = deferred_equivalence(
             deutsch_circuit(), state_from(SUPERPOSED_STAGES["input"]), "B"
         )
-        branch = next(b for b in report.to_dict()["branches"] if b["outcome"] == "00")
+        branch = next(b for b in report_dict(report)["branches"] if b["outcome"] == "00")
         for i in range(16):
             label = format(i, "04b")
             for key, brute in (("joint_project_first", project_first),
@@ -341,15 +391,6 @@ class TestDeferredEquivalence:
             report = deferred_equivalence(ops, initial, "B")
             assert report.equivalent
 
-    def test_report_serializes_to_json(self):
-        report = deferred_equivalence(
-            deutsch_circuit(), state_from(SUPERPOSED_STAGES["input"]), "B"
-        )
-        doc = json.loads(json.dumps(report.to_dict()))
-        assert doc["register"] == "B"
-        assert doc["equivalent"] is True
-        assert len(doc["branches"]) == 4
-
 
 class TestBatchedHarness:
     """The harness validates each op once and runs the evolved state and
@@ -366,7 +407,7 @@ class TestBatchedHarness:
             initial = StateVector(CANONICAL_LAYOUT, random_state_vector(16, rng))
             cases.append((random_block_diagonal_circuit(rng, max_ops=4), initial))
         for circuit, initial in cases:
-            got = deferred_equivalence(circuit, initial, "B").to_dict()
+            got = report_dict(deferred_equivalence(circuit, initial, "B"))
             want = _sequential_report(circuit, initial, "B")
             assert json.dumps(got) == json.dumps(want)
 
@@ -571,8 +612,8 @@ class TestAllBranchesAtOnce:
 
     def test_reports_pinned_to_their_digest(self):
         # Recorded from the per-branch harness: sha256 of the JSON of the
-        # 121 reports' to_dict(), whose floats print round-trip exact.
-        doc = json.dumps([report.to_dict() for report in verify_harness_reports()])
+        # 121 reports' report_dict(), whose floats print round-trip exact.
+        doc = json.dumps([report_dict(report) for report in verify_harness_reports()])
         digest = hashlib.sha256(doc.encode()).hexdigest()
         assert digest == "7f97b0051315169e19a29cd850ed3db1679d328d4e13002343823e903df63086"
 

@@ -25,7 +25,6 @@ from deutschsim import (
     deferred_equivalence,
     enumerate_promise_functions,
     hadamard,
-    inner_product,
     partial_trace,
     run_deutsch,
     run_deutsch_superposed,
@@ -609,51 +608,6 @@ class TestOp:
                 op.apply(s)
 
 
-class TestInnerProduct:
-    def test_self_overlap_is_one(self):
-        s = state_from(SUPERPOSED_STAGES["input"])
-        assert inner_product(s, s) == pytest.approx(1.0, abs=1e-12)
-
-    def test_distinct_basis_states_orthogonal(self):
-        a = basis_state(CANONICAL_LAYOUT, "0000")
-        b = basis_state(CANONICAL_LAYOUT, "0001")
-        assert inner_product(a, b) == 0.0
-
-    def test_overlap_of_consecutive_stages(self):
-        # Independent oracle: explicit sum over all 16 amplitudes.
-        s_before = state_from(FIXED_01_STAGES["input"])
-        s_after = state_from(FIXED_01_STAGES["after_H_A"])
-        explicit = sum(
-            complex(s_after.amps[i]).conjugate() * complex(s_before.amps[i])
-            for i in range(16)
-        )
-        got = inner_product(s_after, s_before)
-        assert got == pytest.approx(explicit, abs=1e-15)
-        assert got == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
-
-    def test_conjugate_linear_in_first_argument(self):
-        rng = np.random.default_rng(16)
-        s1 = StateVector(CANONICAL_LAYOUT, random_state_vector(16, rng))
-        s2 = StateVector(CANONICAL_LAYOUT, random_state_vector(16, rng))
-        alpha = np.exp(0.7j)
-        scaled = StateVector(CANONICAL_LAYOUT, alpha * s1.amps)
-        assert inner_product(scaled, s2) == pytest.approx(
-            np.conj(alpha) * inner_product(s1, s2), abs=1e-12
-        )
-
-    def test_layout_mismatch_rejected(self):
-        other = RegisterLayout((("X", 4),))
-        with pytest.raises(LayoutError):
-            inner_product(
-                basis_state(CANONICAL_LAYOUT, "0000"), basis_state(other, "0000")
-            )
-        # Each leaked AttributeError: 'int' object has no attribute 'layout'.
-        with pytest.raises(LayoutError, match="StateVector"):
-            inner_product(1, 2)
-        with pytest.raises(LayoutError, match="StateVector"):
-            basis_state(CANONICAL_LAYOUT, "0000").max_delta(1)
-
-
 class TestPartialTrace:
     def test_basis_setting_gives_pure_projector(self):
         rho = partial_trace(state_from(FIXED_01_STAGES["input"]), "B")
@@ -823,6 +777,14 @@ class TestStateVector:
         # numpy's complex conversion leaked ValueError and TypeError.
         with pytest.raises(DegenerateStateError, match="not an array of complex numbers"):
             StateVector(CANONICAL_LAYOUT, amps)
+
+    def test_max_delta_rejects_another_layout_and_a_non_state(self):
+        s = basis_state(CANONICAL_LAYOUT, "0000")
+        with pytest.raises(LayoutError, match="different register layouts"):
+            s.max_delta(basis_state(RegisterLayout((("X", 4),)), "0000"))
+        # Leaked AttributeError: 'int' object has no attribute 'layout'.
+        with pytest.raises(LayoutError, match="StateVector"):
+            s.max_delta(1)
 
     def test_with_phase_changes_no_magnitude(self):
         s = state_from(FIXED_01_STAGES["input"])

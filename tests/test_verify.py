@@ -1,6 +1,7 @@
 """The verify checks' random inputs, rebuilt one draw at a time, the check
 registry and its one pass rule, and what a fresh process loads."""
 
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import deutschsim
-from deutschsim import CountedOracle, verify
+from deutschsim import CountedOracle, SimulatorError, verify
+from deutschsim.cli import main
 
 from conftest import haar_unitary, random_block_diagonal_circuit, random_state_vector
 
@@ -164,6 +166,45 @@ def test_one_pass_rule(registry, returned, passed):
     assert type(result.passed) is bool and result.passed is passed
     assert (result.name, result.bound, result.detail) == ("probe", 0.5, returned[1])
     assert result.deviation is returned[0]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [SimulatorError("oracle applied 2 times, expected once"), ValueError("no such stage")],
+    ids=["simulator-error", "value-error"],
+)
+def test_a_raising_check_fails_and_every_check_still_runs(registry, capsys, error):
+    # The raise used to end the run: `verify` exited 2 with no check line.
+    bound = registry["reversibility"]().bound
+
+    def body():
+        raise error
+
+    verify._check("reversibility", bound)(body)
+    results = verify.run_all()
+    assert [r.name for r in results] == list(verify.CHECK_MANIFEST)
+    assert [r.name for r in results if not r.passed] == ["reversibility"]
+    failed = results[verify.CHECK_MANIFEST.index("reversibility")]
+    assert failed.deviation == math.inf and failed.bound == bound
+    assert failed.detail == f"raised {type(error).__name__}: {error}"
+
+    assert main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(verify.CHECK_MANIFEST) + 1 == 30
+    assert lines[-1] == "28/29 checks passed"
+    assert [line for line in lines if line.startswith("[FAIL]")] == [
+        f"[FAIL] {'reversibility':<{max(map(len, verify.CHECK_MANIFEST))}}"
+        f"  max_dev=inf  bound={bound:.3e}  (raised {type(error).__name__}: {error})"
+    ]
+
+
+def test_a_check_raising_another_type_propagates(registry):
+    def body():
+        raise RuntimeError("a fault in the check itself")
+
+    verify._check("reversibility", 0.0)(body)
+    with pytest.raises(RuntimeError, match="a fault in the check itself"):
+        verify.run_all()
 
 
 def test_cli_import_leaves_checks_unloaded():

@@ -145,9 +145,23 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/deutsch.py",
-        "_check_state(state)  # what is not a state is no query and counts no call",
-        "pass",
-        "CountedOracle counts a call for an argument that is not a state",
+        "        after = super().apply(state)  # an argument it rejects is no query\n"
+        "        self.calls += 1\n",
+        "        self.calls += 1\n"
+        "        after = super().apply(state)\n",
+        "CountedOracle counts a call before it checks the argument",
+    ),
+    Mutant(
+        "src/deutschsim/verify.py",
+        "except (SimulatorError, ValueError) as exc:",
+        "except ValueError as exc:",
+        "a check that raises SimulatorError ends the verify run",
+    ),
+    Mutant(
+        "src/deutschsim/measure.py",
+        "    _check_state(state)\n    layout = state.layout\n",
+        "    layout = state.layout\n",
+        "measure reads a non-state argument unguarded",
     ),
     Mutant(
         "src/deutschsim/deutsch.py",
