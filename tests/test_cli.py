@@ -410,26 +410,35 @@ class TestDjCommand:
         assert run_cli(capsys, "dj", "--function-file", str(path), *flags) == (code, out, err)
 
 
+def load_dump(state, label):
+    """Rebuild ``state``'s amplitude vector from its parsed ``--json`` dump alone.
+
+    The README's rebuild: each entry's ``basis`` is a big-endian index.
+    """
+    dump = json.loads(json.dumps(state_dump(state, label)))
+    assert [tuple(group) for group in dump["layout"]] == list(state.layout.groups)
+    amps = np.zeros(1 << sum(width for _, width in dump["layout"]), dtype=complex)
+    for entry in dump["entries"]:
+        amps[int(entry["basis"], 2)] = complex(entry["re"], entry["im"])
+    return amps
+
+
 class TestStateDumpRoundTrip:
     def test_stage_dumps_round_trip_within_tolerance(self):
         # The README's promise for the dump format: the parsed JSON alone
-        # rebuilds every amplitude to 1e-12, here by each entry's big-endian
-        # basis index.  The 512-amplitude input is the largest state any
-        # command makes.
+        # rebuilds every amplitude to 1e-12.
         traces = [
             run_deutsch(b, initial_a=a)[0] for b in SETTING_LABELS for a in (0, 1)
         ]
         traces.append(run_deutsch_superposed())
-        stages = [stage for trace in traces for stage in trace.stages]
-        largest = basis_state(RegisterLayout((("A", 8), ("V", 1))), "0" * 8 + "1")
-        stages.append(("input", largest))
-        for label, state in stages:
-            dump = json.loads(json.dumps(state_dump(state, label)))
-            assert [tuple(group) for group in dump["layout"]] == list(state.layout.groups)
-            amps = np.zeros(1 << sum(width for _, width in dump["layout"]), dtype=complex)
-            for entry in dump["entries"]:
-                amps[int(entry["basis"], 2)] = complex(entry["re"], entry["im"])
-            assert np.max(np.abs(amps - state.amps)) < 1e-12
+        for trace in traces:
+            for label, state in trace.stages:
+                assert np.max(np.abs(load_dump(state, label) - state.amps)) < 1e-12
+
+    def test_loader_accepts_the_largest_state(self):
+        # 512 amplitudes: the largest state any command makes.
+        state = basis_state(RegisterLayout((("A", 8), ("V", 1))), "0" * 8 + "1")
+        assert np.array_equal(load_dump(state, "input"), state.amps)
 
 
 class TestAmplitudeFormatting:
