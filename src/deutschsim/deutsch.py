@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BlockStructureError, LayoutError, PromiseViolationError, SimulatorError
 from .gates import Classification, FunctionTable, _classification, _validate_values, hadamard
-from .measure import _marginal, measure, outcome_distribution
+from .measure import measure, outcome_distribution
 from .record import Record
 from .state import (
     ATOL_STATE,
@@ -32,9 +32,11 @@ from .state import (
     Op,
     RegisterLayout,
     StateVector,
+    _Layer,
     _MAX_QUBITS,
     _evolve,
     _is_int,
+    _outcome_indices,
     apply_unitary,
     partial_trace,
     superpose,
@@ -127,15 +129,17 @@ def deutsch_circuit() -> list[Op]:
     ``inverse_circuit`` reach the oracle through ``apply_rows`` or ``inverse``,
     so replaying the circuit counts no oracle call."""
     h_on_a = _hadamards_on_a(CANONICAL_LAYOUT)
-    return [*h_on_a, CountedOracle(_canonical_values()), *h_on_a]
+    return [h_on_a, CountedOracle(_canonical_values()), h_on_a]
 
 
 @lru_cache(maxsize=16)
-def _hadamards_on_a(layout: RegisterLayout) -> tuple[Op, ...]:
-    """One Hadamard op per A qubit, built and checked once per layout;
-    an ``Op`` cannot be changed, so every run can share them."""
-    n = layout.total_qubits
-    return tuple(Op(hadamard(), (q,), n) for q in layout.qubit_positions("A"))
+def _hadamards_on_a(layout: RegisterLayout) -> Op:
+    """H on every A qubit as one op, built and checked once per layout; an
+    ``Op`` cannot be changed, so every run can share it.  A lone A qubit
+    gets a plain ``Op``, whose one product is cheaper than a layer's."""
+    positions = layout.qubit_positions("A")
+    layer = Op if len(positions) == 1 else _Layer
+    return layer(hadamard(), positions, layout.total_qubits)
 
 
 def _run_pipeline(
@@ -147,9 +151,9 @@ def _run_pipeline(
     h_on_a = _hadamards_on_a(layout)
     raw = superpose([(1.0, label) for label in input_labels], layout)
     state = apply_unitary(raw, hadamard(), layout.qubit_positions("V"))
-    after_h = StateVector(layout, _evolve(state.amps, h_on_a))
+    after_h = StateVector(layout, _evolve(state.amps, (h_on_a,)))
     after_f = oracle.apply(after_h)
-    final = StateVector(layout, _evolve(after_f.amps, h_on_a))
+    final = StateVector(layout, _evolve(after_f.amps, (h_on_a,)))
     if oracle.calls != 1:
         raise SimulatorError(f"oracle applied {oracle.calls} times, expected once")
     return StageTrace(tuple(zip(STAGES, (state, after_h, after_f, final))))
@@ -163,8 +167,10 @@ def _check_bit(value: int, name: str) -> None:
 
 def _classify(state: StateVector, prepared_a: str) -> Classification:
     """The readout rule: register A reads back its prepared label ``prepared_a``
-    with certainty for a constant function and never for a balanced one."""
-    p = float(_marginal(state, "A")[int(prepared_a, 2)])
+    with certainty for a constant function and never for a balanced one.
+    Only the amplitudes where A reads ``prepared_a`` are read."""
+    row = state.amps[_outcome_indices(state.layout, "A")[int(prepared_a, 2)]]
+    p = float((np.abs(row) ** 2).sum())
     if p > 1.0 - ATOL_STATE:
         return Classification.CONSTANT
     if p < ATOL_STATE:
@@ -291,6 +297,8 @@ class RhoInvarianceReport(Record):
 
 def rho_B_invariance(trace: StageTrace) -> RhoInvarianceReport:
     """Track the reduced density matrix of register B across a stage trace."""
+    if not isinstance(trace, StageTrace):
+        raise LayoutError(f"expected a StageTrace, got {trace!r}")
     rhos = tuple((label, partial_trace(state, "B")) for label, state in trace.stages)
     base = rhos[0][1].matrix
     diag_mask = np.eye(base.shape[0], dtype=bool)

@@ -111,8 +111,7 @@ class StateVector(Record):
     """A unit vector over a layout's basis: its squared magnitudes sum to 1 within ATOL_STATE."""
 
     def __init__(self, layout: RegisterLayout, amps: np.ndarray):
-        if not isinstance(layout, RegisterLayout):
-            raise LayoutError(f"layout must be a RegisterLayout, got {layout!r}")
+        _check_layout(layout)
         amps = _complex_array(amps, DegenerateStateError, "state")
         if amps.shape != (layout.dim,):
             raise LayoutError(
@@ -165,8 +164,7 @@ class DensityMatrix(Record):
     """
 
     def __init__(self, layout: RegisterLayout, matrix: np.ndarray):
-        if not isinstance(layout, RegisterLayout):
-            raise LayoutError(f"layout must be a RegisterLayout, got {layout!r}")
+        _check_layout(layout)
         m = _complex_array(matrix, ValueError, "density matrix")
         d = layout.dim
         if m.shape != (d, d):
@@ -187,6 +185,12 @@ class DensityMatrix(Record):
         return np.real(np.diag(self.matrix))
 
 
+def _check_layout(value) -> None:
+    """LayoutError unless ``value`` is a ``RegisterLayout``."""
+    if not isinstance(value, RegisterLayout):
+        raise LayoutError(f"layout must be a RegisterLayout, got {value!r}")
+
+
 def _check_state(value) -> None:
     """LayoutError unless ``value`` is a ``StateVector``, as the records
     raise for a layout of the wrong type."""
@@ -203,6 +207,7 @@ def _check_same_layout(s1: StateVector, s2: StateVector) -> None:
 
 def basis_state(layout: RegisterLayout, label: str) -> StateVector:
     """The computational basis vector named by ``label``."""
+    _check_layout(layout)
     amps = np.zeros(layout.dim, dtype=np.complex128)
     amps[layout.index_of_label(label)] = 1.0
     return StateVector(layout, amps)
@@ -219,6 +224,7 @@ def superpose(
     DegenerateStateError for a weight that is not a finite number, or when
     the scaled weights cancel to (numerically) nothing.
     """
+    _check_layout(layout)
     terms = list(terms)
     if not all(isinstance(weight, numbers.Complex) for weight, _ in terms):
         raise DegenerateStateError("a superposition weight is not a number")
@@ -270,22 +276,38 @@ def _identity(dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _index_table(n: int, targets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _index_table(n: int, targets: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """The one place the bit convention is encoded: a read-only (2^k, 2^n/2^k)
     table whose row v holds the basis indices of n qubits where ``targets``
-    read v, first target most significant, in index order; and its inverse,
-    the place of each basis index in the flattened table."""
+    read v, first target most significant, in index order; its inverse,
+    the place of each basis index in the flattened table; and the place of
+    each in the flattened transposed table, where ``_Layer`` leaves it."""
     rest = [q for q in range(n) if q not in targets]
     table = np.arange(1 << n).reshape((2,) * n).transpose((*targets, *rest))
     table = table.reshape(1 << len(targets), -1)
-    inverse = np.argsort(table, axis=None)
-    table.flags.writeable = inverse.flags.writeable = False
-    return table, inverse
+    inverse, rotated = np.argsort(table, axis=None), np.argsort(table.T, axis=None)
+    for index in (table, inverse, rotated):
+        index.flags.writeable = False
+    return table, inverse, rotated
 
 
 def _outcome_indices(layout: RegisterLayout, register: str) -> np.ndarray:
     """``_index_table`` of ``register``'s qubits: row v is where it reads v."""
     return _index_table(layout.total_qubits, layout.qubit_positions(register))[0]
+
+
+def _checked_targets(targets: Sequence[int], n_qubits: int) -> tuple[tuple[int, ...], int]:
+    """``targets`` as a tuple of distinct ints in range(``n_qubits``), and
+    ``n_qubits`` as an int; LayoutError otherwise."""
+    targets = tuple(targets) if np.iterable(targets) else targets
+    if not isinstance(targets, tuple) or not all(map(_is_int, (*targets, n_qubits))):
+        raise LayoutError(f"targets {targets} and qubit count {n_qubits!r} must be integers")
+    targets, n_qubits = tuple(map(int, targets)), int(n_qubits)
+    if len(set(targets)) != len(targets):
+        raise LayoutError(f"duplicate target qubits {targets}")
+    if any(t < 0 or t >= n_qubits for t in targets):
+        raise LayoutError(f"targets {targets} out of range for {n_qubits} qubits")
+    return targets, n_qubits
 
 
 class Op:
@@ -299,14 +321,7 @@ class Op:
     _CHECKED = ("targets", "n_qubits", "matrix")
 
     def __init__(self, matrix, targets: Sequence[int], n_qubits: int):
-        targets = tuple(targets) if np.iterable(targets) else targets
-        if not isinstance(targets, tuple) or not all(map(_is_int, (*targets, n_qubits))):
-            raise LayoutError(f"targets {targets} and qubit count {n_qubits!r} must be integers")
-        targets, n_qubits = tuple(map(int, targets)), int(n_qubits)
-        if len(set(targets)) != len(targets):
-            raise LayoutError(f"duplicate target qubits {targets}")
-        if any(t < 0 or t >= n_qubits for t in targets):
-            raise LayoutError(f"targets {targets} out of range for {n_qubits} qubits")
+        targets, n_qubits = _checked_targets(targets, n_qubits)
         self._bind(targets, n_qubits, _validate_unitary(matrix, len(targets)))
 
     def _bind(self, *values) -> None:
@@ -335,12 +350,12 @@ class Op:
         through the table's inverse puts each amplitude back at its index
         (numpy's fancy-index scatter is up to 2.5x slower on a batch).
         """
-        table, inverse = _index_table(self.n_qubits, self.targets)
+        table, inverse, _ = _index_table(self.n_qubits, self.targets)
         return (self.matrix @ rows.take(table, -1)).reshape(rows.shape).take(inverse, -1)
 
     def inverse(self) -> Op:
         """The conjugate transpose."""
-        return Op(self.matrix.conj().T, self.targets, self.n_qubits)
+        return type(self)(self.matrix.conj().T, self.targets, self.n_qubits)
 
     def leak(self, positions: Sequence[int]) -> float:
         """Largest amplitude the op moves between basis states that differ on
@@ -350,6 +365,46 @@ class Op:
         mask = sum(1 << i for i, t in enumerate(reversed(self.targets)) if t in positions)
         idx = np.arange(1 << len(self.targets)) & mask
         return float(np.max(np.abs(self.matrix[idx[:, None] != idx[None, :]]), initial=0.0))
+
+
+class _Layer(Op):
+    """One 2x2 unitary U on each of several targets, U^(x)k, as a single op.
+
+    Its ``matrix`` is the factor U, checked once; ``inverse()`` is the layer
+    of U†.  A layer costs one gather, k products and one scatter, and
+    ``_evolve`` checks its norm drift once, as for any op.
+    """
+
+    def __init__(self, factor, targets: Sequence[int], n_qubits: int):
+        targets, n_qubits = _checked_targets(targets, n_qubits)
+        self._bind(targets, n_qubits, _validate_unitary(factor, 1))
+
+    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The layer on each row of a (..., 2^n) amplitude array, unchecked.
+
+        The index table gathers each row into a block whose leading axes
+        are the targets, first target first.  Each step multiplies the
+        leading axis by U and moves it last; so a Hadamard layer gives the
+        one-target ops' amplitudes bit for bit, while a complex U may round
+        differently in the last place.  After k steps the block is the
+        table's transpose, which the table's rotated inverse scatters back.
+        """
+        table, _, rotated = _index_table(self.n_qubits, self.targets)
+        lead, ut = rows.shape[:-1], self.matrix.T
+        block = rows.take(table, -1)
+        for _ in self.targets:
+            block = block.reshape(*lead, 2, -1).swapaxes(-1, -2) @ ut
+        return block.reshape(rows.shape).take(rotated, -1)
+
+    def leak(self, positions: Sequence[int]) -> float:
+        """The dense U^(x)k op's leak: U's larger off-diagonal magnitude on
+        one target at ``positions``, times U's largest on each other target,
+        multiplied in turn as a left-folded ``np.kron`` multiplies them."""
+        if not any(t in positions for t in self.targets):
+            return 0.0
+        mags = np.abs(self.matrix)
+        off, peak = float(max(mags[0, 1], mags[1, 0])), float(mags.max())
+        return math.prod((off, *[peak] * (len(self.targets) - 1)))
 
 
 def _evolve(rows: np.ndarray, ops: Iterable[Op]) -> np.ndarray:

@@ -161,19 +161,15 @@ class TestRunDeutsch:
                 run_deutsch_jozsa(f)
         assert len(runs) == 10 + 4 + 8 + 72
         for layout, oracle, trace in runs:
-            w = layout.width("A")
             h_on_a = _hadamards_on_a(layout)
-            circuits = [[*h_on_a, oracle, *h_on_a]]
+            circuits = [[h_on_a, oracle, h_on_a]]
             if layout == CANONICAL_LAYOUT:
                 circuits.append(deutsch_circuit())
             for circuit in circuits:
-                assert len(circuit) == 2 * w + 1
+                assert len(circuit) == 3
                 state = trace.state("input")
-                for (label, expected), ops in zip(
-                    trace.stages[1:], (circuit[:w], circuit[w : w + 1], circuit[w + 1 :])
-                ):
-                    for op in ops:
-                        state = op.apply(state)
+                for (label, expected), op in zip(trace.stages[1:], circuit):
+                    state = op.apply(state)
                     assert np.array_equal(state.amps, expected.amps), label
 
     def test_unknown_setting_rejected(self):
@@ -440,6 +436,11 @@ class TestClassicalQueryCount:
 
 
 class TestRhoInvariance:
+    def test_non_trace_rejected(self):
+        # Reading .stages off None leaked AttributeError.
+        with pytest.raises(LayoutError, match="expected a StageTrace, got None"):
+            rho_B_invariance(None)
+
     def test_basis_setting_keeps_rho_constant(self):
         report = rho_B_invariance(run_deutsch("01")[0])
         assert report.basis_state_input
@@ -506,10 +507,7 @@ class TestStagedEvolution:
 
     def test_hadamard_ops_shared_circuits_fresh(self):
         layout = RegisterLayout((("A", 3), ("V", 1)))
-        oracle = CountedOracle([0, 1] * 4)
-        first, second = ([*_hadamards_on_a(layout), oracle, *_hadamards_on_a(layout)]
-                         for _ in range(2))
-        assert all(x is y for x, y in zip(first[:3] + first[4:], second[:3] + second[4:]))
+        assert _hadamards_on_a(layout) is _hadamards_on_a(layout)
         first, second = deutsch_circuit(), deutsch_circuit()
         assert first is not second and first[1] is not second[1]
         assert first[0] is second[0] and first[2] is second[2]

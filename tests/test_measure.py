@@ -91,20 +91,13 @@ class TestOutcomeDistribution:
             assert dist.probs[b] == pytest.approx(p, abs=1e-15)
             assert dist.probs[b] == pytest.approx(0.25, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "read",
-        [
-            lambda s: outcome_distribution(s, "A"),
-            lambda s: sample(s, "V", shots=10, seed=1),
-            lambda s: deferred_equivalence(deutsch_circuit(), s, "B"),
-        ],
-        ids=["outcome_distribution", "sample", "deferred_equivalence"],
-    )
-    def test_unnormalized_state_rejected(self, read):
+    def test_unnormalized_array_is_no_state(self):
+        # A reader takes only a StateVector, and an unnormalized array
+        # cannot become one, so no reader is ever given it.
         amps = np.zeros(16)
         amps[:2] = [2.0, 1.0]
-        with pytest.raises(DegenerateStateError):
-            read(StateVector(CANONICAL_LAYOUT, amps))
+        with pytest.raises(DegenerateStateError, match="not normalized"):
+            StateVector(CANONICAL_LAYOUT, amps)
 
     def test_completeness_for_random_states(self):
         rng = np.random.default_rng(21)
@@ -161,8 +154,9 @@ class TestOutcomeDistribution:
         assert _outcome_indices(RegisterLayout(CANONICAL_LAYOUT.groups), "B") is table
         with pytest.raises(ValueError):
             table[0, 0] = 3
-        with pytest.raises(ValueError):
-            _index_table(CANONICAL_LAYOUT.total_qubits, (0, 1))[1][0] = 3
+        for index in _index_table(CANONICAL_LAYOUT.total_qubits, (0, 1))[1:]:
+            with pytest.raises(ValueError):
+                index[0] = 3
         assert outcome_distribution(state, "B") == before
 
 
@@ -697,8 +691,9 @@ class TestEvolveDriftCheck:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_run_deutsch_jozsa(self, n, monkeypatch):
-        ops = tuple(self.grow_then_shrink(0, n + 1))
-        monkeypatch.setattr(deutsch_module, "_hadamards_on_a", lambda layout: ops)
+        # The Hadamards on A are one op per stage, so one growing op stands in.
+        op = smuggled(GROW, 0, n + 1)
+        monkeypatch.setattr(deutsch_module, "_hadamards_on_a", lambda layout: op)
         with pytest.raises(UnitarityError, match="norm"):
             run_deutsch_jozsa([0, 1] * (1 << (n - 1)))
 

@@ -3,6 +3,7 @@
 import math
 import warnings
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 
 import numpy as np
@@ -30,8 +31,8 @@ from deutschsim import (
     run_deutsch_superposed,
     superpose,
 )
-from deutschsim.deutsch import _canonical_values, _run_pipeline
-from deutschsim.state import _evolve
+from deutschsim.deutsch import _canonical_values, _hadamards_on_a, _run_pipeline
+from deutschsim.state import _Layer, _evolve
 from deutschsim.verify import _matrix
 
 from conftest import (
@@ -173,6 +174,11 @@ class TestBasisState:
             with pytest.raises(LayoutError, match="is not a 4-bit string"):
                 read()
 
+    def test_non_layout_rejected(self):
+        # Reading .dim off None leaked AttributeError.
+        with pytest.raises(LayoutError, match="got None"):
+            basis_state(None, "0")
+
     def test_amps_are_read_only(self):
         s = basis_state(CANONICAL_LAYOUT, "0000")
         with pytest.raises(ValueError):
@@ -180,6 +186,11 @@ class TestBasisState:
 
 
 class TestSuperpose:
+    def test_non_layout_rejected(self):
+        # Reading .dim off None leaked AttributeError.
+        with pytest.raises(LayoutError, match="got None"):
+            superpose([(1.0, "0")], None)
+
     def test_minus_state_on_v(self):
         s = superpose([(1.0, "0100"), (-1.0, "0101")], CANONICAL_LAYOUT)
         r = 1.0 / np.sqrt(2.0)
@@ -606,6 +617,89 @@ class TestOp:
             assert getattr(op, "calls", 0) == 0
             with pytest.raises(LayoutError, match="qubits"):
                 op.apply(s)
+
+
+def per_qubit(u, targets, n, rows):
+    """The layer of ``u`` on ``targets`` as one-target ops, in target order."""
+    for q in targets:
+        rows = Op(u, (q,), n).apply_rows(rows)
+    return rows
+
+
+# The A register of every Deutsch-Jozsa width (n + 1 qubits with V), the
+# canonical A qubit, and non-contiguous, unordered target tuples.
+LAYER_TARGETS = [(tuple(range(w)), w + 1) for w in range(1, 9)] + [
+    ((2,), 4), ((3, 1), 4), ((2, 0, 3), 4), ((8, 0, 5), 9), ((3, 7, 1, 8, 0), 9),
+    (tuple(range(8, -1, -1)), 9),
+]
+
+
+class TestLayer:
+    """H on several qubits as one op gives what one op per qubit gives."""
+
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 2)], ids=["state", "rank1", "rank2"])
+    def test_hadamard_layer_equals_per_qubit_ops_bit_for_bit(self, batch):
+        rng = np.random.default_rng(61)
+        for targets, n in LAYER_TARGETS:
+            layer = _Layer(hadamard(), targets, n)
+            for _ in range(5):
+                rows = rng.normal(size=batch + (1 << n,)) + 1j * rng.normal(size=batch + (1 << n,))
+                want = per_qubit(hadamard(), targets, n, rows)
+                assert np.array_equal(layer.apply_rows(rows), want), targets
+
+    def test_hadamards_on_a_is_one_op_per_layout(self):
+        # A lone A qubit keeps the plain Op, whose one product is cheaper.
+        rng = np.random.default_rng(62)
+        layouts = [RegisterLayout((("A", w), ("V", 1))) for w in range(1, 9)]
+        for layout in layouts + [CANONICAL_LAYOUT]:
+            op, positions = _hadamards_on_a(layout), layout.qubit_positions("A")
+            assert type(op) is (Op if len(positions) == 1 else _Layer)
+            assert op.targets == positions
+            s = StateVector(layout, random_state_vector(layout.dim, rng))
+            want = per_qubit(hadamard(), positions, layout.total_qubits, s.amps)
+            assert np.array_equal(op.apply(s).amps, want)
+
+    @pytest.mark.parametrize(
+        "targets, n", [((2,), 4), ((3, 1), 4), ((2, 0, 3), 4), ((0, 1, 2, 3), 5), ((8, 0, 5), 9)]
+    )
+    def test_matrix_inverse_and_leak_match_the_dense_kron_op(self, targets, n):
+        # A complex factor rounds differently from the per-qubit ops, so
+        # matrices agree to 1e-12; the Hadamard layer's leak is exact.  The
+        # rotation's off-diagonal entries are smaller than its diagonal.
+        h = hadamard()
+        c, s = np.cos(0.3), np.sin(0.3)
+        rotation = np.exp(0.7j) * np.array([[c, -s], [s, c]])
+        for u in (h, rotation):
+            layer = _Layer(u, targets, n)
+            dense = Op(reduce(np.kron, [u] * len(targets)), targets, n)
+            for got, want in ((layer, dense), (layer.inverse(), dense.inverse())):
+                assert np.abs(_matrix(got) - _matrix(want)).max() < 1e-12
+            assert type(layer.inverse()) is _Layer
+            assert np.array_equal(layer.inverse().matrix, u.conj().T)
+            for k in range(n + 1):
+                for positions in combinations(range(n), k):
+                    want = dense.leak(positions)
+                    assert layer.leak(positions) == (want if u is h else pytest.approx(want))
+
+    @pytest.mark.parametrize("batch", [(), (2,)], ids=["state", "rank1"])
+    def test_smuggled_factor_trips_the_drift_check(self, batch):
+        # Checked as the identity, then swapped past the guard for a factor
+        # that grows |0> by 2e-11 on each target.
+        layer = _Layer(np.eye(2), (2, 0), 3)
+        object.__setattr__(layer, "matrix", np.diag([1.0 + 2e-11, 1.0]).astype(complex))
+        rows = np.broadcast_to(np.eye(8)[0], batch + (8,)).astype(np.complex128)
+        with pytest.raises(UnitarityError, match="norm"):
+            _evolve(rows, (layer,))
+
+    @pytest.mark.parametrize(
+        "factor, targets, error",
+        [(np.ones((2, 2)), (0, 1), UnitarityError), (np.eye(4), (0, 1), LayoutError),
+         (hadamard(), (1, 1), LayoutError), (hadamard(), (0, 3), LayoutError)],
+        ids=["not-unitary", "not-2x2", "duplicate-target", "target-out-of-range"],
+    )
+    def test_factor_and_targets_checked_when_built(self, factor, targets, error):
+        with pytest.raises(error):
+            _Layer(factor, targets, 3)
 
 
 class TestPartialTrace:

@@ -47,8 +47,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/state.py",
-        "_index_table(self.n_qubits, self.targets)",
-        "_index_table(self.n_qubits, tuple(sorted(self.targets)))",
+        "table, inverse, _ = _index_table(self.n_qubits, self.targets)",
+        "table, inverse, _ = _index_table(self.n_qubits, tuple(sorted(self.targets)))",
         "apply_rows reads its targets in sorted order",
     ),
     Mutant(
@@ -59,9 +59,33 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/state.py",
-        "table.flags.writeable = inverse.flags.writeable = False",
-        "table.flags.writeable = False",
+        "for index in (table, inverse, rotated):",
+        "for index in (table, rotated):",
         "the cached inverse index is writable",
+    ),
+    Mutant(
+        "src/deutschsim/state.py",
+        "for index in (table, inverse, rotated):",
+        "for index in (table, inverse):",
+        "the cached rotated scatter index is writable",
+    ),
+    Mutant(
+        "src/deutschsim/state.py",
+        "for _ in self.targets:",
+        "for _ in self.targets[1:]:",
+        "the layer skips the first target's rotation step",
+    ),
+    Mutant(
+        "src/deutschsim/state.py",
+        "table, _, rotated = _index_table(",
+        "table, rotated, _ = _index_table(",
+        "the layer scatters through the table's plain inverse",
+    ),
+    Mutant(
+        "src/deutschsim/state.py",
+        "off, peak = float(max(mags[0, 1], mags[1, 0])), float(mags.max())",
+        "off = peak = float(mags.max())",
+        "the layer's leak reads U's largest entry as its off-diagonal",
     ),
     Mutant(
         "src/deutschsim/state.py",
@@ -77,11 +101,15 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/state.py",
-        "        if not isinstance(layout, RegisterLayout):\n"
-        "            raise LayoutError(f\"layout must be a RegisterLayout, got {layout!r}\")\n"
-        "        m = _complex_array(",
+        "        _check_layout(layout)\n        m = _complex_array(",
         "        m = _complex_array(",
         "DensityMatrix drops its layout check",
+    ),
+    Mutant(
+        "src/deutschsim/state.py",
+        "if not isinstance(value, RegisterLayout):",
+        "if False:",
+        "the layout guard lets any argument through",
     ),
     Mutant(
         "src/deutschsim/state.py",
@@ -150,6 +178,12 @@ MUTANTS = [
         "        self.calls += 1\n"
         "        after = super().apply(state)\n",
         "CountedOracle counts a call before it checks the argument",
+    ),
+    Mutant(
+        "src/deutschsim/deutsch.py",
+        "if not isinstance(trace, StageTrace):",
+        "if False:",
+        "rho_B_invariance reads a non-trace argument unguarded",
     ),
     Mutant(
         "src/deutschsim/verify.py",
