@@ -91,13 +91,24 @@ class TestOutcomeDistribution:
             assert dist.probs[b] == pytest.approx(p, abs=1e-15)
             assert dist.probs[b] == pytest.approx(0.25, abs=1e-12)
 
-    def test_unnormalized_array_is_no_state(self):
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda s: outcome_distribution(s, "A"),
+            lambda s: sample(s, "V", shots=10, seed=1),
+            lambda s: deferred_equivalence(deutsch_circuit(), s, "B"),
+        ],
+        ids=["outcome_distribution", "sample", "deferred_equivalence"],
+    )
+    def test_unnormalized_state_rejected(self, read):
         # A reader takes only a StateVector, and an unnormalized array
-        # cannot become one, so no reader is ever given it.
+        # cannot become one, so the reader is never given it; the same
+        # amplitudes scaled to unit norm do reach it and are read.
         amps = np.zeros(16)
         amps[:2] = [2.0, 1.0]
         with pytest.raises(DegenerateStateError, match="not normalized"):
             StateVector(CANONICAL_LAYOUT, amps)
+        assert read(StateVector(CANONICAL_LAYOUT, amps / np.sqrt(5.0))) is not None
 
     def test_completeness_for_random_states(self):
         rng = np.random.default_rng(21)
