@@ -85,14 +85,16 @@ class CountedOracle(Op):
     """The black box |x,v> -> |x, v xor f(x)> of the function whose 2^n
     values of 0 or 1 are ``values``, on n + 1 qubits: basis index j goes to
     perm[j] = j xor f(j >> 1), argument bits then the value bit, big endian.
-    Malformed values raise the ValueError of ``classify_function``.
+    Malformed values raise the ValueError of ``classify_function``; values
+    that ``_validate_values`` already returned are not scanned again, and
+    perm is read from their bytes and applied by one ``take``.
     ``apply`` counts each call it does not reject; ``apply_rows`` counts none."""
 
     _CHECKED = ("targets", "n_qubits", "perm")
 
     def __init__(self, values: Sequence[int]):
-        vals = np.array(_validate_values(values), dtype=np.intp)
-        cols = np.arange(2 * vals.size)
+        vals = np.frombuffer(bytes(_validate_values(values)), np.uint8)
+        cols = np.arange(2 * vals.size, dtype=np.intp)
         perm = cols ^ vals[cols >> 1]
         perm.flags.writeable = False
         n = perm.size.bit_length() - 1
@@ -105,7 +107,7 @@ class CountedOracle(Op):
         return after
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
-        return rows[..., self.perm]
+        return rows.take(self.perm, -1)
 
     def inverse(self) -> CountedOracle:
         return self
@@ -116,11 +118,13 @@ class CountedOracle(Op):
         return float(((self.perm ^ np.arange(self.perm.size)) & mask).any())
 
 
-def _canonical_values() -> list[int]:
+@lru_cache(maxsize=1)
+def _canonical_values() -> tuple[int, ...]:
     """The setting-keyed oracle |b,a,v> -> |b,a, v xor f_b(a)> is the fixed
-    oracle of g(b||a) = f_b(a): the settings' values in label order."""
+    oracle of g(b||a) = f_b(a): the settings' values in label order, checked
+    once per process."""
     settings = FunctionTable.canonical().settings
-    return [v for b in SETTING_LABELS for v in settings[b]]
+    return _validate_values([v for b in SETTING_LABELS for v in settings[b]])
 
 
 def deutsch_circuit() -> list[Op]:
@@ -232,7 +236,7 @@ def run_deutsch_jozsa(values: Sequence[int]) -> Verdict:
     vals = _validate_values(values)
     if _classification(vals) is Classification.NEITHER:
         raise PromiseViolationError(
-            f"function {list(values)} is neither constant nor balanced"
+            f"function {list(vals)} is neither constant nor balanced"
         )
     n = len(vals).bit_length() - 1
     if n > MAX_ARG_BITS:

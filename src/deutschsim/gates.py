@@ -1,8 +1,12 @@
 """Unitaries for oracle problems: Hadamard and black-box function evaluation.
 
-A black box |a,v> -> |a, v xor f(a)> is built from f's values:
-``CountedOracle(values)`` checks them with ``_validate_values`` here, the one
-value validator, and builds the index array perm[j] = j xor f(j >> 1) that it
+A black box |a,v> -> |a, v xor f(a)> is built from f's values.
+``_validate_values`` here is the one value validator: it returns the values
+as ``_Values``, a tuple that only it builds, and hands such a tuple back
+unchecked, so a function's values are scanned once however many of
+``FunctionTable``, ``classify_function``, ``run_deutsch_jozsa`` and
+``CountedOracle`` receive them.  ``CountedOracle(values)`` reads the checked
+values as bytes into the index array perm[j] = j xor f(j >> 1) that it
 applies by gather.  No dense oracle matrix is built: ``verify`` reads one off
 the oracle it judges.
 """
@@ -49,7 +53,16 @@ def _integer(v) -> int | None:
     return i if v == i else None
 
 
-def _validate_values(values: Sequence[int]) -> tuple[int, ...]:
+class _Values(tuple):
+    """0/1 values of a power-of-two length that ``_validate_values`` checked.
+    It compares, hashes and prints as the plain tuple of its values."""
+
+    __slots__ = ()
+
+
+def _validate_values(values: Sequence[int]) -> _Values:
+    if type(values) is _Values:
+        return values
     try:
         raw = tuple(values)
     except TypeError:
@@ -63,7 +76,7 @@ def _validate_values(values: Sequence[int]) -> tuple[int, ...]:
     m = len(vals)
     if m < 2 or m & (m - 1):
         raise ValueError(f"value list length {m} is not a power of two >= 2")
-    return vals
+    return _Values(vals)
 
 
 def _classification(vals: tuple[int, ...]) -> Classification:

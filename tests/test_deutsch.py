@@ -319,6 +319,16 @@ class TestRunDeutschJozsa:
         with pytest.raises(PromiseViolationError):
             run_deutsch_jozsa([0, 0, 0, 1])
 
+    @pytest.mark.parametrize(
+        "values",
+        [np.array([0, 1, 1, 1]), [False, True, True, True], ["0", "1", "1", "1"]],
+        ids=["numpy", "bool", "text"],
+    )
+    def test_promise_violation_names_the_checked_values(self, values):
+        message = r"^function \[0, 1, 1, 1\] is neither constant nor balanced$"
+        with pytest.raises(PromiseViolationError, match=message):
+            run_deutsch_jozsa(values)
+
     def test_non_integral_values_rejected(self):
         for values in ([0.9, 1.2], [float("-inf"), 0], [float("nan"), 0]):
             with pytest.raises(ValueError, match="must be integers"):

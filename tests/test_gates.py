@@ -18,6 +18,8 @@ from deutschsim import (
     run_deutsch_jozsa,
 )
 
+from deutschsim.gates import _validate_values
+
 from conftest import TRUTH_TABLE, brute_oracle, brute_oracle_16
 
 # int() would truncate each of these onto a valid 0/1 list, or raise on inf and nan.
@@ -193,6 +195,41 @@ class TestClassifyFunction:
         assert balanced == {(0, 1), (1, 0)}
 
 
+class CallersTuple(tuple):
+    """A tuple subclass a caller made: nothing has checked what it holds."""
+
+
+class TestCheckedValues:
+    """``_validate_values`` takes its own output back unscanned, and scans
+    every other sequence, tuples and tuple subclasses included."""
+
+    def test_checked_values_returned_unchanged(self):
+        vals = _validate_values([0, 1, 1, 0])
+        assert _validate_values(vals) is vals
+        assert vals == (0, 1, 1, 0)
+        assert repr(vals) == "(0, 1, 1, 0)"
+        assert hash(vals) == hash((0, 1, 1, 0))
+
+    @pytest.mark.parametrize(
+        "kind", [tuple, list, np.array, CallersTuple], ids=["tuple", "list", "numpy", "subclass"]
+    )
+    @pytest.mark.parametrize(
+        "bad, message",
+        [((0, 2), "function values must be 0 or 1, got (0, 2)"),
+         ((float("nan"), 0), "function values must be integers, got {}")],
+        ids=["two", "nan"],
+    )
+    def test_unchecked_sequences_still_rejected(self, kind, bad, message):
+        values = kind(bad)
+        expected = message.format(list(values))
+        calls = (_validate_values, classify_function, run_deutsch_jozsa, CountedOracle,
+                 lambda v: FunctionTable({"0": v}))
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call(values)
+            assert str(info.value) == expected
+
+
 class TestFunctionTable:
     def test_canonical_matches_truth_table(self):
         table = FunctionTable.canonical()
@@ -250,6 +287,14 @@ class TestFunctionTable:
         for values in ((0, 7), *NON_INTEGRAL_VALUES):
             with pytest.raises(ValueError):
                 FunctionTable({"0": values})
+
+    def test_settings_equal_plain_tuples(self):
+        table = FunctionTable({"00": [0, 1], "01": np.array([1, 1]), "10": ("1", "0"),
+                               "11": (True, True)})
+        assert table.settings == {"00": (0, 1), "01": (1, 1), "10": (1, 0), "11": (1, 1)}
+        for values in table.settings.values():
+            assert repr(values) == repr(tuple(values))
+            assert all(type(v) is int for v in values)
 
 
 class TestParseFunctionTable:

@@ -145,6 +145,26 @@ def test_value_validation_matches_the_per_value_pass(values):
         assert all(type(v) is int for v in got)
 
 
+@settings(deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(0, 1), min_size=1 << n,
+                                                 max_size=1 << n)),
+    st.integers(0, 2**32 - 1),
+)
+def test_oracle_perm_is_the_brute_xor_from_every_input_kind(values, seed):
+    # Independent permutation: j xor f(j >> 1), one Python int at a time.
+    expected = [j ^ values[j >> 1] for j in range(2 * len(values))]
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(2, 3, len(expected))) + 1j * rng.normal(size=(2, 3, len(expected)))
+    for kind in (list, np.array, _validate_values):
+        oracle = CountedOracle(kind(values))
+        assert oracle.perm.tolist() == expected
+        assert oracle.perm.dtype == np.intp
+        assert not oracle.perm.flags.writeable
+        assert np.array_equal(oracle.apply_rows(rows), rows[..., expected])
+        assert np.array_equal(oracle.apply_rows(rows[0, 0]), rows[0, 0, expected])
+
+
 @st.composite
 def function_tables(draw) -> FunctionTable:
     """A complete table with 1 to 3 setting bits and 1 to 3 argument bits."""

@@ -198,6 +198,36 @@ MUTANTS = [
         "measure reads a non-state argument unguarded",
     ),
     Mutant(
+        "src/deutschsim/gates.py",
+        "if type(values) is _Values:",
+        "if isinstance(values, tuple):",
+        "the validator's fast path trusts any tuple",
+    ),
+    Mutant(
+        "src/deutschsim/deutsch.py",
+        "perm = cols ^ vals[cols >> 1]",
+        "perm = cols ^ vals[cols % vals.size]",
+        "the oracle reads f at the wrong argument",
+    ),
+    Mutant(
+        "src/deutschsim/deutsch.py",
+        "return rows.take(self.perm, -1)",
+        "return rows.take(self.perm, 0)",
+        "the oracle gathers along the first axis of a batch",
+    ),
+    Mutant(
+        "src/deutschsim/deutsch.py",
+        "        perm.flags.writeable = False\n",
+        "",
+        "the oracle's perm is writable",
+    ),
+    Mutant(
+        "src/deutschsim/deutsch.py",
+        'f"function {list(vals)} is neither',
+        'f"function {list(values)} is neither',
+        "the promise message names the unchecked values",
+    ),
+    Mutant(
         "src/deutschsim/deutsch.py",
         "if p > 1.0 - ATOL_STATE:",
         "if p >= 1.0 - ATOL_STATE:",
