@@ -67,10 +67,13 @@ def _validate_values(values: Sequence[int]) -> _Values:
         raw = tuple(values)
     except TypeError:
         raise ValueError(f"function values {values!r} are not a sequence") from None
-    # _integer(v) is v for a plain int, so a list of them skips the per-value pass.
-    vals = raw if {*map(type, raw)} == {int} else tuple(map(_integer, raw))
-    if None in vals:
-        raise ValueError(f"function values must be integers, got {list(raw)}")
+    # _integer(v) is v for a plain int, so a list of them skips the per-value
+    # pass and its None test.
+    vals = raw
+    if {*map(type, raw)} != {int}:
+        vals = tuple(map(_integer, raw))
+        if None in vals:
+            raise ValueError(f"function values must be integers, got {list(raw)}")
     if not {*vals} <= {0, 1}:
         raise ValueError(f"function values must be 0 or 1, got {vals}")
     m = len(vals)
