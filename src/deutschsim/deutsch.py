@@ -54,7 +54,10 @@ class StageTrace(Record):
     """The four pipeline stages in order: input, after each unitary."""
 
     def __init__(self, stages: tuple[tuple[str, StateVector], ...]):
-        labels = tuple(label for label, _ in stages)
+        try:
+            labels = tuple(label for label, _ in stages)
+        except (TypeError, ValueError):
+            raise ValueError(f"stages must be (label, state) pairs, got {stages!r}") from None
         if labels != STAGES:
             raise ValueError(f"stage labels must be {STAGES}, got {labels}")
         self.__dict__.update(stages=stages)
@@ -111,11 +114,6 @@ class CountedOracle(Op):
 
     def inverse(self) -> CountedOracle:
         return self
-
-    def leak(self, positions: Sequence[int]) -> float:
-        """1.0 if the oracle changes a bit at ``positions``, else 0.0."""
-        mask = sum(1 << (self.n_qubits - 1 - t) for t in self.targets if t in positions)
-        return float(((self.perm ^ np.arange(self.perm.size)) & mask).any())
 
 
 @lru_cache(maxsize=1)
@@ -306,20 +304,13 @@ def rho_B_invariance(trace: StageTrace) -> RhoInvarianceReport:
     rhos = tuple((label, partial_trace(state, "B")) for label, state in trace.stages)
     base = rhos[0][1].matrix
     diag_mask = np.eye(base.shape[0], dtype=bool)
-
-    basis_input = bool(np.max(rhos[0][1].diagonal()) >= 1.0 - ATOL_STATE)
-    max_full = 0.0
-    max_diag = 0.0
-    off_diag = {}
-    for label, rho in rhos:
-        delta = np.abs(rho.matrix - base)
-        max_full = max(max_full, float(delta.max()))
-        max_diag = max(max_diag, float(delta[diag_mask].max()))
-        off_diag[label] = float(delta[~diag_mask].max())
+    deltas = {label: np.abs(rho.matrix - base) for label, rho in rhos}
+    max_diag = max(float(delta[diag_mask].max()) for delta in deltas.values())
+    off_diag = {label: float(delta[~diag_mask].max()) for label, delta in deltas.items()}
     return RhoInvarianceReport(
-        basis_state_input=basis_input,
+        basis_state_input=bool(np.max(rhos[0][1].diagonal()) >= 1.0 - ATOL_STATE),
         stage_rhos=rhos,
-        max_full_deviation=max_full,
+        max_full_deviation=max(max_diag, *off_diag.values()),
         max_diagonal_deviation=max_diag,
         off_diagonal_deviation=off_diag,
     )

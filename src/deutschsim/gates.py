@@ -63,6 +63,8 @@ class _Values(tuple):
 def _validate_values(values: Sequence[int]) -> _Values:
     if type(values) is _Values:
         return values
+    if isinstance(values, (Mapping, set, frozenset)):  # read by keys, or in hash order
+        raise ValueError(f"function values must be a sequence, not a {type(values).__name__}")
     try:
         raw = tuple(values)
     except TypeError:

@@ -24,6 +24,7 @@ from .state import (
     StateVector,
     _check_state,
     _evolve,
+    _index_table,
     _is_int,
     _outcome_indices,
 )
@@ -200,6 +201,21 @@ class DeferredEquivalenceReport(Record):
         return self.max_deviation <= ATOL_STATE
 
 
+def _leak(op: Op, positions: Sequence[int]) -> float:
+    """Largest amplitude ``op`` moves between basis states whose qubits
+    ``positions`` read differently (0 if none is a target), read by
+    ``apply_rows`` off the basis states where its other qubits read 0."""
+    if not any(t in positions for t in op.targets):
+        return 0.0
+    n, positions = op.n_qubits, tuple(positions)
+    cols = _index_table(n, op.targets)[0][:, 0]
+    # The table of ``positions`` has rows of 2^(n-w) indices, w = len(positions),
+    # so a shift of each index's place in it gives its row: the register's value.
+    value = _index_table(n, positions)[1] >> (n - len(positions))
+    moved = op.apply_rows(np.eye(1 << n)[cols])
+    return float(np.abs(moved[value[cols, None] != value]).max(initial=0.0))
+
+
 def deferred_equivalence(
     circuit: Sequence, initial: StateVector, register: str
 ) -> DeferredEquivalenceReport:
@@ -213,7 +229,7 @@ def deferred_equivalence(
     the verdict that their joint distributions agree to 1e-12.
 
     ``circuit`` holds ops or ``(matrix, targets)`` pairs, each checked as an
-    op in circuit order before any op's own leak is judged.  Every outcome
+    op in circuit order before ``_leak`` judges any op.  Every outcome
     is projected at once, through the register's table of basis indices.
     The initial state and every projected branch then go through each op
     together, as the rows of one array, with the norm drift of each row
@@ -224,7 +240,7 @@ def deferred_equivalence(
     ops = _as_ops(circuit, layout.total_qubits)
     positions = layout.qubit_positions(register)
     for k, op in enumerate(ops):
-        leak = op.leak(positions)
+        leak = _leak(op, positions)
         if leak > ATOL_STATE:
             raise BlockDiagonalityError(
                 f"circuit op {k} does not preserve register {register!r} "

@@ -220,20 +220,28 @@ def superpose(
 
     Weights are relative; repeated labels accumulate.  Each weight is first
     divided by the largest real or imaginary part of any weight, so no sum
-    overflows and a lone tiny weight names its label.  Raises
-    DegenerateStateError for a weight that is not a finite number, or when
-    the scaled weights cancel to (numerically) nothing.
+    overflows and a lone tiny weight names its label.  Raises LayoutError
+    if ``terms`` is not iterable, or naming the first term that is no
+    (weight, label) pair; DegenerateStateError for a weight that is not a
+    finite number, or when the scaled weights cancel to (numerically) nothing.
     """
     _check_layout(layout)
-    terms = list(terms)
-    if not all(isinstance(weight, numbers.Complex) for weight, _ in terms):
+    pairs = []
+    try:
+        for weight, label in terms:
+            pairs.append((weight, label))
+    except (TypeError, ValueError):
+        if not np.iterable(terms):
+            raise LayoutError(f"superposition terms {terms!r} are not iterable") from None
+        raise LayoutError(f"superposition term {len(pairs)} is no (weight, label) pair") from None
+    if not all(isinstance(weight, numbers.Complex) for weight, _ in pairs):
         raise DegenerateStateError("a superposition weight is not a number")
-    parts = [abs(p) for weight, _ in terms for p in (weight.real, weight.imag)]
+    parts = [abs(p) for weight, _ in pairs for p in (weight.real, weight.imag)]
     if not all(p < np.inf for p in parts):
         raise DegenerateStateError("a superposition weight is not finite")
     peak = max(parts, default=0.0) or 1.0  # all-zero weights stay zero for the norm test
     amps = np.zeros(layout.dim, dtype=np.complex128)
-    for weight, label in terms:
+    for weight, label in pairs:
         amps[layout.index_of_label(label)] += weight / peak
     norm = np.linalg.norm(amps)
     if not norm >= ATOL_STATE:
@@ -357,15 +365,6 @@ class Op:
         """The conjugate transpose."""
         return type(self)(self.matrix.conj().T, self.targets, self.n_qubits)
 
-    def leak(self, positions: Sequence[int]) -> float:
-        """Largest amplitude the op moves between basis states that differ on
-        the qubits ``positions`` (0 if it has none as a target)."""
-        if not any(t in positions for t in self.targets):
-            return 0.0
-        mask = sum(1 << i for i, t in enumerate(reversed(self.targets)) if t in positions)
-        idx = np.arange(1 << len(self.targets)) & mask
-        return float(np.max(np.abs(self.matrix[idx[:, None] != idx[None, :]]), initial=0.0))
-
 
 class _Layer(Op):
     """One 2x2 unitary U on each of several targets, U^(x)k, as a single op.
@@ -395,16 +394,6 @@ class _Layer(Op):
         for _ in self.targets:
             block = block.reshape(*lead, 2, -1).swapaxes(-1, -2) @ ut
         return block.reshape(rows.shape).take(rotated, -1)
-
-    def leak(self, positions: Sequence[int]) -> float:
-        """The dense U^(x)k op's leak: U's larger off-diagonal magnitude on
-        one target at ``positions``, times U's largest on each other target,
-        multiplied in turn as a left-folded ``np.kron`` multiplies them."""
-        if not any(t in positions for t in self.targets):
-            return 0.0
-        mags = np.abs(self.matrix)
-        off, peak = float(max(mags[0, 1], mags[1, 0])), float(mags.max())
-        return math.prod((off, *[peak] * (len(self.targets) - 1)))
 
 
 def _evolve(rows: np.ndarray, ops: Iterable[Op]) -> np.ndarray:

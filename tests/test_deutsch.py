@@ -566,6 +566,15 @@ class TestTraceAndOracle:
         with pytest.raises(ValueError):
             StageTrace((("start", s), ("mid", s), ("late", s), ("end", s)))
 
+    @pytest.mark.parametrize(
+        "stages", [None, 5, [1], [("input",)]], ids=["none", "int", "bare", "one-part"]
+    )
+    def test_stage_trace_rejects_what_is_not_pairs(self, stages):
+        # Unpacking leaked TypeError, or an untyped ValueError for a one-part stage.
+        with pytest.raises(ValueError) as info:
+            StageTrace(stages)
+        assert str(info.value) == f"stages must be (label, state) pairs, got {stages!r}"
+
     def test_unknown_stage_names_the_stages(self):
         trace, _ = run_deutsch("01")
         with pytest.raises(ValueError, match="after_H_A_2"):

@@ -229,6 +229,22 @@ class TestCheckedValues:
                 call(values)
             assert str(info.value) == expected
 
+    @pytest.mark.parametrize(
+        "values, kind",
+        [({0: 0, 1: 0}, "dict"), ({0: 1, 1: 0, 2: 1, 3: 0}, "dict"), ({0, 1}, "set"),
+         (frozenset({0, 1}), "frozenset")],
+        ids=["constant-dict", "balanced-dict", "set", "frozenset"],
+    )
+    def test_mappings_and_sets_rejected(self, values, kind):
+        # A dict was read by its keys, so {0: 0, 1: 0} classified BALANCED;
+        # a set was read in hash order.
+        calls = (_validate_values, classify_function, run_deutsch_jozsa, CountedOracle,
+                 lambda v: FunctionTable({"0": v}))
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call(values)
+            assert str(info.value) == f"function values must be a sequence, not a {kind}"
+
 
 class TestFunctionTable:
     def test_canonical_matches_truth_table(self):

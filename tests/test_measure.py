@@ -11,6 +11,7 @@ from deutschsim import (
     CANONICAL_LAYOUT,
     BlockDiagonalityError,
     BranchReport,
+    CountedOracle,
     DeferredEquivalenceReport,
     DegenerateStateError,
     ImpossibleOutcomeError,
@@ -36,7 +37,7 @@ from deutschsim import (
 from deutschsim import deutsch as deutsch_module
 from deutschsim import state as state_module
 from deutschsim.measure import _as_ops, _project
-from deutschsim.state import PROB_EPS, _evolve, _index_table, _outcome_indices
+from deutschsim.state import PROB_EPS, _Layer, _evolve, _index_table, _outcome_indices
 from deutschsim.verify import _random_block_diagonal_circuits
 
 from conftest import (
@@ -386,6 +387,25 @@ class TestDeferredEquivalence:
         with pytest.raises(BlockDiagonalityError):
             deferred_equivalence(
                 circuit, state_from(SUPERPOSED_STAGES["input"]), "B"
+            )
+
+    def test_rejection_names_the_op_and_its_magnitude(self):
+        # One leaking op of each kind, after ops that leak nothing.
+        h_on_a = Op(hadamard(), (2,), 4)
+        c, s = np.cos(0.3), np.sin(0.3)
+        rotation = np.exp(0.7j) * np.array([[c, -s], [s, c]])
+        cases = [
+            ([(hadamard(), (0,))], "B", 0, "7.071e-01"),
+            ([h_on_a, _Layer(rotation, (1, 2), 4)], "B", 1, "2.823e-01"),  # sin(0.3) cos(0.3)
+            ([h_on_a, h_on_a, CountedOracle([0, 1, 1, 0, 1, 1, 0, 0])], "V", 2, "1.000e+00"),
+        ]
+        initial = basis_state(CANONICAL_LAYOUT, "0001")
+        for circuit, register, k, magnitude in cases:
+            with pytest.raises(BlockDiagonalityError) as info:
+                deferred_equivalence(circuit, initial, register)
+            assert str(info.value) == (
+                f"circuit op {k} does not preserve register {register!r} "
+                f"basis vectors (off-block magnitude {magnitude})"
             )
 
     def test_random_block_diagonal_circuits_property(self):

@@ -49,7 +49,7 @@ from deutschsim import (
 from deutschsim.cli import main
 from deutschsim.deutsch import _run_pipeline
 from deutschsim.gates import _integer, _validate_values
-from deutschsim.state import _evolve
+from deutschsim.state import _Layer, _evolve
 
 from conftest import brute_oracle, haar_unitary, random_state_vector
 from test_deutsch import assert_same_stages, per_gate_stages
@@ -258,16 +258,50 @@ def dense_leak(u: np.ndarray, targets: tuple[int, ...], register: str) -> float:
     return leak
 
 
-@settings(deadline=None, derandomize=True, database=None)
-@given(canonical_ops(), st.sampled_from(["B", "A", "V"]), st.integers(0, 2**32 - 1))
-def test_deferred_equivalence_rejects_exactly_the_leaking_ops(op, register, seed):
+@st.composite
+def canonical_oracles(draw) -> tuple[CountedOracle, np.ndarray, tuple[int, ...]]:
+    """The oracle of a 3-bit function on the 4 canonical qubits, its brute
+    matrix, and its targets: every qubit."""
+    values = draw(st.lists(st.integers(0, 1), min_size=8, max_size=8))
+    return CountedOracle(values), brute_oracle(values), (0, 1, 2, 3)
+
+
+@st.composite
+def canonical_layers(draw) -> tuple[_Layer, np.ndarray, tuple[int, ...]]:
+    """A layer of one 2x2 factor on 2 distinct canonical qubits in any order,
+    its np.kron expansion, and its targets.  The factor is X, a diagonal of
+    phases or a Haar-random unitary."""
+    targets = tuple(draw(st.permutations(range(4)))[:2])
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    u = draw(st.sampled_from([
+        lambda: np.array([[0, 1], [1, 0]], dtype=np.complex128),
+        lambda: np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2))),
+        lambda: haar_unitary(2, rng),
+    ]))()
+    return _Layer(u, targets, 4), np.kron(u, u), targets
+
+
+def circuit_items():
+    """A circuit item, its dense matrix on its targets and the targets: a
+    ``canonical_ops`` pair, a ``canonical_oracles`` oracle or a
+    ``canonical_layers`` layer."""
+    pairs = canonical_ops().map(lambda op: (op, *op))
+    return st.one_of(pairs, canonical_oracles(), canonical_layers())
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(circuit_items(), st.sampled_from(["B", "A", "V"]), st.integers(0, 2**32 - 1))
+def test_deferred_equivalence_rejects_exactly_the_leaking_ops(drawn, register, seed):
+    # Three op kinds, each judged by the same dense expansion; 300 examples
+    # keep about the 100 the (matrix, targets) pairs had alone.
+    item, u, targets = drawn
     amps = random_state_vector(16, np.random.default_rng(seed))
     initial = StateVector(CANONICAL_LAYOUT, amps)
-    if dense_leak(*op, register) > 1e-12:
+    if dense_leak(u, targets, register) > 1e-12:
         with pytest.raises(BlockDiagonalityError):
-            deferred_equivalence([op], initial, register)
+            deferred_equivalence([item], initial, register)
     else:
-        assert deferred_equivalence([op], initial, register).equivalent
+        assert deferred_equivalence([item], initial, register).equivalent
 
 
 @settings(deadline=None, derandomize=True, database=None)

@@ -32,6 +32,7 @@ from deutschsim import (
     superpose,
 )
 from deutschsim.deutsch import _canonical_values, _hadamards_on_a, _run_pipeline
+from deutschsim.measure import _leak
 from deutschsim.state import _Layer, _evolve
 from deutschsim.verify import _matrix
 
@@ -260,6 +261,28 @@ class TestSuperpose:
         # Reading the weight's .real leaked AttributeError.
         with pytest.raises(DegenerateStateError, match="not a number"):
             superpose([(weight, "0000")], CANONICAL_LAYOUT)
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [([1], "superposition term 0 is no (weight, label) pair"),
+         ([(1.0,)], "superposition term 0 is no (weight, label) pair"),
+         ([(1.0, "0000"), (1.0, "0001", "x")], "superposition term 1 is no (weight, label) pair"),
+         (iter([(1.0, "0000"), 2.0]), "superposition term 1 is no (weight, label) pair"),
+         (None, "superposition terms None are not iterable")],
+        ids=["bare-weight", "one-part", "three-part", "generator", "none"],
+    )
+    def test_terms_that_are_not_pairs_rejected(self, terms, message):
+        # Unpacking each term leaked TypeError or an untyped ValueError.
+        with pytest.raises(LayoutError) as info:
+            superpose(terms, CANONICAL_LAYOUT)
+        assert str(info.value) == message
+
+    def test_terms_may_be_any_iterable_of_pairs(self):
+        want = superpose([(1.0, "0100"), (-1.0, "0101")], CANONICAL_LAYOUT)
+        pairs = ((w, label) for w, label in [(1.0, "0100"), (-1.0, "0101")])
+        assert np.array_equal(superpose(pairs, CANONICAL_LAYOUT).amps, want.amps)
+        lists = superpose([[1.0, "0100"], [-1.0, "0101"]], CANONICAL_LAYOUT)
+        assert np.array_equal(lists.amps, want.amps)
 
 
 class TestApplyUnitary:
@@ -556,10 +579,10 @@ class TestOp:
             dense = Op(_matrix(oracle), range(n), n)
             for k in range(n + 1):
                 for positions in combinations(range(n), k):
-                    leak = oracle.leak(positions)
-                    assert leak == dense.leak(positions) and leak in (0.0, 1.0)
-        assert canonical.leak(CANONICAL_LAYOUT.qubit_positions("B")) == 0.0
-        assert canonical.leak(CANONICAL_LAYOUT.qubit_positions("V")) == 1.0
+                    leak = _leak(oracle, positions)
+                    assert leak == _leak(dense, positions) and leak in (0.0, 1.0)
+        assert _leak(canonical, CANONICAL_LAYOUT.qubit_positions("B")) == 0.0
+        assert _leak(canonical, CANONICAL_LAYOUT.qubit_positions("V")) == 1.0
 
     def test_leak_equals_the_full_mask_value(self):
         # Every target tuple at n=4 against every qubit subset: an op that
@@ -577,14 +600,14 @@ class TestOp:
                     idx = np.arange(1 << k) & mask
                     off = idx[:, None] != idx[None, :]
                     want = float(np.max(np.abs(u[off]), initial=0.0))
-                    assert Op(u, targets, 4).leak(positions) == want, (targets, positions)
+                    assert _leak(Op(u, targets, 4), positions) == want, (targets, positions)
         for _ in range(16):
             values = random_values(3, rng)
             u = brute_oracle(values)
             for positions in subsets:
                 idx = np.arange(16) & sum(1 << (3 - p) for p in positions)
                 want = float(np.max(np.abs(u[idx[:, None] != idx[None, :]]), initial=0.0))
-                assert CountedOracle(values).leak(positions) == want
+                assert _leak(CountedOracle(values), positions) == want
 
     @pytest.mark.parametrize(
         "targets, n_qubits",
@@ -678,8 +701,8 @@ class TestLayer:
             assert np.array_equal(layer.inverse().matrix, u.conj().T)
             for k in range(n + 1):
                 for positions in combinations(range(n), k):
-                    want = dense.leak(positions)
-                    assert layer.leak(positions) == (want if u is h else pytest.approx(want))
+                    want = _leak(dense, positions)
+                    assert _leak(layer, positions) == (want if u is h else pytest.approx(want))
 
     @pytest.mark.parametrize("batch", [(), (2,)], ids=["state", "rank1"])
     def test_smuggled_factor_trips_the_drift_check(self, batch):

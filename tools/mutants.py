@@ -83,12 +83,6 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/state.py",
-        "off, peak = float(max(mags[0, 1], mags[1, 0])), float(mags.max())",
-        "off = peak = float(mags.max())",
-        "the layer's leak reads U's largest entry as its off-diagonal",
-    ),
-    Mutant(
-        "src/deutschsim/state.py",
         '_complex_array(amps, DegenerateStateError, "state")',
         "np.array(amps, dtype=np.complex128)",
         "StateVector converts its amplitudes unguarded",
@@ -119,7 +113,7 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/state.py",
-        "if not all(isinstance(weight, numbers.Complex) for weight, _ in terms):",
+        "if not all(isinstance(weight, numbers.Complex) for weight, _ in pairs):",
         "if False:",
         "superpose drops its number check on weights",
     ),
@@ -226,6 +220,30 @@ MUTANTS = [
         'f"function {list(vals)} is neither',
         'f"function {list(values)} is neither',
         "the promise message names the unchecked values",
+    ),
+    Mutant(
+        "src/deutschsim/measure.py",
+        "moved[value[cols, None] != value]",
+        "moved[value[cols, None] == value]",
+        "_leak reads the amplitudes that stay within a register value",
+    ),
+    Mutant(
+        "src/deutschsim/measure.py",
+        "value = _index_table(n, positions)[1] >> (n - len(positions))",
+        "value = _index_table(n, positions)[1] >> n",
+        "_leak gives every basis index register value 0",
+    ),
+    Mutant(
+        "src/deutschsim/gates.py",
+        "    if isinstance(values, (Mapping, set, frozenset)):",
+        "    if False:",
+        "the validator reads a mapping by its keys and a set in hash order",
+    ),
+    Mutant(
+        "src/deutschsim/state.py",
+        "    except (TypeError, ValueError):\n        if not np.iterable(terms):",
+        "    except TypeError:\n        if not np.iterable(terms):",
+        "superpose lets a one-part term's ValueError through",
     ),
     Mutant(
         "src/deutschsim/deutsch.py",
