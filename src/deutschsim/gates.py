@@ -14,7 +14,7 @@ the oracle it judges.
 from __future__ import annotations
 
 import enum
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
