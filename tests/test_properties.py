@@ -3,8 +3,8 @@ Deutsch-Jozsa verdict on drawn promise functions against a count of ones,
 its stages against a gate-by-gate pipeline, the oracle index array of drawn
 function tables against one built bit by bit, an op on drawn targets and
 batches against two np.moveaxis calls, the deferred-measurement
-precondition on drawn ops against a dense expansion built with np.kron and
-int(label, 2) arithmetic, the evolution kernel's single-state drift check
+precondition on drawn ops, oracles and layers against a dense expansion
+built with np.kron and int(label, 2) arithmetic, the evolution kernel's single-state drift check
 on drawn circuits against its batch one, value validation against a
 per-value pass, the register readouts of drawn unit states against each
 other, and the exit code of `dj --function-file` on drawn file text.
@@ -273,11 +273,13 @@ def canonical_layers(draw) -> tuple[_Layer, np.ndarray, tuple[int, ...]]:
     phases or a Haar-random unitary."""
     targets = tuple(draw(st.permutations(range(4)))[:2])
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    u = draw(st.sampled_from([
-        lambda: np.array([[0, 1], [1, 0]], dtype=np.complex128),
-        lambda: np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2))),
-        lambda: haar_unitary(2, rng),
-    ]))()
+    kind = draw(st.sampled_from(["X", "phases", "haar"]))
+    if kind == "X":
+        u = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    elif kind == "phases":
+        u = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2)))
+    else:
+        u = haar_unitary(2, rng)
     return _Layer(u, targets, 4), np.kron(u, u), targets
 
 
