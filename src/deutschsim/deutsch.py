@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .state import (
     StateVector,
     _Layer,
     _MAX_QUBITS,
+    _check_state,
     _evolve,
     _is_int,
     _outcome_indices,
@@ -51,7 +52,8 @@ MAX_ARG_BITS = _MAX_QUBITS - 1
 
 
 class StageTrace(Record):
-    """The four pipeline stages in order: input, after each unitary."""
+    """The four pipeline stages in order: input, after each unitary.  A
+    stage that is not a ``StateVector`` raises LayoutError here."""
 
     def __init__(self, stages: tuple[tuple[str, StateVector], ...]):
         try:
@@ -60,6 +62,8 @@ class StageTrace(Record):
             raise ValueError(f"stages must be (label, state) pairs, got {stages!r}") from None
         if labels != STAGES:
             raise ValueError(f"stage labels must be {STAGES}, got {labels}")
+        for _, state in stages:
+            _check_state(state)
         self.__dict__.update(stages=stages)
 
     def state(self, label: str) -> StateVector:
@@ -91,16 +95,32 @@ class CountedOracle(Op):
     Malformed values raise the ValueError of ``classify_function``; values
     that ``_validate_values`` already returned are not scanned again, and
     perm is read from their bytes and applied by one ``take``.
-    ``apply`` counts each call it does not reject; ``apply_rows`` counts none."""
+    ``apply`` counts each call it does not reject; ``apply_rows`` counts none.
+    A batch oracle, built by ``_batch``, holds one perm row per function."""
 
     _CHECKED = ("targets", "n_qubits", "perm")
 
     def __init__(self, values: Sequence[int]):
         vals = np.frombuffer(bytes(_validate_values(values)), np.uint8)
         cols = np.arange(2 * vals.size, dtype=np.intp)
-        perm = cols ^ vals[cols >> 1]
+        self._bind_perm(cols ^ vals[cols >> 1])
+
+    @classmethod
+    def _batch(cls, functions: Sequence[tuple[int, ...]]) -> CountedOracle:
+        """One oracle of ``functions``, checked value lists of one length:
+        row i of its (k, 2^(n+1)) perm is function i's index array, applied
+        to row i of a batch by ``take_along_axis``.  Only ``_apply_batch``
+        counts its application."""
+        vals = np.frombuffer(b"".join(map(bytes, functions)), np.uint8)
+        vals = vals.reshape(len(functions), -1)
+        cols = np.arange(2 * vals.shape[1], dtype=np.intp)
+        oracle = cls.__new__(cls)
+        oracle._bind_perm(cols ^ vals[:, cols >> 1])
+        return oracle
+
+    def _bind_perm(self, perm: np.ndarray) -> None:
         perm.flags.writeable = False
-        n = perm.size.bit_length() - 1
+        n = perm.shape[-1].bit_length() - 1
         self._bind(tuple(range(n)), n, perm)
         self.calls = 0
 
@@ -109,7 +129,16 @@ class CountedOracle(Op):
         self.calls += 1
         return after
 
+    def _apply_batch(self, rows: np.ndarray) -> np.ndarray:
+        """The oracle on every row of a (k, 2^(n+1)) batch by ``_evolve``,
+        counted as one call: one query of each row's function."""
+        after = _evolve(rows, (self,))
+        self.calls += 1
+        return after
+
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+        if self.perm.ndim == 2:
+            return np.take_along_axis(rows, self.perm, -1)
         return rows.take(self.perm, -1)
 
     def inverse(self) -> CountedOracle:
@@ -168,16 +197,28 @@ def _check_bit(value: int, name: str) -> None:
 
 
 def _classify(state: StateVector, prepared_a: str) -> Classification:
-    """The readout rule: register A reads back its prepared label ``prepared_a``
-    with certainty for a constant function and never for a balanced one.
-    Only the amplitudes where A reads ``prepared_a`` are read."""
-    row = state.amps[_outcome_indices(state.layout, "A")[int(prepared_a, 2)]]
-    p = float((np.abs(row) ** 2).sum())
-    if p > 1.0 - ATOL_STATE:
-        return Classification.CONSTANT
-    if p < ATOL_STATE:
-        return Classification.BALANCED
-    raise BlockStructureError(f"p(A={prepared_a}) = {p} is neither 0 nor 1")
+    """The readout rule on one state: ``_classify_rows`` of its amplitudes."""
+    [classification] = _classify_rows(state.layout, state.amps, prepared_a)
+    return classification
+
+
+def _classify_rows(
+    layout: RegisterLayout, rows: np.ndarray, prepared_a: str
+) -> list[Classification]:
+    """The readout rule on each row of a (..., 2^n) amplitude array, one
+    state being one row: register A reads back its prepared label
+    ``prepared_a`` with certainty for a constant function and never for a
+    balanced one.  Only the amplitudes where A reads ``prepared_a`` are read."""
+    kept = rows.take(_outcome_indices(layout, "A")[int(prepared_a, 2)], -1)
+    readouts = []
+    for p in (np.abs(kept) ** 2).sum(-1).reshape(-1).tolist():
+        if p > 1.0 - ATOL_STATE:
+            readouts.append(Classification.CONSTANT)
+        elif p < ATOL_STATE:
+            readouts.append(Classification.BALANCED)
+        else:
+            raise BlockStructureError(f"p(A={prepared_a}) = {p} is neither 0 nor 1")
+    return readouts
 
 
 def run_deutsch(b: str, initial_a: int = 0) -> tuple[StageTrace, Verdict]:
@@ -231,19 +272,66 @@ def run_deutsch_jozsa(values: Sequence[int]) -> Verdict:
     PromiseViolationError before touching the oracle if ``values`` is
     neither.
     """
-    vals = _validate_values(values)
-    if _classification(vals) is Classification.NEITHER:
-        raise PromiseViolationError(
-            f"function {list(vals)} is neither constant nor balanced"
-        )
-    n = len(vals).bit_length() - 1
-    if n > MAX_ARG_BITS:
-        raise LayoutError(f"argument register capped at {MAX_ARG_BITS} qubits")
+    vals = _promised(values)
+    n = _dj_width(vals)
     oracle = CountedOracle(vals)
     trace = _run_pipeline(_dj_layout(n), ["0" * n + "1"], oracle)
     classification = _classify(trace.final, "0" * n)
     outcome_bit = int(classification is Classification.BALANCED)
     return Verdict(outcome_bit, classification, oracle.calls)
+
+
+def run_deutsch_jozsa_batch(functions: Iterable[Sequence[int]]) -> list[Verdict]:
+    """``run_deutsch_jozsa`` of every function in ``functions``, as the rows
+    of one batch.  |0...0>|-> is prepared once, as a single run prepares
+    it, and one row per function runs through H on A, one application of
+    an oracle that holds each function's index array for its row, and H on
+    A, each op one ``_evolve`` over all rows, which checks every row's norm
+    drift.  That one application is one query of each function, so every
+    verdict reports one evaluation.
+
+    The functions must be non-empty and of one width (ValueError
+    otherwise); PromiseViolationError names the first that is neither
+    constant nor balanced, before any oracle is built.
+    """
+    checked = [_validate_values(values) for values in functions]
+    lengths = sorted({len(vals) for vals in checked})
+    if len(lengths) != 1:
+        raise ValueError(f"a batch needs value lists of one length, got lengths {lengths}")
+    for vals in checked:
+        _promised(vals)
+    n = _dj_width(checked[0])
+    layout, oracle = _dj_layout(n), CountedOracle._batch(checked)
+    start = superpose([(1.0, "0" * n + "1")], layout)
+    start = apply_unitary(start, hadamard(), layout.qubit_positions("V"))
+    h_on_a = _hadamards_on_a(layout)
+    rows = np.broadcast_to(start.amps, (len(checked), layout.dim))
+    final = _evolve(oracle._apply_batch(_evolve(rows, (h_on_a,))), (h_on_a,))
+    if oracle.calls != 1:
+        raise SimulatorError(f"oracle applied {oracle.calls} times, expected once")
+    return [
+        Verdict(int(c is Classification.BALANCED), c, oracle.calls)
+        for c in _classify_rows(layout, final, "0" * n)
+    ]
+
+
+def _promised(values: Sequence[int]) -> tuple[int, ...]:
+    """``values`` checked; PromiseViolationError if they are neither
+    constant nor balanced."""
+    vals = _validate_values(values)
+    if _classification(vals) is Classification.NEITHER:
+        raise PromiseViolationError(
+            f"function {list(vals)} is neither constant nor balanced"
+        )
+    return vals
+
+
+def _dj_width(vals: tuple[int, ...]) -> int:
+    """Argument bits of checked values; LayoutError past MAX_ARG_BITS."""
+    n = len(vals).bit_length() - 1
+    if n > MAX_ARG_BITS:
+        raise LayoutError(f"argument register capped at {MAX_ARG_BITS} qubits")
+    return n
 
 
 @lru_cache(maxsize=MAX_ARG_BITS)

@@ -24,6 +24,7 @@ from .deutsch import (
     rho_B_invariance,
     run_deutsch,
     run_deutsch_jozsa,
+    run_deutsch_jozsa_batch,
     run_deutsch_superposed,
     solution_correlation,
 )
@@ -365,9 +366,9 @@ def _dj_check(name: str, n: int):
     @_check(name, 0.0)
     def body():
         functions = enumerate_promise_functions(n)
-        ok = True
-        for f in functions:
-            verdict = run_deutsch_jozsa(f)
+        verdicts = run_deutsch_jozsa_batch(functions)
+        ok = len(verdicts) == len(functions)
+        for f, verdict in zip(functions, verdicts):
             ok = ok and verdict.classification is classify_function(f)
             ok = ok and verdict.evaluations_used == 1
         return float(not ok), f"{len(functions)} promise functions, one oracle call each"

@@ -35,6 +35,7 @@ from deutschsim import (
     rho_B_invariance,
     run_deutsch,
     run_deutsch_jozsa,
+    run_deutsch_jozsa_batch,
     run_deutsch_superposed,
     solution_correlation,
     superpose,
@@ -392,6 +393,64 @@ class TestRunDeutschJozsa:
         assert enumerate_promise_functions(np.int64(2)) == enumerate_promise_functions(2)
 
 
+class TestRunDeutschJozsaBatch:
+    def test_exhaustive_four_bit_promise_set_in_one_application(self, monkeypatch):
+        # All 12,872 promise functions on 4 bits, enumerated here, each
+        # judged by its own count of ones; one batch oracle, applied once.
+        m = 16
+        functions = [(0,) * m, (1,) * m]
+        for ones in combinations(range(m), m // 2):
+            functions.append(tuple(1 if i in ones else 0 for i in range(m)))
+        assert len(functions) == 12872
+        shapes = []
+        apply_batch = CountedOracle._apply_batch
+        monkeypatch.setattr(
+            CountedOracle,
+            "_apply_batch",
+            lambda self, rows: shapes.append(rows.shape) or apply_batch(self, rows),
+        )
+        verdicts = run_deutsch_jozsa_batch(functions)
+        assert shapes == [(12872, 2 * m)]
+        assert len(verdicts) == len(functions)
+        for f, verdict in zip(functions, verdicts):
+            constant = sum(f) in (0, m)
+            assert constant or 2 * sum(f) == m
+            want = Classification.CONSTANT if constant else Classification.BALANCED
+            assert verdict.classification is want
+            assert verdict.outcome_bit == int(not constant)
+            assert verdict.evaluations_used == 1
+
+    def test_neither_function_named_before_any_oracle_is_built(self, monkeypatch):
+        built = []
+        bind_perm = CountedOracle._bind_perm
+        monkeypatch.setattr(
+            CountedOracle,
+            "_bind_perm",
+            lambda self, perm: built.append(perm.shape) or bind_perm(self, perm),
+        )
+        batch = [[0, 1, 1, 0], (1, 1, 1, 1), np.array([0, 1, 1, 1]), [0, 0, 0, 1]]
+        message = r"^function \[0, 1, 1, 1\] is neither constant nor balanced$"
+        with pytest.raises(PromiseViolationError, match=message):
+            run_deutsch_jozsa_batch(batch)
+        assert built == []
+        assert len(run_deutsch_jozsa_batch(batch[:2])) == 2
+        assert built == [(2, 8)]
+
+    @pytest.mark.parametrize(
+        "batch, lengths",
+        [([[0, 1], [0, 0, 1, 1]], [2, 4]), ([[0, 0, 1, 1], [1, 1], [0, 1]], [2, 4]), ([], [])],
+        ids=["two-widths", "width-after-repeat", "empty"],
+    )
+    def test_one_width_required(self, batch, lengths):
+        with pytest.raises(ValueError) as info:
+            run_deutsch_jozsa_batch(batch)
+        assert str(info.value) == f"a batch needs value lists of one length, got lengths {lengths}"
+
+    def test_oversized_argument_register_rejected(self):
+        with pytest.raises(LayoutError, match="capped at 8 qubits"):
+            run_deutsch_jozsa_batch([[0] * 256 + [1] * 256])
+
+
 class TestClassicalQueryCount:
     def test_one_bit_needs_two_evaluations(self):
         assert classical_query_count(1) == 2
@@ -574,6 +633,15 @@ class TestTraceAndOracle:
         with pytest.raises(ValueError) as info:
             StageTrace(stages)
         assert str(info.value) == f"stages must be (label, state) pairs, got {stages!r}"
+
+    def test_stage_trace_rejects_a_stage_that_is_not_a_state(self):
+        # Such a trace was built, and the fault showed only later, in
+        # rho_B_invariance.
+        with pytest.raises(LayoutError, match="^expected a StateVector, got 1$"):
+            StageTrace(tuple(zip(STAGES, [1, 2, 3, 4])))
+        s = basis_state(CANONICAL_LAYOUT, "0000")
+        with pytest.raises(LayoutError, match="got None"):
+            StageTrace(tuple(zip(STAGES, [s, s, s, None])))
 
     def test_unknown_stage_names_the_stages(self):
         trace, _ = run_deutsch("01")

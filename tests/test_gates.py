@@ -16,6 +16,7 @@ from deutschsim import (
     hadamard,
     parse_function_table,
     run_deutsch_jozsa,
+    run_deutsch_jozsa_batch,
 )
 
 from deutschsim.gates import _validate_values
@@ -223,7 +224,7 @@ class TestCheckedValues:
         values = kind(bad)
         expected = message.format(list(values))
         calls = (_validate_values, classify_function, run_deutsch_jozsa, CountedOracle,
-                 lambda v: FunctionTable({"0": v}))
+                 lambda v: FunctionTable({"0": v}), lambda v: run_deutsch_jozsa_batch([v]))
         for call in calls:
             with pytest.raises(ValueError) as info:
                 call(values)
@@ -239,7 +240,7 @@ class TestCheckedValues:
         # A dict was read by its keys, so {0: 0, 1: 0} classified BALANCED;
         # a set was read in hash order.
         calls = (_validate_values, classify_function, run_deutsch_jozsa, CountedOracle,
-                 lambda v: FunctionTable({"0": v}))
+                 lambda v: FunctionTable({"0": v}), lambda v: run_deutsch_jozsa_batch([v]))
         for call in calls:
             with pytest.raises(ValueError) as info:
                 call(values)

@@ -1,6 +1,7 @@
 """Property-based checks, each judged against a reference made here: the
 Deutsch-Jozsa verdict on drawn promise functions against a count of ones,
-its stages against a gate-by-gate pipeline, the oracle index array of drawn
+its stages against a gate-by-gate pipeline, each row of a drawn batch
+against the single run of its function, the oracle index array of drawn
 function tables against one built bit by bit, an op on drawn targets and
 batches against two np.moveaxis calls, the deferred-measurement
 precondition on drawn ops, oracles and layers against a dense expansion
@@ -45,7 +46,9 @@ from deutschsim import (
     outcome_distribution,
     partial_trace,
     run_deutsch_jozsa,
+    run_deutsch_jozsa_batch,
 )
+from deutschsim import deutsch
 from deutschsim.cli import main
 from deutschsim.deutsch import _run_pipeline
 from deutschsim.gates import _integer, _validate_values
@@ -61,9 +64,9 @@ REGISTER_BITS = {"B": (0, 1), "A": (2,), "V": (3,)}
 
 
 @st.composite
-def promise_functions(draw, max_bits: int = 5) -> list[int]:
-    """A constant or balanced value list on 1 to ``max_bits`` argument bits."""
-    m = 1 << draw(st.integers(min_value=1, max_value=max_bits))
+def promise_functions(draw, max_bits: int = 5, min_bits: int = 1) -> list[int]:
+    """A constant or balanced value list on ``min_bits`` to ``max_bits`` argument bits."""
+    m = 1 << draw(st.integers(min_value=min_bits, max_value=max_bits))
     if draw(st.booleans()):
         return [draw(st.integers(min_value=0, max_value=1))] * m
     ones = set(draw(st.permutations(range(m)))[: m // 2])
@@ -95,6 +98,37 @@ def test_deutsch_jozsa_stages_equal_gate_by_gate_pipeline(values):
         _run_pipeline(layout, labels, CountedOracle(values)),
         per_gate_stages(layout, labels, brute_oracle(values)),
     )
+
+
+@st.composite
+def promise_batches(draw) -> list[list[int]]:
+    """One to 8 promise functions of one width of 1 to 8 bits, drawn from a
+    pool of at most 4, so that a batch often repeats a function."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    pool = draw(st.lists(promise_functions(max_bits=n, min_bits=n), min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=60)
+@given(promise_batches())
+def test_batch_rows_equal_single_runs_bit_for_bit(functions):
+    read = []
+    classify_rows = deutsch._classify_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            deutsch,
+            "_classify_rows",
+            lambda layout, rows, a: read.append(rows) or classify_rows(layout, rows, a),
+        )
+        verdicts = run_deutsch_jozsa_batch(functions)
+    assert verdicts == [run_deutsch_jozsa(f) for f in functions]
+    [final] = read
+    assert final.shape[0] == len(functions)
+    n = len(functions[0]).bit_length() - 1
+    layout = RegisterLayout((("A", n), ("V", 1)))
+    for f, row in zip(functions, final):
+        single = _run_pipeline(layout, ["0" * n + "1"], CountedOracle(f)).final.amps
+        assert row.tobytes() == single.tobytes()
 
 
 def per_value_validation(values) -> tuple[int, ...]:

@@ -93,26 +93,45 @@ def test_counted_oracle_applied_only_inside_algorithm_runs(monkeypatch):
     # deferred-measurement branches, global phase) reach its oracle only
     # through apply_rows or inverse, which count nothing: an apply call
     # there would count an oracle call outside any run, and oracle calls
-    # would no longer match verdicts one to one.
-    applied, completed = [], []
-    apply = CountedOracle.apply
-    monkeypatch.setattr(
-        CountedOracle, "apply", lambda self, state: applied.append(1) or apply(self, state)
-    )
-    for name in ("run_deutsch", "run_deutsch_superposed", "run_deutsch_jozsa"):
+    # would no longer match verdicts one to one.  A batch run applies its
+    # oracle once, by _apply_batch, for all of its verdicts.
+    open_runs, applied, completed = [0], [], []
 
-        def counted(*args, _run=getattr(verify, name), **kwargs):
-            result = _run(*args, **kwargs)
-            completed.append(1)
+    def recorded(kind, method):
+        def wrapper(self, arg):
+            applied.append((kind, open_runs[0] > 0))
+            return method(self, arg)
+
+        return wrapper
+
+    monkeypatch.setattr(CountedOracle, "apply", recorded("run", CountedOracle.apply))
+    monkeypatch.setattr(
+        CountedOracle, "_apply_batch", recorded("batch", CountedOracle._apply_batch)
+    )
+    runs = ("run_deutsch", "run_deutsch_superposed", "run_deutsch_jozsa", "run_deutsch_jozsa_batch")
+    for name in runs:
+
+        def counted(*args, _run=getattr(verify, name), _batch=name.endswith("batch"), **kwargs):
+            open_runs[0] += 1
+            try:
+                result = _run(*args, **kwargs)
+            finally:
+                open_runs[0] -= 1
+            completed.append(("batch", len(result)) if _batch else ("run", 1))
             return result
 
         monkeypatch.setattr(verify, name, counted)
     for cached in (verify._fixed, verify._superposed, verify._deferred_report):
         cached.cache_clear()
     assert all(r.passed for r in verify.run_all())
-    # 4 fixed settings, 1 superposed run, 1 + 4 + 8 + 72 Deutsch-Jozsa runs.
-    assert len(completed) == 90
-    assert len(applied) == len(completed)
+    # 4 fixed settings, 1 superposed run, 1 Deutsch-Jozsa run, then one
+    # batch each of the 4 + 8 + 72 Deutsch-Jozsa functions.
+    assert completed.count(("run", 1)) == 6
+    assert [n for kind, n in completed if kind == "batch"] == [4, 8, 72]
+    assert sum(n for _, n in completed) == 90
+    # One counted application per completed run, in run order, each inside it.
+    assert [kind for kind, _ in applied] == [kind for kind, _ in completed]
+    assert all(inside for _, inside in applied)
 
 
 def test_oracle_self_inverse_judges_the_oracle_that_runs(monkeypatch):

@@ -199,8 +199,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/deutsch.py",
-        "perm = cols ^ vals[cols >> 1]",
-        "perm = cols ^ vals[cols % vals.size]",
+        "cols ^ vals[cols >> 1]",
+        "cols ^ vals[cols % vals.size]",
         "the oracle reads f at the wrong argument",
     ),
     Mutant(
@@ -244,6 +244,18 @@ MUTANTS = [
         "    except (TypeError, ValueError):\n        if not np.iterable(terms):",
         "    except TypeError:\n        if not np.iterable(terms):",
         "superpose lets a one-part term's ValueError through",
+    ),
+    Mutant(
+        "src/deutschsim/deutsch.py",
+        'np.frombuffer(b"".join(map(bytes, functions)), np.uint8)',
+        "np.frombuffer(bytes(functions[0]) * len(functions), np.uint8)",
+        "the batch oracle builds every perm row from the first function",
+    ),
+    Mutant(
+        "src/deutschsim/deutsch.py",
+        'for c in _classify_rows(layout, final, "0" * n)',
+        'for c in _classify_rows(layout, final[[0] * len(final)], "0" * n)',
+        "the batch reads every verdict from row 0",
     ),
     Mutant(
         "src/deutschsim/deutsch.py",
