@@ -197,28 +197,28 @@ def _check_bit(value: int, name: str) -> None:
 
 
 def _classify(state: StateVector, prepared_a: str) -> Classification:
-    """The readout rule on one state: ``_classify_rows`` of its amplitudes."""
-    [classification] = _classify_rows(state.layout, state.amps, prepared_a)
-    return classification
+    """The readout rule: register A reads back its prepared label ``prepared_a``
+    with certainty for a constant function and never for a balanced one.
+    Only the amplitudes where A reads ``prepared_a`` are read."""
+    row = state.amps[_outcome_indices(state.layout, "A")[int(prepared_a, 2)]]
+    return _readout(float((np.abs(row) ** 2).sum()), prepared_a)
 
 
 def _classify_rows(
     layout: RegisterLayout, rows: np.ndarray, prepared_a: str
 ) -> list[Classification]:
-    """The readout rule on each row of a (..., 2^n) amplitude array, one
-    state being one row: register A reads back its prepared label
-    ``prepared_a`` with certainty for a constant function and never for a
-    balanced one.  Only the amplitudes where A reads ``prepared_a`` are read."""
-    kept = rows.take(_outcome_indices(layout, "A")[int(prepared_a, 2)], -1)
-    readouts = []
-    for p in (np.abs(kept) ** 2).sum(-1).reshape(-1).tolist():
-        if p > 1.0 - ATOL_STATE:
-            readouts.append(Classification.CONSTANT)
-        elif p < ATOL_STATE:
-            readouts.append(Classification.BALANCED)
-        else:
-            raise BlockStructureError(f"p(A={prepared_a}) = {p} is neither 0 nor 1")
-    return readouts
+    """``_classify`` of each row of a (k, 2^n) amplitude array."""
+    kept = rows[:, _outcome_indices(layout, "A")[int(prepared_a, 2)]]
+    return [_readout(p, prepared_a) for p in (np.abs(kept) ** 2).sum(-1).tolist()]
+
+
+def _readout(p: float, prepared_a: str) -> Classification:
+    """The verdict for p(A = ``prepared_a``): 1 is constant, 0 balanced."""
+    if p > 1.0 - ATOL_STATE:
+        return Classification.CONSTANT
+    if p < ATOL_STATE:
+        return Classification.BALANCED
+    raise BlockStructureError(f"p(A={prepared_a}) = {p} is neither 0 nor 1")
 
 
 def run_deutsch(b: str, initial_a: int = 0) -> tuple[StageTrace, Verdict]:
