@@ -261,7 +261,7 @@ MUTANTS = [
         "src/deutschsim/deutsch.py",
         "if p > 1.0 - ATOL_STATE:",
         "if p >= 1.0 - ATOL_STATE:",
-        "_classify reads p exactly 1 - 1e-12 as CONSTANT",
+        "the readout rule reads p exactly 1 - 1e-12 as CONSTANT",
         equivalent="boundary only: no reachable state has p exactly 1 - 1e-12",
     ),
 ]
