@@ -75,7 +75,9 @@ def _validate_values(values: Sequence[int]) -> _Values:
     if {*map(type, raw)} != {int}:
         vals = tuple(map(_integer, raw))
         if None in vals:
-            raise ValueError(f"function values must be integers, got {list(raw)}")
+            # numpy scalars as the Python values they hold, so an array reads as a list does
+            items = [v.item() if isinstance(v, np.generic) else v for v in raw]
+            raise ValueError(f"function values must be integers, got {items}")
     if not {*vals} <= {0, 1}:
         raise ValueError(f"function values must be 0 or 1, got {vals}")
     m = len(vals)

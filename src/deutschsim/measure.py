@@ -11,7 +11,7 @@ counts are reproducible for a fixed seed within this implementation.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -21,12 +21,14 @@ from .state import (
     ATOL_STATE,
     PROB_EPS,
     Op,
+    RegisterLayout,
     StateVector,
     _check_state,
     _evolve,
     _index_table,
     _is_int,
     _outcome_indices,
+    _product,
 )
 
 RNG_ALGORITHM = "pcg64"
@@ -48,10 +50,11 @@ class MeasurementRecord(Record):
         )
 
 
-def _marginal(state: StateVector, register: str) -> np.ndarray:
-    """Probability of each register outcome, indexed by outcome value.
-    They sum to 1 within ATOL_STATE, as every ``StateVector`` is a unit vector."""
-    return (np.abs(state.amps[_outcome_indices(state.layout, register)]) ** 2).sum(-1)
+def _marginal(amps: np.ndarray, layout: RegisterLayout, register: str) -> np.ndarray:
+    """Probability of each register outcome, indexed by outcome value, for
+    each row of ``amps``.  A row's sum is 1 within ATOL_STATE, as every
+    ``StateVector`` is a unit vector."""
+    return (np.abs(amps[..., _outcome_indices(layout, register)]) ** 2).sum(-1)
 
 
 def outcome_distribution(state: StateVector, register: str) -> OutcomeDistribution:
@@ -59,7 +62,7 @@ def outcome_distribution(state: StateVector, register: str) -> OutcomeDistributi
     over the basis labels carrying that outcome."""
     _check_state(state)
     width = state.layout.width(register)
-    marg = _marginal(state, register)
+    marg = _marginal(state.amps, state.layout, register)
     probs = {
         format(i, f"0{width}b"): float(p)
         for i, p in enumerate(marg)
@@ -88,16 +91,17 @@ def _project(
     amps: np.ndarray, table: np.ndarray, register: str, outcomes: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probability of each outcome, whose basis indices are its row of
-    ``table``, and the renormalized projection onto them, one row each;
+    ``table``, and the renormalized projection onto them, one row each, of
+    ``amps``: one amplitude row for every outcome, or one row per outcome.
     ImpossibleOutcomeError names the first outcome of zero probability."""
-    picked = amps[table]
+    picked = np.take_along_axis(np.atleast_2d(amps), table, -1)
     probability = (np.abs(picked) ** 2).sum(-1)
     impossible = probability < PROB_EPS
     if impossible.any():
         raise ImpossibleOutcomeError(
             f"outcome {outcomes[impossible.argmax()]!r} of register {register!r} has probability 0"
         )
-    post = np.zeros((len(table), amps.size), dtype=np.complex128)
+    post = np.zeros((len(table), amps.shape[-1]), dtype=np.complex128)
     post[np.arange(len(table))[:, None], table] = picked / np.sqrt(probability)[:, None]
     return probability, post
 
@@ -112,7 +116,7 @@ def sample(
         if not _is_int(value) or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     width = state.layout.width(register)
-    marg = _marginal(state, register)
+    marg = _marginal(state.amps, state.layout, register)
     rng = np.random.default_rng(seed)
     drawn = rng.choice(marg.size, size=shots, p=marg)
     values, counts = np.unique(drawn, return_counts=True)
@@ -229,38 +233,96 @@ def deferred_equivalence(
     the verdict that their joint distributions agree to 1e-12.
 
     ``circuit`` holds ops or ``(matrix, targets)`` pairs, each checked as an
-    op in circuit order before ``_leak`` judges any op.  Every outcome
-    is projected at once, through the register's table of basis indices.
-    The initial state and every projected branch then go through each op
-    together, as the rows of one array, with the norm drift of each row
-    checked per op; the project-last branches are read off the evolved row 0.
+    op in circuit order before ``_leak`` judges any op.  This is the one-case
+    call of ``_deferred_batch``.
     """
-    _check_state(initial)
-    layout = initial.layout
-    ops = _as_ops(circuit, layout.total_qubits)
-    positions = layout.qubit_positions(register)
-    for k, op in enumerate(ops):
-        leak = _leak(op, positions)
-        if leak > ATOL_STATE:
-            raise BlockDiagonalityError(
-                f"circuit op {k} does not preserve register {register!r} "
-                f"basis vectors (off-block magnitude {leak:.3e})"
-            )
+    (report,) = _deferred_batch([(circuit, initial)], register)
+    return report
 
-    kept = np.flatnonzero(_marginal(initial, register) > PROB_EPS)
-    outcomes = [format(v, f"0{len(positions)}b") for v in kept.tolist()]
-    table = _outcome_indices(layout, register)[kept]
-    p_first, firsts = _project(initial.amps, table, register, outcomes)
-    rows = _evolve(np.concatenate([initial.amps[None], firsts]), ops)
-    p_last, lasts = _project(rows[0], table, register, outcomes)
+
+def _deferred_batch(cases: Sequence, register: str) -> Iterator[DeferredEquivalenceReport]:
+    """``deferred_equivalence`` of each ``(circuit, initial)`` case, all on
+    one layout, from one evolution; each case's report is made as it is read.
+
+    Every case's ops are built and pass ``_leak`` before any row is evolved;
+    in a batch of several, a leaking op's message names its case too.  The
+    outcomes of every case are projected at once, through the register's
+    table of basis indices.  The initial states, then every projected
+    branch, are the rows of one array, run through ``_evolve`` one op
+    position at a time, so each row's norm drift is checked after each of
+    its ops; a case with fewer ops keeps its rows.  The project-last
+    branches are read off each case's evolved initial row.
+    """
+    plans = []
+    for j, (circuit, initial) in enumerate(cases):
+        _check_state(initial)
+        ops = _as_ops(circuit, initial.layout.total_qubits)
+        positions = initial.layout.qubit_positions(register)
+        for k, op in enumerate(ops):
+            leak = _leak(op, positions)
+            if leak > ATOL_STATE:
+                raise BlockDiagonalityError(
+                    f"circuit op {k}{f' of case {j}' if len(cases) > 1 else ''} does not preserve "
+                    f"register {register!r} basis vectors (off-block magnitude {leak:.3e})"
+                )
+        plans.append(ops)
+
+    # Branch i is outcome kept[i] of case owner[i]; case j has branches bounds[j]:bounds[j + 1].
+    n, initials = len(cases), np.stack([initial.amps for _, initial in cases])
+    layout = cases[0][1].layout
+    table = _outcome_indices(layout, register)
+    owner, kept = np.nonzero(_marginal(initials, layout, register) > PROB_EPS)
+    outcomes = [format(v, f"0{layout.width(register)}b") for v in kept.tolist()]
+    p_first, firsts = _project(initials[owner], table[kept], register, outcomes)
+    bounds = np.searchsorted(owner, np.arange(n + 1)).tolist()
+    spans = [
+        np.append(j, np.arange(n + a, n + b)) for j, a, b in zip(range(n), bounds, bounds[1:])
+    ]
+    steps = (_Step(plans, spans, p) for p in range(max(map(len, plans))))
+    rows = _evolve(np.concatenate([initials, firsts]), steps)
+    p_last, lasts = _project(rows[owner], table[kept], register, outcomes)
     deviations = np.maximum(
-        np.max(np.abs(np.abs(rows[1:]) ** 2 - np.abs(lasts) ** 2), axis=-1),
+        np.max(np.abs(np.abs(rows[n:]) ** 2 - np.abs(lasts) ** 2), axis=-1),
         np.abs(p_first - p_last),
     )
-    branches = tuple(
-        BranchReport(outcome, pf, pl, StateVector(layout, first), StateVector(layout, last), dev)
-        for outcome, pf, pl, first, last, dev in zip(
-            outcomes, p_first.tolist(), p_last.tolist(), rows[1:], lasts, deviations.tolist()
-        )
-    )
-    return DeferredEquivalenceReport(register, branches, float(deviations.max()))
+    branches = list(zip(
+        outcomes, p_first.tolist(), p_last.tolist(), rows[n:], lasts, deviations.tolist()
+    ))
+
+    def report(a: int, b: int, worst: float) -> DeferredEquivalenceReport:
+        return DeferredEquivalenceReport(register, tuple(
+            BranchReport(outcome, pf, pl, StateVector(layout, first),
+                         StateVector(layout, last), dev)
+            for outcome, pf, pl, first, last, dev in branches[a:b]
+        ), worst)
+
+    return map(report, bounds, bounds[1:], np.maximum.reduceat(deviations, bounds[:-1]).tolist())
+
+
+class _Step:
+    """Op ``p`` of every case that has one, as one op for ``_evolve`` on the
+    rows of a batch, whose case j holds rows ``spans[j]``.  Plain ``Op``s
+    are grouped by targets and row count, so each group is one product of
+    a (cases, 1) stack of matrices with a (cases, rows) stack of blocks;
+    any other op is grouped by identity."""
+
+    def __init__(self, plans: list[list[Op]], spans: list[np.ndarray], p: int):
+        self.groups: dict = {}
+        for ops, span in zip(plans, spans):
+            if p < len(ops):
+                op = ops[p]
+                stacked = type(op).apply_rows is Op.apply_rows
+                key = (op.targets, len(span)) if stacked else op
+                self.groups.setdefault(key, []).append((op, span))
+
+    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+        dim = rows.shape[-1]
+        for key, members in self.groups.items():
+            op, index = members[0][0], np.concatenate([span for _, span in members])
+            if type(key) is tuple:
+                mats = np.stack([op.matrix for op, _ in members])[:, None]
+                blocks = rows[index].reshape(len(members), -1, dim)
+                rows[index] = _product(mats, blocks, op.n_qubits, op.targets).reshape(-1, dim)
+            else:
+                rows[index] = op.apply_rows(rows[index])
+        return rows

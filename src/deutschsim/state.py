@@ -304,6 +304,19 @@ def _outcome_indices(layout: RegisterLayout, register: str) -> np.ndarray:
     return _index_table(layout.total_qubits, layout.qubit_positions(register))[0]
 
 
+def _product(mats: np.ndarray, rows: np.ndarray, n: int, targets: tuple[int, ...]) -> np.ndarray:
+    """``mats`` on ``targets`` of each row of a (..., 2^n) amplitude array,
+    unchecked: one matrix for every row, or a stack of one per row.
+
+    The targets' index table gathers each row into a (2^k, 2^n/2^k) block
+    whose row v reads v on the targets, ``mats @ block`` runs one product
+    per row, and a take through the table's inverse puts each amplitude back
+    at its index (numpy's fancy-index scatter is up to 2.5x slower on a batch).
+    """
+    table, inverse, _ = _index_table(n, targets)
+    return (mats @ rows.take(table, -1)).reshape(rows.shape).take(inverse, -1)
+
+
 def _checked_targets(targets: Sequence[int], n_qubits: int) -> tuple[tuple[int, ...], int]:
     """``targets`` as a tuple of distinct ints in range(``n_qubits``), and
     ``n_qubits`` as an int; LayoutError otherwise."""
@@ -351,15 +364,8 @@ class Op:
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """The op on each row of a (..., 2^n) amplitude array, unchecked.
-
-        Any axes before the last are a batch.  The targets' index table
-        gathers each row into a (2^k, 2^n/2^k) block whose row v reads v on
-        the targets, ``u @ block`` runs one product per row, and a take
-        through the table's inverse puts each amplitude back at its index
-        (numpy's fancy-index scatter is up to 2.5x slower on a batch).
-        """
-        table, inverse, _ = _index_table(self.n_qubits, self.targets)
-        return (self.matrix @ rows.take(table, -1)).reshape(rows.shape).take(inverse, -1)
+        Any axes before the last are a batch."""
+        return _product(self.matrix, rows, self.n_qubits, self.targets)
 
     def inverse(self) -> Op:
         """The conjugate transpose."""

@@ -222,7 +222,8 @@ class TestCheckedValues:
     )
     def test_unchecked_sequences_still_rejected(self, kind, bad, message):
         values = kind(bad)
-        expected = message.format(list(values))
+        # An array's items print as the Python numbers they hold: [nan, 0.0].
+        expected = message.format(values.tolist() if kind is np.array else list(values))
         calls = (_validate_values, classify_function, run_deutsch_jozsa, CountedOracle,
                  lambda v: FunctionTable({"0": v}), lambda v: run_deutsch_jozsa_batch([v]))
         for call in calls:

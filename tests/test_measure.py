@@ -2,6 +2,7 @@
 project-first versus project-last equivalence harness."""
 
 import hashlib
+import importlib
 import json
 
 import numpy as np
@@ -36,7 +37,7 @@ from deutschsim import (
 )
 from deutschsim import deutsch as deutsch_module
 from deutschsim import state as state_module
-from deutschsim.measure import _as_ops, _project
+from deutschsim.measure import _as_ops, _deferred_batch, _project
 from deutschsim.state import PROB_EPS, _Layer, _evolve, _index_table, _outcome_indices
 from deutschsim.verify import _random_block_diagonal_circuits
 
@@ -50,6 +51,10 @@ from conftest import (
     random_block_diagonal_circuit,
     random_state_vector,
 )
+
+
+# The package's ``measure`` attribute is the function of that name.
+measure_module = importlib.import_module("deutschsim.measure")
 
 
 def state_from(golden: dict[str, float]) -> StateVector:
@@ -468,6 +473,20 @@ class TestBatchedHarness:
         assert calls == []
         deferred_equivalence(pairs, initial, "B")
         assert len(calls) == len(pairs)
+
+    def test_leak_in_a_later_case_named_before_any_row_is_evolved(self, monkeypatch):
+        evolved = []
+        monkeypatch.setattr(measure_module, "_evolve", lambda rows, ops: evolved.append(rows))
+        initial = state_from(SUPERPOSED_STAGES["input"])
+        leaking = [(hadamard(), (2,)), (hadamard(), (0,)), (hadamard(), (3,))]
+        cases = [(deutsch_circuit(), initial), ([], initial), (leaking, initial)]
+        with pytest.raises(BlockDiagonalityError) as info:
+            _deferred_batch(cases, "B")
+        assert str(info.value) == (
+            "circuit op 1 of case 2 does not preserve register 'B' "
+            "basis vectors (off-block magnitude 7.071e-01)"
+        )
+        assert evolved == []
 
     @pytest.mark.parametrize(
         "bad, error",

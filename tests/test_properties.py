@@ -5,7 +5,9 @@ against the single run of its function, the oracle index array of drawn
 function tables against one built bit by bit, an op on drawn targets and
 batches against two np.moveaxis calls, the deferred-measurement
 precondition on drawn ops, oracles and layers against a dense expansion
-built with np.kron and int(label, 2) arithmetic, the evolution kernel's single-state drift check
+built with np.kron and int(label, 2) arithmetic, each case of a drawn
+deferred-measurement batch against apply_circuit and measure run one state
+at a time, the evolution kernel's single-state drift check
 on drawn circuits against its batch one, value validation against a
 per-value pass, the register readouts of drawn unit states against each
 other, and the exit code of `dj --function-file` on drawn file text.
@@ -40,7 +42,9 @@ from deutschsim import (
     RegisterLayout,
     StateVector,
     UnitarityError,
+    apply_circuit,
     deferred_equivalence,
+    deutsch_circuit,
     hadamard,
     measure,
     outcome_distribution,
@@ -52,11 +56,17 @@ from deutschsim import deutsch
 from deutschsim.cli import main
 from deutschsim.deutsch import _run_pipeline
 from deutschsim.gates import _integer, _validate_values
+from deutschsim.measure import _deferred_batch
 from deutschsim.state import _Layer, _evolve
 
-from conftest import brute_oracle, haar_unitary, random_state_vector
+from conftest import (
+    brute_oracle,
+    haar_unitary,
+    random_block_diagonal_circuit,
+    random_state_vector,
+)
 from test_deutsch import assert_same_stages, per_gate_stages
-from test_measure import smuggled
+from test_measure import assert_same_report, smuggled
 from test_state import moveaxis_reference
 
 # Qubit positions of each canonical register in the 4-bit label (B B A V).
@@ -135,7 +145,8 @@ def per_value_validation(values) -> tuple[int, ...]:
     """Every value through ``_integer``, then the 0/1 and length checks."""
     vals = tuple(_integer(v) for v in values)
     if None in vals:
-        raise ValueError(f"function values must be integers, got {list(values)}")
+        items = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        raise ValueError(f"function values must be integers, got {items}")
     if any(v not in (0, 1) for v in vals):
         raise ValueError(f"function values must be 0 or 1, got {vals}")
     m = len(vals)
@@ -338,6 +349,51 @@ def test_deferred_equivalence_rejects_exactly_the_leaking_ops(drawn, register, s
             deferred_equivalence([item], initial, register)
     else:
         assert deferred_equivalence([item], initial, register).equivalent
+
+
+# One Hadamard layer on A and V, shared by every case that draws it.
+H_ON_AV = _Layer(hadamard(), (2, 3), 4)
+
+
+@st.composite
+def deferred_cases(draw) -> tuple[list, StateVector]:
+    """A (circuit, initial) case on the canonical layout.  The circuit has 0
+    to 4 items that keep B's basis subspaces: a drawn (matrix, targets)
+    pair, the same pair as an ``Op``, the shared Hadamard layer on A and V,
+    or the oracle of a fresh ``deutsch_circuit()``.  The initial state is
+    a drawn unit vector in which up to 3 of B's 4 outcomes have probability 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    circuit = []
+    for kind in draw(st.lists(st.sampled_from(["pair", "op", "layer", "oracle"]), max_size=4)):
+        if kind in ("pair", "op"):
+            (pair,) = random_block_diagonal_circuit(rng, max_ops=1)
+            circuit.append(pair if kind == "pair" else Op(*pair, 4))
+        else:
+            circuit.append(H_ON_AV if kind == "layer" else deutsch_circuit()[1])
+    amps = random_state_vector(16, rng)
+    absent = draw(st.lists(st.integers(0, 3), max_size=3, unique=True))
+    amps[[i for i in range(16) if i >> 2 in absent]] = 0.0
+    return circuit, StateVector(CANONICAL_LAYOUT, amps / np.linalg.norm(amps))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=60)
+@given(st.lists(deferred_cases(), min_size=1, max_size=6))
+def test_deferred_batch_equals_each_case_run_alone(cases):
+    # Every branch of every case, against the two orderings computed one
+    # state at a time by apply_circuit and measure, and against the
+    # one-case call, byte for byte.
+    reports = list(_deferred_batch(cases, "B"))
+    assert len(reports) == len(cases)
+    for (circuit, initial), report in zip(cases, reports):
+        assert_same_report(report, deferred_equivalence(circuit, initial, "B"))
+        final = apply_circuit(initial, circuit)
+        outcomes = [branch.outcome for branch in report.branches]
+        assert outcomes == list(outcome_distribution(initial, "B").probs)
+        for branch in report.branches:
+            first = apply_circuit(measure(initial, "B", branch.outcome).post_state, circuit)
+            last = measure(final, "B", branch.outcome).post_state
+            assert branch.state_project_first.amps.tobytes() == first.amps.tobytes()
+            assert branch.state_project_last.amps.tobytes() == last.amps.tobytes()
 
 
 @settings(deadline=None, derandomize=True, database=None)

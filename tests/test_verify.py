@@ -1,6 +1,7 @@
 """The verify checks' random inputs, rebuilt one draw at a time, the check
 registry and its one pass rule, and what a fresh process loads."""
 
+import importlib
 import math
 import os
 import subprocess
@@ -86,6 +87,28 @@ def test_random_circuits_deviation_unchanged():
     result = verify._CHECKS["deferred_equivalence_random_circuits"]()
     assert result.passed
     assert f"{result.deviation:.3e}" == "1.110e-15"
+
+
+def test_random_circuits_evolve_in_one_harness_pass(monkeypatch):
+    measure_module = importlib.import_module("deutschsim.measure")
+    batches, evolved = [], []
+    batch, evolve = verify._deferred_batch, measure_module._evolve
+
+    def recorded_batch(cases, register):
+        batches.append(len(cases))
+        return batch(cases, register)
+
+    def recorded_evolve(rows, ops):
+        evolved.append(rows.shape)
+        return evolve(rows, ops)
+
+    monkeypatch.setattr(verify, "_deferred_batch", recorded_batch)
+    monkeypatch.setattr(measure_module, "_evolve", recorded_evolve)
+    assert verify._CHECKS["deferred_equivalence_random_circuits"]().passed
+    assert batches == [120]
+    # One array of the 120 initial states and their 480 branches, then the
+    # last circuit's own run through apply_circuit.
+    assert evolved == [(600, 16), (16,)]
 
 
 def test_counted_oracle_applied_only_inside_algorithm_runs(monkeypatch):

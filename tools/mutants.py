@@ -47,9 +47,9 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/state.py",
-        "table, inverse, _ = _index_table(self.n_qubits, self.targets)",
-        "table, inverse, _ = _index_table(self.n_qubits, tuple(sorted(self.targets)))",
-        "apply_rows reads its targets in sorted order",
+        "table, inverse, _ = _index_table(n, targets)",
+        "table, inverse, _ = _index_table(n, tuple(sorted(targets)))",
+        "the gather/product/scatter reads its targets in sorted order",
     ),
     Mutant(
         "src/deutschsim/state.py",
@@ -256,6 +256,18 @@ MUTANTS = [
         'for c in _classify_rows(layout, final, "0" * n)',
         'for c in _classify_rows(layout, final[[0] * len(final)], "0" * n)',
         "the batch reads every verdict from row 0",
+    ),
+    Mutant(
+        "src/deutschsim/measure.py",
+        "range(max(map(len, plans)))",
+        "range(0)",
+        "the deferred-measurement batch runs no circuit",
+    ),
+    Mutant(
+        "src/deutschsim/measure.py",
+        "np.stack([op.matrix for op, _ in members])",
+        "np.stack([members[0][0].matrix for _ in members])",
+        "every row of a stacked group gets the group's first matrix",
     ),
     Mutant(
         "src/deutschsim/deutsch.py",
