@@ -11,6 +11,7 @@ counts are reproducible for a fixed seed within this implementation.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ from .state import (
     _is_int,
     _outcome_indices,
     _product,
+    _states,
 )
 
 RNG_ALGORITHM = "pcg64"
@@ -211,13 +213,22 @@ def _leak(op: Op, positions: Sequence[int]) -> float:
     ``apply_rows`` off the basis states where its other qubits read 0."""
     if not any(t in positions for t in op.targets):
         return 0.0
-    n, positions = op.n_qubits, tuple(positions)
-    cols = _index_table(n, op.targets)[0][:, 0]
+    rows, off = _leak_frame(op.n_qubits, op.targets, tuple(positions))
+    return float(np.abs(op.apply_rows(rows)[off]).max(initial=0.0))
+
+
+@lru_cache(maxsize=64)
+def _leak_frame(n: int, targets: tuple[int, ...], positions: tuple[int, ...]) -> tuple:
+    """The basis states of n qubits where all but ``targets`` read 0, as
+    rows, and the mask of the amplitudes an op on ``targets`` moves off each
+    row's value of ``positions``."""
+    cols = _index_table(n, targets)[0][:, 0]
     # The table of ``positions`` has rows of 2^(n-w) indices, w = len(positions),
     # so a shift of each index's place in it gives its row: the register's value.
     value = _index_table(n, positions)[1] >> (n - len(positions))
-    moved = op.apply_rows(np.eye(1 << n)[cols])
-    return float(np.abs(moved[value[cols, None] != value]).max(initial=0.0))
+    rows, off = np.eye(1 << n)[cols], value[cols, None] != value
+    rows.flags.writeable = off.flags.writeable = False
+    return rows, off
 
 
 def deferred_equivalence(
@@ -244,57 +255,54 @@ def _deferred_batch(cases: Sequence, register: str) -> Iterator[DeferredEquivale
     """``deferred_equivalence`` of each ``(circuit, initial)`` case, all on
     one layout, from one evolution; each case's report is made as it is read.
 
-    Every case's ops are built and pass ``_leak`` before any row is evolved;
-    in a batch of several, a leaking op's message names its case too.  The
-    outcomes of every case are projected at once, through the register's
-    table of basis indices.  The initial states, then every projected
-    branch, are the rows of one array, run through ``_evolve`` one op
-    position at a time, so each row's norm drift is checked after each of
-    its ops; a case with fewer ops keeps its rows.  The project-last
-    branches are read off each case's evolved initial row.
+    Every case's ops are built, then every op is judged by its leak before
+    any row is evolved; the first leaking op, in case order, raises, and in
+    a batch of several its message names its case too.  The outcomes of
+    every case are projected at once, through the register's table of basis
+    indices.  The initial states, then every projected branch, are the rows
+    of one array, run through ``_evolve`` one op position at a time, so each
+    row's norm drift is checked after each of its ops; a case with fewer ops
+    keeps its rows.  The project-last branches are read off each case's
+    evolved initial row.
     """
     plans = []
-    for j, (circuit, initial) in enumerate(cases):
+    for circuit, initial in cases:
         _check_state(initial)
-        ops = _as_ops(circuit, initial.layout.total_qubits)
-        positions = initial.layout.qubit_positions(register)
-        for k, op in enumerate(ops):
-            leak = _leak(op, positions)
-            if leak > ATOL_STATE:
-                raise BlockDiagonalityError(
-                    f"circuit op {k}{f' of case {j}' if len(cases) > 1 else ''} does not preserve "
-                    f"register {register!r} basis vectors (off-block magnitude {leak:.3e})"
-                )
-        plans.append(ops)
+        plans.append(_as_ops(circuit, initial.layout.total_qubits))
 
     # Branch i is outcome kept[i] of case owner[i]; case j has branches bounds[j]:bounds[j + 1].
     n, initials = len(cases), np.stack([initial.amps for _, initial in cases])
     layout = cases[0][1].layout
-    table = _outcome_indices(layout, register)
+    positions, table = layout.qubit_positions(register), _outcome_indices(layout, register)
     owner, kept = np.nonzero(_marginal(initials, layout, register) > PROB_EPS)
-    outcomes = [format(v, f"0{layout.width(register)}b") for v in kept.tolist()]
+    outcomes = [format(v, f"0{len(positions)}b") for v in kept.tolist()]
     p_first, firsts = _project(initials[owner], table[kept], register, outcomes)
     bounds = np.searchsorted(owner, np.arange(n + 1)).tolist()
     spans = [
         np.append(j, np.arange(n + a, n + b)) for j, a, b in zip(range(n), bounds, bounds[1:])
     ]
-    steps = (_Step(plans, spans, p) for p in range(max(map(len, plans))))
+    steps = [_Step(plans, spans, p) for p in range(max(map(len, plans)))]
+    leaking = [(j, k, leak) for k, step in enumerate(steps) for j, leak in step.leaks(positions)]
+    if leaking:
+        j, k, leak = min(leaking)
+        raise BlockDiagonalityError(
+            f"circuit op {k}{f' of case {j}' if n > 1 else ''} does not preserve "
+            f"register {register!r} basis vectors (off-block magnitude {leak:.3e})"
+        )
     rows = _evolve(np.concatenate([initials, firsts]), steps)
     p_last, lasts = _project(rows[owner], table[kept], register, outcomes)
     deviations = np.maximum(
         np.max(np.abs(np.abs(rows[n:]) ** 2 - np.abs(lasts) ** 2), axis=-1),
         np.abs(p_first - p_last),
     )
-    branches = list(zip(
-        outcomes, p_first.tolist(), p_last.tolist(), rows[n:], lasts, deviations.tolist()
-    ))
+    fields = outcomes, p_first.tolist(), p_last.tolist(), rows[n:], lasts, deviations.tolist()
 
     def report(a: int, b: int, worst: float) -> DeferredEquivalenceReport:
-        return DeferredEquivalenceReport(register, tuple(
-            BranchReport(outcome, pf, pl, StateVector(layout, first),
-                         StateVector(layout, last), dev)
-            for outcome, pf, pl, first, last, dev in branches[a:b]
-        ), worst)
+        outcome, pf, pl, first, last, dev = (field[a:b] for field in fields)
+        first, last = _states(layout, first), _states(layout, last)
+        return DeferredEquivalenceReport(
+            register, tuple(map(BranchReport, outcome, pf, pl, first, last, dev)), worst
+        )
 
     return map(report, bounds, bounds[1:], np.maximum.reduceat(deviations, bounds[:-1]).tolist())
 
@@ -314,6 +322,23 @@ class _Step:
                 stacked = type(op).apply_rows is Op.apply_rows
                 key = (op.targets, len(span)) if stacked else op
                 self.groups.setdefault(key, []).append((op, span))
+
+    def leaks(self, positions: tuple[int, ...]) -> Iterator[tuple[int, float]]:
+        """(case, leak) for each op of the step that leaks past ATOL_STATE,
+        judged as ``_leak`` judges it; a stacked group's ops at once."""
+        for key, members in self.groups.items():
+            op, cases = members[0][0], [span[0] for _, span in members]
+            if type(key) is not tuple:
+                leaks = [_leak(op, positions)] * len(cases)
+            elif any(t in positions for t in op.targets):
+                rows, off = _leak_frame(op.n_qubits, op.targets, positions)
+                mats = np.stack([member.matrix for member, _ in members])[:, None]
+                rows = np.broadcast_to(rows, (len(members), *rows.shape))
+                moved = _product(mats, rows, op.n_qubits, op.targets)
+                leaks = np.abs(moved[:, off]).max(-1, initial=0.0).tolist()
+            else:
+                continue
+            yield from ((j, leak) for j, leak in zip(cases, leaks) if leak > ATOL_STATE)
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         dim = rows.shape[-1]

@@ -396,6 +396,32 @@ def test_deferred_batch_equals_each_case_run_alone(cases):
             assert branch.state_project_last.amps.tobytes() == last.amps.tobytes()
 
 
+@settings(deadline=None, derandomize=True, database=None, max_examples=40)
+@given(st.lists(deferred_cases(), min_size=2, max_size=6), st.data())
+def test_deferred_batch_names_the_first_leaking_op(cases, data):
+    # 1 to 3 leaking items go into drawn cases at drawn places: a Haar
+    # unitary on all four qubits, which the batch judges together with the
+    # block-diagonal ones at its place, or a Hadamard on a B qubit.  The
+    # batch names the op that the first rejected one-case call names.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cases = [(list(circuit), initial) for circuit, initial in cases]
+    for _ in range(data.draw(st.integers(1, 3))):
+        circuit, _ = data.draw(st.sampled_from(cases))
+        haar = data.draw(st.booleans())
+        item = (haar_unitary(16, rng), (0, 1, 2, 3)) if haar else (hadamard(), (rng.integers(2),))
+        circuit.insert(data.draw(st.integers(0, len(circuit))), item)
+    rejected = []
+    for j, (circuit, initial) in enumerate(cases):
+        try:
+            deferred_equivalence(circuit, initial, "B")
+        except BlockDiagonalityError as exc:
+            rejected.append((j, str(exc)))
+    j, message = rejected[0]
+    with pytest.raises(BlockDiagonalityError) as info:
+        _deferred_batch(cases, "B")
+    assert str(info.value) == message.replace(" does not", f" of case {j} does not", 1)
+
+
 @settings(deadline=None, derandomize=True, database=None)
 @given(
     st.lists(
