@@ -56,7 +56,7 @@ def _marginal(amps: np.ndarray, layout: RegisterLayout, register: str) -> np.nda
     """Probability of each register outcome, indexed by outcome value, for
     each row of ``amps``.  A row's sum is 1 within ATOL_STATE, as every
     ``StateVector`` is a unit vector."""
-    return (np.abs(amps[..., _outcome_indices(layout, register)]) ** 2).sum(-1)
+    return (np.abs(amps.take(_outcome_indices(layout, register), -1)) ** 2).sum(-1)
 
 
 def outcome_distribution(state: StateVector, register: str) -> OutcomeDistribution:
@@ -96,7 +96,8 @@ def _project(
     ``table``, and the renormalized projection onto them, one row each, of
     ``amps``: one amplitude row for every outcome, or one row per outcome.
     ImpossibleOutcomeError names the first outcome of zero probability."""
-    picked = np.take_along_axis(np.atleast_2d(amps), table, -1)
+    index = np.arange(len(table))[:, None]
+    picked = amps[table] if amps.ndim == 1 else amps[index, table]
     probability = (np.abs(picked) ** 2).sum(-1)
     impossible = probability < PROB_EPS
     if impossible.any():
@@ -104,7 +105,7 @@ def _project(
             f"outcome {outcomes[impossible.argmax()]!r} of register {register!r} has probability 0"
         )
     post = np.zeros((len(table), amps.shape[-1]), dtype=np.complex128)
-    post[np.arange(len(table))[:, None], table] = picked / np.sqrt(probability)[:, None]
+    post[index, table] = picked / np.sqrt(probability)[:, None]
     return probability, post
 
 
