@@ -11,7 +11,6 @@ counts are reproducible for a fixed seed within this implementation.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -30,7 +29,6 @@ from .state import (
     _is_int,
     _outcome_indices,
     _product,
-    _states,
 )
 
 RNG_ALGORITHM = "pcg64"
@@ -214,22 +212,13 @@ def _leak(op: Op, positions: Sequence[int]) -> float:
     ``apply_rows`` off the basis states where its other qubits read 0."""
     if not any(t in positions for t in op.targets):
         return 0.0
-    rows, off = _leak_frame(op.n_qubits, op.targets, tuple(positions))
-    return float(np.abs(op.apply_rows(rows)[off]).max(initial=0.0))
-
-
-@lru_cache(maxsize=64)
-def _leak_frame(n: int, targets: tuple[int, ...], positions: tuple[int, ...]) -> tuple:
-    """The basis states of n qubits where all but ``targets`` read 0, as
-    rows, and the mask of the amplitudes an op on ``targets`` moves off each
-    row's value of ``positions``."""
-    cols = _index_table(n, targets)[0][:, 0]
+    n, positions = op.n_qubits, tuple(positions)
+    cols = _index_table(n, op.targets)[0][:, 0]
     # The table of ``positions`` has rows of 2^(n-w) indices, w = len(positions),
     # so a shift of each index's place in it gives its row: the register's value.
     value = _index_table(n, positions)[1] >> (n - len(positions))
-    rows, off = np.eye(1 << n)[cols], value[cols, None] != value
-    rows.flags.writeable = off.flags.writeable = False
-    return rows, off
+    moved = op.apply_rows(np.eye(1 << n)[cols])
+    return float(np.abs(moved[value[cols, None] != value]).max(initial=0.0))
 
 
 def deferred_equivalence(
@@ -271,10 +260,20 @@ def _deferred_batch(cases: Sequence, register: str) -> Iterator[DeferredEquivale
         _check_state(initial)
         plans.append(_as_ops(circuit, initial.layout.total_qubits))
 
+    n, layout = len(cases), cases[0][1].layout
+    positions = layout.qubit_positions(register)
+    for j, ops in enumerate(plans):
+        for k, op in enumerate(ops):
+            leak = _leak(op, positions)
+            if leak > ATOL_STATE:
+                raise BlockDiagonalityError(
+                    f"circuit op {k}{f' of case {j}' if n > 1 else ''} does not preserve "
+                    f"register {register!r} basis vectors (off-block magnitude {leak:.3e})"
+                )
+
     # Branch i is outcome kept[i] of case owner[i]; case j has branches bounds[j]:bounds[j + 1].
-    n, initials = len(cases), np.stack([initial.amps for _, initial in cases])
-    layout = cases[0][1].layout
-    positions, table = layout.qubit_positions(register), _outcome_indices(layout, register)
+    initials = np.stack([initial.amps for _, initial in cases])
+    table = _outcome_indices(layout, register)
     owner, kept = np.nonzero(_marginal(initials, layout, register) > PROB_EPS)
     outcomes = [format(v, f"0{len(positions)}b") for v in kept.tolist()]
     p_first, firsts = _project(initials[owner], table[kept], register, outcomes)
@@ -283,13 +282,6 @@ def _deferred_batch(cases: Sequence, register: str) -> Iterator[DeferredEquivale
         np.append(j, np.arange(n + a, n + b)) for j, a, b in zip(range(n), bounds, bounds[1:])
     ]
     steps = [_Step(plans, spans, p) for p in range(max(map(len, plans)))]
-    leaking = [(j, k, leak) for k, step in enumerate(steps) for j, leak in step.leaks(positions)]
-    if leaking:
-        j, k, leak = min(leaking)
-        raise BlockDiagonalityError(
-            f"circuit op {k}{f' of case {j}' if n > 1 else ''} does not preserve "
-            f"register {register!r} basis vectors (off-block magnitude {leak:.3e})"
-        )
     rows = _evolve(np.concatenate([initials, firsts]), steps)
     p_last, lasts = _project(rows[owner], table[kept], register, outcomes)
     deviations = np.maximum(
@@ -300,7 +292,8 @@ def _deferred_batch(cases: Sequence, register: str) -> Iterator[DeferredEquivale
 
     def report(a: int, b: int, worst: float) -> DeferredEquivalenceReport:
         outcome, pf, pl, first, last, dev = (field[a:b] for field in fields)
-        first, last = _states(layout, first), _states(layout, last)
+        first = [StateVector(layout, row) for row in first]
+        last = [StateVector(layout, row) for row in last]
         return DeferredEquivalenceReport(
             register, tuple(map(BranchReport, outcome, pf, pl, first, last, dev)), worst
         )
@@ -324,29 +317,12 @@ class _Step:
                 key = (op.targets, len(span)) if stacked else op
                 self.groups.setdefault(key, []).append((op, span))
 
-    def leaks(self, positions: tuple[int, ...]) -> Iterator[tuple[int, float]]:
-        """(case, leak) for each op of the step that leaks past ATOL_STATE,
-        judged as ``_leak`` judges it; a stacked group's ops at once."""
-        for key, members in self.groups.items():
-            op, cases = members[0][0], [span[0] for _, span in members]
-            if type(key) is not tuple:
-                leaks = [_leak(op, positions)] * len(cases)
-            elif any(t in positions for t in op.targets):
-                rows, off = _leak_frame(op.n_qubits, op.targets, positions)
-                mats = np.stack([member.matrix for member, _ in members])[:, None]
-                rows = np.broadcast_to(rows, (len(members), *rows.shape))
-                moved = _product(mats, rows, op.n_qubits, op.targets)
-                leaks = np.abs(moved[:, off]).max(-1, initial=0.0).tolist()
-            else:
-                continue
-            yield from ((j, leak) for j, leak in zip(cases, leaks) if leak > ATOL_STATE)
-
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         dim = rows.shape[-1]
         for key, members in self.groups.items():
             op, index = members[0][0], np.concatenate([span for _, span in members])
             if type(key) is tuple:
-                mats = np.stack([op.matrix for op, _ in members])[:, None]
+                mats = np.stack([member.matrix for member, _ in members])[:, None]
                 blocks = rows[index].reshape(len(members), -1, dim)
                 rows[index] = _product(mats, blocks, op.n_qubits, op.targets).reshape(-1, dim)
             else:

@@ -155,21 +155,6 @@ class StateVector(Record):
         return StateVector(self.layout, phase * self.amps)
 
 
-def _states(layout: RegisterLayout, rows: np.ndarray) -> list[StateVector]:
-    """``StateVector(layout, row)`` for each row of a (k, layout.dim) array,
-    made at once: the states' amplitudes are the rows of one read-only copy
-    of ``rows``, and every row passes the constructor's norm test."""
-    rows = np.array(rows, dtype=np.complex128)
-    norm2 = np.einsum("ij,ij->i", rows.conj(), rows).real
-    if not (abs(norm2 - 1.0) <= ATOL_STATE).all():
-        raise DegenerateStateError(f"state is not normalized (norm^2 {norm2.tolist()})")
-    rows.flags.writeable = False
-    states = [StateVector.__new__(StateVector) for _ in rows]
-    for state, amps in zip(states, rows):
-        state.__dict__.update(layout=layout, amps=amps)
-    return states
-
-
 class DensityMatrix(Record):
     """Reduced state of a kept register subset.
 

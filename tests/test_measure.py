@@ -477,8 +477,8 @@ class TestBatchedHarness:
     def test_leak_in_a_later_case_named_before_any_row_is_evolved(self, monkeypatch):
         evolved = []
         monkeypatch.setattr(measure_module, "_evolve", lambda rows, ops: evolved.append(rows))
-        # Op 1 of cases 0 and 2 act on one B qubit and are judged together;
-        # only case 2's, a Hadamard, moves amplitude between B's values.
+        # Op 1 of cases 0 and 2 act on one B qubit; only case 2's, a
+        # Hadamard, moves amplitude between B's values.
         initial = state_from(SUPERPOSED_STAGES["input"])
         phase = (np.diag([1.0, 1j]), (0,))
         leaking = [(hadamard(), (2,)), (hadamard(), (0,)), (hadamard(), (3,))]

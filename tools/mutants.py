@@ -223,8 +223,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/measure.py",
-        "rows, off = np.eye(1 << n)[cols], value[cols, None] != value",
-        "rows, off = np.eye(1 << n)[cols], value[cols, None] == value",
+        "moved[value[cols, None] != value]",
+        "moved[value[cols, None] == value]",
         "_leak reads the amplitudes that stay within a register value",
     ),
     Mutant(
@@ -265,15 +265,9 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/measure.py",
-        "np.stack([op.matrix for op, _ in members])",
-        "np.stack([members[0][0].matrix for _ in members])",
-        "every row of a stacked group gets the group's first matrix",
-    ),
-    Mutant(
-        "src/deutschsim/measure.py",
         "np.stack([member.matrix for member, _ in members])",
-        "np.stack([members[0][0].matrix for _ in members])",
-        "the batch judges every op of a stacked group by the first op's leak",
+        "np.stack([op.matrix for _ in members])",
+        "every row of a stacked group gets the group's first matrix",
     ),
     Mutant(
         "src/deutschsim/deutsch.py",
