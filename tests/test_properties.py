@@ -400,9 +400,8 @@ def test_deferred_batch_equals_each_case_run_alone(cases):
 @given(st.lists(deferred_cases(), min_size=2, max_size=6), st.data())
 def test_deferred_batch_names_the_first_leaking_op(cases, data):
     # 1 to 3 leaking items go into drawn cases at drawn places: a Haar
-    # unitary on all four qubits, which the batch judges together with the
-    # block-diagonal ones at its place, or a Hadamard on a B qubit.  The
-    # batch names the op that the first rejected one-case call names.
+    # unitary on all four qubits or a Hadamard on a B qubit.  The batch
+    # names the op that the first rejected one-case call names.
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     cases = [(list(circuit), initial) for circuit, initial in cases]
     for _ in range(data.draw(st.integers(1, 3))):
