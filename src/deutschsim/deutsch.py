@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -290,10 +290,12 @@ def run_deutsch_jozsa_batch(functions: Iterable[Sequence[int]]) -> list[Verdict]
     drift.  That one application is one query of each function, so every
     verdict reports one evaluation.
 
-    The functions must be non-empty and of one width (ValueError
-    otherwise); PromiseViolationError names the first that is neither
-    constant nor balanced, before any oracle is built.
+    The functions must be a non-empty sequence, not a set or a mapping, of
+    one width (ValueError otherwise); PromiseViolationError names the first
+    that is neither constant nor balanced, before any oracle is built.
     """
+    if isinstance(functions, (Mapping, set, frozenset)) or not np.iterable(functions):
+        raise ValueError(f"functions must be a sequence, not a {type(functions).__name__}")
     checked = [_validate_values(values) for values in functions]
     lengths = sorted({len(vals) for vals in checked})
     if len(lengths) != 1:

@@ -11,11 +11,11 @@ counts are reproducible for a fixed seed within this implementation.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BlockDiagonalityError, ImpossibleOutcomeError, LayoutError
+from .errors import BlockDiagonalityError, ImpossibleOutcomeError, LayoutError, SimulatorError
 from .record import Record
 from .state import (
     ATOL_STATE,
@@ -24,11 +24,13 @@ from .state import (
     RegisterLayout,
     StateVector,
     _check_state,
+    _checked_targets,
     _evolve,
     _index_table,
     _is_int,
     _outcome_indices,
     _product,
+    _validate_unitary,
 )
 
 RNG_ALGORITHM = "pcg64"
@@ -124,41 +126,62 @@ def sample(
     return {format(v, f"0{width}b"): int(c) for v, c in zip(values, counts)}
 
 
-def _as_ops(circuit: Sequence, n: int) -> list[Op]:
-    """``circuit`` as ops on n qubits, each ``(matrix, targets)`` pair made
-    an ``Op`` (and so checked) in circuit order.  LayoutError says the
-    circuit is not iterable, or names the first item that is neither."""
+def _items(circuit) -> list:
+    """``circuit`` as a list; LayoutError unless it is iterable in order: no set or mapping."""
+    if isinstance(circuit, (Mapping, set, frozenset)):
+        raise LayoutError(f"circuit must be a sequence of ops, not a {type(circuit).__name__}")
     if not np.iterable(circuit):
         raise LayoutError(f"circuit {circuit!r} is not a sequence of ops")
-    ops = []
-    for k, item in enumerate(circuit):
-        if not isinstance(item, Op):
-            try:
-                matrix, targets = item
-            except (TypeError, ValueError):
-                raise LayoutError(
-                    f"circuit item {k} is neither an Op nor a (matrix, targets) pair"
-                ) from None
-            item = Op(matrix, targets, n)
-        ops.append(item)
-    if any(op.n_qubits != n for op in ops):
-        raise LayoutError(f"circuit holds an op on other than {n} qubits")
-    return ops
+    return list(circuit)
+
+
+def _as_ops(cases: Sequence) -> list[list[Op]]:
+    """The ops of each ``(circuit, initial)`` case, checked case by case as
+    ``Op`` checks them, but with each ``(matrix, targets)`` pair's matrix in
+    one stack per size.  On a fault, the pairs before it are checked one at
+    a time, so the first fault in case order raises."""
+    plans, pairs = [], []
+    try:
+        for circuit, initial in cases:
+            _check_state(initial)
+            n = initial.layout.total_qubits
+            ops = _items(circuit)
+            for k, item in enumerate(ops):
+                if not isinstance(item, Op):
+                    try:
+                        matrix, targets = item
+                    except (TypeError, ValueError):
+                        raise LayoutError(
+                            f"circuit item {k} is neither an Op nor a (matrix, targets) pair"
+                        ) from None
+                    pairs.append((ops, k, *_checked_targets(targets, n), matrix))
+            if any(op.n_qubits != n for op in ops if isinstance(op, Op)):
+                raise LayoutError(f"circuit holds an op on other than {n} qubits")
+            plans.append(ops)
+        for size in {len(targets) for _, _, targets, _, _ in pairs}:
+            group = [pair for pair in pairs if len(pair[2]) == size]
+            stack = _validate_unitary([matrix for *_, matrix in group], size, stack=True)
+            for (ops, k, targets, n, _), u in zip(group, stack):
+                ops[k] = op = Op.__new__(Op)
+                op._bind(targets, n, u)
+        return plans
+    except SimulatorError as exc:
+        fault = exc
+    for _, _, targets, _, matrix in pairs:
+        _validate_unitary(matrix, len(targets))
+    raise fault
 
 
 def apply_circuit(state: StateVector, circuit: Sequence) -> StateVector:
-    _check_state(state)
-    ops = _as_ops(circuit, state.layout.total_qubits)
+    (ops,) = _as_ops([(circuit, state)])
     return StateVector(state.layout, _evolve(state.amps, ops))
 
 
 def inverse_circuit(circuit: Sequence[Op]) -> list[Op]:
     """The circuit undoing ``circuit``: each op's inverse, in reverse order.
     Ops only, as a ``(matrix, targets)`` pair needs a qubit count; LayoutError
-    says the circuit is not iterable, or names the first item that is no op."""
-    if not np.iterable(circuit):
-        raise LayoutError(f"circuit {circuit!r} is not a sequence of ops")
-    ops = list(circuit)
+    as ``_items`` raises it, or naming the first item that is no op."""
+    ops = _items(circuit)
     for k, item in enumerate(ops):
         if not isinstance(item, Op):
             raise LayoutError(f"circuit item {k} is not an Op")
@@ -206,19 +229,32 @@ class DeferredEquivalenceReport(Record):
         return self.max_deviation <= ATOL_STATE
 
 
-def _leak(op: Op, positions: Sequence[int]) -> float:
-    """Largest amplitude ``op`` moves between basis states whose qubits
-    ``positions`` read differently (0 if none is a target), read by
-    ``apply_rows`` off the basis states where its other qubits read 0."""
-    if not any(t in positions for t in op.targets):
-        return 0.0
-    n, positions = op.n_qubits, tuple(positions)
-    cols = _index_table(n, op.targets)[0][:, 0]
-    # The table of ``positions`` has rows of 2^(n-w) indices, w = len(positions),
-    # so a shift of each index's place in it gives its row: the register's value.
-    value = _index_table(n, positions)[1] >> (n - len(positions))
-    moved = op.apply_rows(np.eye(1 << n)[cols])
-    return float(np.abs(moved[value[cols, None] != value]).max(initial=0.0))
+def _leaks(ops: Sequence[Op], positions: Sequence[int]) -> list[float]:
+    """Largest amplitude each op moves between basis states whose qubits
+    ``positions`` read differently (0 if none is a target), from the basis
+    states where its other qubits read 0: by ``apply_rows`` for a layer or an
+    oracle.  A plain ``Op`` moves column r of its matrix there, so plain ops
+    on one qubit count and targets are read off one stack of their matrices."""
+    leaks, groups, register = [0.0] * len(ops), {}, set(positions)
+    for i, op in enumerate(ops):
+        if not register.isdisjoint(op.targets):
+            plain = type(op).apply_rows is Op.apply_rows
+            groups.setdefault((op.n_qubits, op.targets) if plain else i, []).append(i)
+    for key, members in groups.items():
+        op = ops[members[0]]
+        n, positions = op.n_qubits, tuple(positions)
+        cols = _index_table(n, op.targets)[0][:, 0]
+        # The table of ``positions`` has rows of 2^(n-w) indices, w = len(positions),
+        # so a shift of each index's place in it gives its row: the register's value.
+        value = _index_table(n, positions)[1] >> (n - len(positions))
+        if type(key) is tuple:
+            mats = np.stack([ops[i].matrix for i in members])
+            moved = mats.mT[:, value[cols, None] != value[cols]]
+        else:
+            moved = op.apply_rows(np.eye(1 << n)[cols])[None, value[cols, None] != value]
+        for i, peak in zip(members, np.abs(moved).max(-1, initial=0.0).tolist()):
+            leaks[i] = peak
+    return leaks
 
 
 def deferred_equivalence(
@@ -234,16 +270,17 @@ def deferred_equivalence(
     the verdict that their joint distributions agree to 1e-12.
 
     ``circuit`` holds ops or ``(matrix, targets)`` pairs, each checked as an
-    op in circuit order before ``_leak`` judges any op.  This is the one-case
+    op in circuit order before ``_leaks`` judges any op.  This is the one-case
     call of ``_deferred_batch``.
     """
-    (report,) = _deferred_batch([(circuit, initial)], register)
-    return report
+    _, report = _deferred_batch([(circuit, initial)], register)
+    return report(0)
 
 
-def _deferred_batch(cases: Sequence, register: str) -> Iterator[DeferredEquivalenceReport]:
+def _deferred_batch(cases: Sequence, register: str) -> tuple[list[float], Callable]:
     """``deferred_equivalence`` of each ``(circuit, initial)`` case, all on
-    one layout, from one evolution; each case's report is made as it is read.
+    one layout, from one evolution: each case's worst deviation, and
+    ``report(j)``, which builds case j's report only when it is called.
 
     Every case's ops are built, then every op is judged by its leak before
     any row is evolved; the first leaking op, in case order, raises, and in
@@ -255,21 +292,16 @@ def _deferred_batch(cases: Sequence, register: str) -> Iterator[DeferredEquivale
     keeps its rows.  The project-last branches are read off each case's
     evolved initial row.
     """
-    plans = []
-    for circuit, initial in cases:
-        _check_state(initial)
-        plans.append(_as_ops(circuit, initial.layout.total_qubits))
-
+    plans = _as_ops(cases)
     n, layout = len(cases), cases[0][1].layout
     positions = layout.qubit_positions(register)
-    for j, ops in enumerate(plans):
-        for k, op in enumerate(ops):
-            leak = _leak(op, positions)
-            if leak > ATOL_STATE:
-                raise BlockDiagonalityError(
-                    f"circuit op {k}{f' of case {j}' if n > 1 else ''} does not preserve "
-                    f"register {register!r} basis vectors (off-block magnitude {leak:.3e})"
-                )
+    places = [(j, k) for j, ops in enumerate(plans) for k in range(len(ops))]
+    for (j, k), leak in zip(places, _leaks([op for ops in plans for op in ops], positions)):
+        if leak > ATOL_STATE:
+            raise BlockDiagonalityError(
+                f"circuit op {k}{f' of case {j}' if n > 1 else ''} does not preserve "
+                f"register {register!r} basis vectors (off-block magnitude {leak:.3e})"
+            )
 
     # Branch i is outcome kept[i] of case owner[i]; case j has branches bounds[j]:bounds[j + 1].
     initials = np.stack([initial.amps for _, initial in cases])
@@ -288,17 +320,18 @@ def _deferred_batch(cases: Sequence, register: str) -> Iterator[DeferredEquivale
         np.max(np.abs(np.abs(rows[n:]) ** 2 - np.abs(lasts) ** 2), axis=-1),
         np.abs(p_first - p_last),
     )
-    fields = outcomes, p_first.tolist(), p_last.tolist(), rows[n:], lasts, deviations.tolist()
+    worst = np.maximum.reduceat(deviations, bounds[:-1]).tolist()
 
-    def report(a: int, b: int, worst: float) -> DeferredEquivalenceReport:
-        outcome, pf, pl, first, last, dev = (field[a:b] for field in fields)
-        first = [StateVector(layout, row) for row in first]
-        last = [StateVector(layout, row) for row in last]
+    def report(j: int) -> DeferredEquivalenceReport:
+        a, b = bounds[j], bounds[j + 1]
+        first = [StateVector(layout, row) for row in rows[n + a : n + b]]
+        last = [StateVector(layout, row) for row in lasts[a:b]]
+        pf, pl, dev = (field[a:b].tolist() for field in (p_first, p_last, deviations))
         return DeferredEquivalenceReport(
-            register, tuple(map(BranchReport, outcome, pf, pl, first, last, dev)), worst
+            register, tuple(map(BranchReport, outcomes[a:b], pf, pl, first, last, dev)), worst[j]
         )
 
-    return map(report, bounds, bounds[1:], np.maximum.reduceat(deviations, bounds[:-1]).tolist())
+    return worst, report
 
 
 class _Step:

@@ -257,10 +257,12 @@ def _complex_array(values, error: type[Exception], what: str) -> np.ndarray:
         raise error(f"{what} is not an array of complex numbers ({exc})") from None
 
 
-def _validate_unitary(u: np.ndarray, n_targets: int) -> np.ndarray:
+def _validate_unitary(u: np.ndarray, n_targets: int, stack: bool = False) -> np.ndarray:
+    """``u`` as a new read-only complex matrix on ``n_targets`` qubits, or with
+    ``stack`` an (m, 2^k, 2^k) stack of them, whose U†U is one product."""
     u = _complex_array(u, UnitarityError, "matrix")
     dim = 1 << n_targets
-    if u.shape != (dim, dim):
+    if u.shape != ((len(u), dim, dim) if stack else (dim, dim)):
         raise LayoutError(
             f"matrix shape {u.shape} does not match {n_targets} target qubits"
         )
@@ -269,7 +271,7 @@ def _validate_unitary(u: np.ndarray, n_targets: int) -> np.ndarray:
     peak = np.abs(u).max()
     if not peak <= 1 + ATOL_MATRIX:
         raise UnitarityError(f"matrix is not unitary (entry magnitude {peak:.3e})")
-    defect = np.abs(u.conj().T @ u - _identity(dim)).max()
+    defect = np.abs((u.conj().mT if stack else u.conj().T) @ u - _identity(dim)).max()
     if not defect <= ATOL_MATRIX:
         raise UnitarityError(f"matrix is not unitary (defect {defect:.3e})")
     u.flags.writeable = False

@@ -31,6 +31,7 @@ from .deutsch import (
 from .errors import SimulatorError
 from .gates import Classification, FunctionTable, classify_function, hadamard
 from .measure import (
+    _as_ops,
     _deferred_batch,
     apply_circuit,
     deferred_equivalence,
@@ -339,14 +340,15 @@ def _random_block_diagonal_circuits(rng: np.random.Generator, count: int) -> lis
 def _deferred_random():
     n_circuits = 120
     cases = _random_block_diagonal_circuits(np.random.default_rng(1905), n_circuits)
-    dev = 0.0
-    for report in _deferred_batch([(circuit, initial) for initial, circuit in cases], "B"):
-        dev = max(dev, report.max_deviation)
+    # Each drawn (matrix, targets) pair made an op, and freed, before the batch runs.
+    cases = list(zip(_as_ops([(c, s) for s, c in cases]), [s for s, _ in cases]))
+    worst, report = _deferred_batch(cases, "B")
+    dev = max(worst)
     # The last circuit's project-last branches, against conditioning its own
     # run: apply_circuit evolves one state, with no rows of other circuits.
-    initial, circuit = cases[-1]
+    circuit, initial = cases[-1]
     final = apply_circuit(initial, circuit)
-    for branch in report.branches:
+    for branch in report(n_circuits - 1).branches:
         last = measure(final, "B", branch.outcome).post_state
         dev = max(dev, last.max_delta(branch.state_project_last))
     detail = "the last one's project-last branches equal apply_circuit then measure"

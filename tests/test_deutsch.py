@@ -450,6 +450,20 @@ class TestRunDeutschJozsaBatch:
         with pytest.raises(LayoutError, match="capped at 8 qubits"):
             run_deutsch_jozsa_batch([[0] * 256 + [1] * 256])
 
+    @pytest.mark.parametrize(
+        "functions, kind",
+        [(None, "NoneType"), (5, "int"), ({(0, 1), (1, 1)}, "set"),
+         (frozenset({(0, 1)}), "frozenset"), ({(0, 1): "f", (1, 1): "g"}, "dict")],
+        ids=["none", "int", "set", "frozenset", "dict"],
+    )
+    def test_functions_must_be_a_sequence(self, functions, kind):
+        # None and 5 leaked a bare TypeError; a set or a dict gave verdicts in
+        # hash or key order, which the caller could not pair with functions.
+        with pytest.raises(ValueError) as info:
+            run_deutsch_jozsa_batch(functions)
+        assert str(info.value) == f"functions must be a sequence, not a {kind}"
+        assert len(run_deutsch_jozsa_batch(iter([(0, 1), (1, 1)]))) == 2
+
 
 class TestClassicalQueryCount:
     def test_one_bit_needs_two_evaluations(self):
@@ -592,15 +606,16 @@ class TestStagedEvolution:
         real = state_module._validate_unitary
         real_init = RegisterLayout.__init__
 
-        def counting(u, n_targets):
-            validated.append(n_targets)
-            return real(u, n_targets)
+        def counting(u, n_targets, stack=False):
+            validated.extend([n_targets] * (len(u) if stack else 1))
+            return real(u, n_targets, stack)
 
         def counting_layout(layout, groups):
             layouts.append(groups)
             real_init(layout, groups)
 
-        monkeypatch.setattr(state_module, "_validate_unitary", counting)
+        for module in (state_module, measure_module):
+            monkeypatch.setattr(module, "_validate_unitary", counting)
         monkeypatch.setattr(RegisterLayout, "__init__", counting_layout)
         RegisterLayout((("A", 4), ("W", 1)))
         assert layouts == [(("A", 4), ("W", 1))]  # the count sees every build

@@ -56,6 +56,9 @@ from conftest import (
 # The package's ``measure`` attribute is the function of that name.
 measure_module = importlib.import_module("deutschsim.measure")
 
+# One Hadamard op on A, hashable as every op is, by identity.
+H_ON_A = Op(hadamard(), (2,), 4)
+
 
 def state_from(golden: dict[str, float]) -> StateVector:
     return StateVector(CANONICAL_LAYOUT, golden_vector(golden))
@@ -442,18 +445,19 @@ class TestBatchedHarness:
             assert json.dumps(got) == json.dumps(want)
 
     def test_each_op_validated_once(self, monkeypatch):
-        # U^dagger U runs once per matrix op built and never when an op is
+        # U^dagger U judges each matrix op built once and none when an op is
         # applied.  The Hadamard ops on A are built once per layout and
         # shared by every later circuit; a (matrix, targets) pair is built
-        # into an op each time it is passed.
+        # into an op each time it is passed, its matrix validated in a stack.
         calls = []
         real = state_module._validate_unitary
 
-        def counting(u, n_targets):
-            calls.append(n_targets)
-            return real(u, n_targets)
+        def counting(u, n_targets, stack=False):
+            calls.extend([n_targets] * (len(u) if stack else 1))
+            return real(u, n_targets, stack)
 
-        monkeypatch.setattr(state_module, "_validate_unitary", counting)
+        for module in (state_module, measure_module):
+            monkeypatch.setattr(module, "_validate_unitary", counting)
         deutsch_module._hadamards_on_a.cache_clear()
         initial = state_from(SUPERPOSED_STAGES["input"])
         circuit = deutsch_circuit()
@@ -472,7 +476,10 @@ class TestBatchedHarness:
                 op.apply(initial)
         assert calls == []
         deferred_equivalence(pairs, initial, "B")
-        assert len(calls) == len(pairs)
+        assert sorted(calls) == sorted(len(targets) for _, targets in pairs)
+        calls.clear()
+        _deferred_batch([(pairs, initial), (circuit, initial), (pairs[::-1], initial)], "B")
+        assert sorted(calls) == sorted(2 * [len(targets) for _, targets in pairs])
 
     def test_leak_in_a_later_case_named_before_any_row_is_evolved(self, monkeypatch):
         evolved = []
@@ -520,12 +527,17 @@ class TestBatchedHarness:
             (5, "5 is not"),
             ([(1,)], "item 0"),
             ([(hadamard(), (2,)), (hadamard(), (0,), 9)], "item 1"),
+            ({H_ON_A}, "not a set$"),
+            (frozenset({H_ON_A}), "not a frozenset$"),
+            ({H_ON_A: 1}, "not a dict$"),
         ],
-        ids=["none-item", "int-circuit", "one-part-item", "three-part-item"],
+        ids=["none-item", "int-circuit", "one-part-item", "three-part-item",
+             "set-circuit", "frozenset-circuit", "dict-circuit"],
     )
     def test_malformed_circuit_named(self, circuit, where):
         # Each leaked TypeError before: the circuit is not iterable, or an
-        # item is neither an op nor a (matrix, targets) pair.
+        # item is neither an op nor a (matrix, targets) pair.  A set or a
+        # mapping ran its ops in hash order, or ran a dict's keys.
         initial = state_from(SUPERPOSED_STAGES["input"])
         for run in (apply_circuit, lambda s, c: deferred_equivalence(c, s, "B")):
             with pytest.raises(LayoutError, match=where):
@@ -570,7 +582,7 @@ def project_loop_reference(circuit, initial: StateVector, register: str):
     branch and per order, each with its own ``np.sum``, ``np.where`` and
     ``StateVector``; the leak check is left out, as the inputs pass it."""
     layout = initial.layout
-    ops = _as_ops(circuit, layout.total_qubits)
+    (ops,) = _as_ops([(circuit, initial)])
 
     def project(amps, mask):
         probability = float(np.sum(np.abs(amps[mask]) ** 2))
@@ -763,8 +775,10 @@ class TestCircuitHelpers:
             (5, "5 is not"),
             ([None], "item 0"),
             ([Op(hadamard(), (2,), 4), (hadamard(), (2,))], "item 1"),
+            ({H_ON_A}, "not a set$"),
+            ({H_ON_A: 1}, "not a dict$"),
         ],
-        ids=["int-circuit", "none-item", "pair-item"],
+        ids=["int-circuit", "none-item", "pair-item", "set-circuit", "dict-circuit"],
     )
     def test_inverse_circuit_takes_ops_only(self, circuit, where):
         # These leaked TypeError or AttributeError before.

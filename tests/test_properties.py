@@ -38,8 +38,10 @@ from deutschsim import (
     CountedOracle,
     FunctionTable,
     ImpossibleOutcomeError,
+    LayoutError,
     Op,
     RegisterLayout,
+    SimulatorError,
     StateVector,
     UnitarityError,
     apply_circuit,
@@ -57,7 +59,7 @@ from deutschsim.cli import main
 from deutschsim.deutsch import _run_pipeline
 from deutschsim.gates import _integer, _validate_values
 from deutschsim.measure import _deferred_batch
-from deutschsim.state import _Layer, _evolve
+from deutschsim.state import _check_state, _Layer, _evolve
 
 from conftest import (
     brute_oracle,
@@ -381,10 +383,12 @@ def deferred_cases(draw) -> tuple[list, StateVector]:
 def test_deferred_batch_equals_each_case_run_alone(cases):
     # Every branch of every case, against the two orderings computed one
     # state at a time by apply_circuit and measure, and against the
-    # one-case call, byte for byte.
-    reports = list(_deferred_batch(cases, "B"))
-    assert len(reports) == len(cases)
-    for (circuit, initial), report in zip(cases, reports):
+    # one-case call, byte for byte; each worst deviation is its report's.
+    worst, build = _deferred_batch(cases, "B")
+    assert len(worst) == len(cases)
+    for j, (circuit, initial) in enumerate(cases):
+        report = build(j)
+        assert worst[j] == report.max_deviation
         assert_same_report(report, deferred_equivalence(circuit, initial, "B"))
         final = apply_circuit(initial, circuit)
         outcomes = [branch.outcome for branch in report.branches]
@@ -396,12 +400,66 @@ def test_deferred_batch_equals_each_case_run_alone(cases):
             assert branch.state_project_last.amps.tobytes() == last.amps.tobytes()
 
 
-@settings(deadline=None, derandomize=True, database=None, max_examples=40)
+def after_a_unitary(rng, small: list, diagonal: list) -> list:
+    """``small`` as a 2x2 matrix on A or V, or a 16x16 diagonal ending in
+    ``diagonal`` on every qubit, each after a unitary of its size and
+    targets, so it is not the first matrix of its stack."""
+    if rng.integers(2):
+        targets = (int(rng.integers(2, 4)),)
+        return [(haar_unitary(2, rng), targets), (np.array(small), targets)]
+    phases = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 16)))
+    invalid = np.diag([1.0] * (16 - len(diagonal)) + diagonal)
+    return [(phases, (0, 1, 2, 3)), (invalid, (0, 1, 2, 3))]
+
+
+# Items that fail validation, each drawn into a case's circuit: what the
+# batch raises for them is what Op raises when it builds them alone.
+INVALID_ITEMS = {
+    "non_pair": lambda rng: [(1,)],
+    "bad_targets": lambda rng: [(hadamard(), (int(rng.integers(2, 5)), 2))],
+    "wrong_shape": lambda rng: [(np.eye(4), (int(rng.integers(2, 4)),))],
+    "non_numeric": lambda rng: [([[1, 0], [0, "x"]], (3,))],
+    "nan": lambda rng: after_a_unitary(rng, [[np.nan, 0], [0, 1]], [np.nan]),
+    "non_unitary": lambda rng: after_a_unitary(rng, [[1.0, 1.0], [0.0, 1.0]], [0.5]),
+}
+
+
+def first_fault_one_at_a_time(cases) -> tuple[type, str]:
+    """The type and message of a batch's first fault met one item at a time:
+    each case's state by _check_state, then each of its items by Op, every
+    case before any leak; then each matrix op's dense leak, in case order."""
+    built = []
+    try:
+        for circuit, initial in cases:
+            _check_state(initial)
+            built.append([])
+            for k, item in enumerate(circuit):
+                if not isinstance(item, Op) and not (isinstance(item, tuple) and len(item) == 2):
+                    raise LayoutError(
+                        f"circuit item {k} is neither an Op nor a (matrix, targets) pair"
+                    )
+                built[-1].append(item if isinstance(item, Op) else Op(*item, 4))
+    except SimulatorError as exc:
+        return type(exc), str(exc)
+    for j, ops in enumerate(built):
+        for k, op in enumerate(ops):
+            leak = dense_leak(op.matrix, op.targets, "B") if type(op) is Op else 0.0
+            if leak > 1e-12:
+                return BlockDiagonalityError, (
+                    f"circuit op {k} of case {j} does not preserve register 'B' "
+                    f"basis vectors (off-block magnitude {leak:.3e})"
+                )
+    raise AssertionError("no fault drawn")
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=100)
 @given(st.lists(deferred_cases(), min_size=2, max_size=6), st.data())
 def test_deferred_batch_names_the_first_leaking_op(cases, data):
     # 1 to 3 leaking items go into drawn cases at drawn places: a Haar
-    # unitary on all four qubits or a Hadamard on a B qubit.  The batch
-    # names the op that the first rejected one-case call names.
+    # unitary on all four qubits or a Hadamard on a B qubit.  In about half
+    # the examples, 1 to 3 faults of validation join them: an item that fails
+    # to be an op, or a layout in place of a case's state.  The batch raises
+    # the type and message of the first fault the one-at-a-time reference meets.
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     cases = [(list(circuit), initial) for circuit, initial in cases]
     for _ in range(data.draw(st.integers(1, 3))):
@@ -409,16 +467,19 @@ def test_deferred_batch_names_the_first_leaking_op(cases, data):
         haar = data.draw(st.booleans())
         item = (haar_unitary(16, rng), (0, 1, 2, 3)) if haar else (hadamard(), (rng.integers(2),))
         circuit.insert(data.draw(st.integers(0, len(circuit))), item)
-    rejected = []
-    for j, (circuit, initial) in enumerate(cases):
-        try:
-            deferred_equivalence(circuit, initial, "B")
-        except BlockDiagonalityError as exc:
-            rejected.append((j, str(exc)))
-    j, message = rejected[0]
-    with pytest.raises(BlockDiagonalityError) as info:
+    faults = st.lists(st.sampled_from([*INVALID_ITEMS, "state"]), min_size=1, max_size=3)
+    for kind in data.draw(faults) if data.draw(st.booleans()) else []:
+        j = data.draw(st.integers(0, len(cases) - 1))
+        circuit, initial = cases[j]
+        if kind == "state":
+            cases[j] = (circuit, CANONICAL_LAYOUT)
+        else:
+            at = data.draw(st.integers(0, len(circuit)))
+            circuit[at:at] = INVALID_ITEMS[kind](rng)
+    error, message = first_fault_one_at_a_time(cases)
+    with pytest.raises(SimulatorError) as info:
         _deferred_batch(cases, "B")
-    assert str(info.value) == message.replace(" does not", f" of case {j} does not", 1)
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 @settings(deadline=None, derandomize=True, database=None)

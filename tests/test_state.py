@@ -32,7 +32,7 @@ from deutschsim import (
     superpose,
 )
 from deutschsim.deutsch import _canonical_values, _hadamards_on_a, _run_pipeline
-from deutschsim.measure import _leak
+from deutschsim.measure import _leaks
 from deutschsim.state import _Layer, _evolve
 from deutschsim.verify import _matrix
 
@@ -579,10 +579,10 @@ class TestOp:
             dense = Op(_matrix(oracle), range(n), n)
             for k in range(n + 1):
                 for positions in combinations(range(n), k):
-                    leak = _leak(oracle, positions)
-                    assert leak == _leak(dense, positions) and leak in (0.0, 1.0)
-        assert _leak(canonical, CANONICAL_LAYOUT.qubit_positions("B")) == 0.0
-        assert _leak(canonical, CANONICAL_LAYOUT.qubit_positions("V")) == 1.0
+                    leak = _leaks([oracle], positions)[0]
+                    assert leak == _leaks([dense], positions)[0] and leak in (0.0, 1.0)
+        assert _leaks([canonical], CANONICAL_LAYOUT.qubit_positions("B"))[0] == 0.0
+        assert _leaks([canonical], CANONICAL_LAYOUT.qubit_positions("V"))[0] == 1.0
 
     def test_leak_equals_the_full_mask_value(self):
         # Every target tuple at n=4 against every qubit subset: an op that
@@ -600,14 +600,14 @@ class TestOp:
                     idx = np.arange(1 << k) & mask
                     off = idx[:, None] != idx[None, :]
                     want = float(np.max(np.abs(u[off]), initial=0.0))
-                    assert _leak(Op(u, targets, 4), positions) == want, (targets, positions)
+                    assert _leaks([Op(u, targets, 4)], positions)[0] == want, (targets, positions)
         for _ in range(16):
             values = random_values(3, rng)
             u = brute_oracle(values)
             for positions in subsets:
                 idx = np.arange(16) & sum(1 << (3 - p) for p in positions)
                 want = float(np.max(np.abs(u[idx[:, None] != idx[None, :]]), initial=0.0))
-                assert _leak(CountedOracle(values), positions) == want
+                assert _leaks([CountedOracle(values)], positions)[0] == want
 
     @pytest.mark.parametrize(
         "targets, n_qubits",
@@ -701,8 +701,9 @@ class TestLayer:
             assert np.array_equal(layer.inverse().matrix, u.conj().T)
             for k in range(n + 1):
                 for positions in combinations(range(n), k):
-                    want = _leak(dense, positions)
-                    assert _leak(layer, positions) == (want if u is h else pytest.approx(want))
+                    want = _leaks([dense], positions)[0]
+                    got = _leaks([layer], positions)[0]
+                    assert got == (want if u is h else pytest.approx(want))
 
     @pytest.mark.parametrize("batch", [(), (2,)], ids=["state", "rank1"])
     def test_smuggled_factor_trips_the_drift_check(self, batch):

@@ -1,7 +1,9 @@
 """Re-run the named mutations of deutschsim against the tier-1 suite.
 
-Usage: python tools/mutants.py
+Usage: python tools/mutants.py [SUBSTRING ...]
 
+With substrings, only the entries whose ``why`` holds one of them run, so a
+change can re-run its own entries in seconds; the full run is the gate.
 Each entry of ``MUTANTS`` replaces one exact piece of text in one file
 under ``src/``.  For each, the script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` to a temporary directory, applies the mutation there and
@@ -223,15 +225,54 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/measure.py",
-        "moved[value[cols, None] != value]",
-        "moved[value[cols, None] == value]",
-        "_leak reads the amplitudes that stay within a register value",
+        "mats.mT[:, value[cols, None] != value[cols]]",
+        "mats.mT[:, value[cols, None] == value[cols]]",
+        "_leaks reads the amplitudes that stay within a register value",
+    ),
+    Mutant(
+        "src/deutschsim/measure.py",
+        "[None, value[cols, None] != value]",
+        "[None, value[cols, None] == value]",
+        "_leaks reads the amplitudes a layer or an oracle keeps within a register value",
     ),
     Mutant(
         "src/deutschsim/measure.py",
         "value = _index_table(n, positions)[1] >> (n - len(positions))",
         "value = _index_table(n, positions)[1] >> n",
-        "_leak gives every basis index register value 0",
+        "_leaks gives every basis index register value 0",
+    ),
+    Mutant(
+        "src/deutschsim/measure.py",
+        "np.stack([ops[i].matrix for i in members])",
+        "np.stack([ops[members[0]].matrix for i in members])",
+        "the stacked leak reads only a group's first member",
+    ),
+    Mutant(
+        "src/deutschsim/state.py",
+        "    peak = np.abs(u).max()\n"
+        "    if not peak <= 1 + ATOL_MATRIX:\n"
+        '        raise UnitarityError(f"matrix is not unitary (entry magnitude {peak:.3e})")\n'
+        "    defect = np.abs((u.conj().mT if stack else u.conj().T) @ u - _identity(dim)).max()\n",
+        "    judged = u[:1] if stack else u\n"
+        "    peak = np.abs(judged).max()\n"
+        "    if not peak <= 1 + ATOL_MATRIX:\n"
+        '        raise UnitarityError(f"matrix is not unitary (entry magnitude {peak:.3e})")\n'
+        "    defect = np.abs((judged.conj().mT if stack else judged.conj().T) @ judged\n"
+        "                    - _identity(dim)).max()\n",
+        "the stacked validator judges only a stack's first matrix",
+    ),
+    Mutant(
+        "src/deutschsim/measure.py",
+        "    for _, _, targets, _, matrix in pairs:\n"
+        "        _validate_unitary(matrix, len(targets))\n",
+        "",
+        "a batch raises its first fault of validation by stack, not in case order",
+    ),
+    Mutant(
+        "src/deutschsim/measure.py",
+        "a, b = bounds[j], bounds[j + 1]",
+        "a, b = bounds[0], bounds[1]",
+        "report(j) builds case 0's report",
     ),
     Mutant(
         "src/deutschsim/gates.py",
@@ -298,7 +339,8 @@ def copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def main() -> int:
+def main(selected: list[str]) -> int:
+    mutants = [m for m in MUTANTS if not selected or any(s in m.why for s in selected)]
     with tempfile.TemporaryDirectory(prefix="deutschsim-mutants-") as tmp:
         base = Path(tmp) / "base"
         copy_tree(base)
@@ -306,7 +348,7 @@ def main() -> int:
             print("the unmutated suite fails; no mutant can be judged")
             return 1
         bad = 0
-        for k, m in enumerate(MUTANTS):
+        for k, m in enumerate(mutants):
             text = (ROOT / m.file).read_text()
             if text.count(m.old) != 1:
                 print(f"STALE     {m.file}: {m.old!r} found {text.count(m.old)} times ({m.why})")
@@ -326,9 +368,9 @@ def main() -> int:
             else:
                 print(f"SURVIVED  {secs:5.1f}s  {m.why}")
                 bad += 1
-    print(f"{len(MUTANTS)} mutants, {bad} undeclared survivors or stale entries")
+    print(f"{len(mutants)} mutants, {bad} undeclared survivors or stale entries")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
