@@ -247,11 +247,11 @@ def _leaks(ops: Sequence[Op], positions: Sequence[int]) -> list[float]:
         # The table of ``positions`` has rows of 2^(n-w) indices, w = len(positions),
         # so a shift of each index's place in it gives its row: the register's value.
         value = _index_table(n, positions)[1] >> (n - len(positions))
+        mask = value[cols, None] != value
         if type(key) is tuple:
-            mats = np.stack([ops[i].matrix for i in members])
-            moved = mats.mT[:, value[cols, None] != value[cols]]
+            moved = np.stack([ops[i].matrix for i in members])[:, mask[:, cols]]
         else:
-            moved = op.apply_rows(np.eye(1 << n)[cols])[None, value[cols, None] != value]
+            moved = op.apply_rows(np.eye(1 << n)[cols])[None, mask]
         for i, peak in zip(members, np.abs(moved).max(-1, initial=0.0).tolist()):
             leaks[i] = peak
     return leaks

@@ -258,8 +258,7 @@ def _complex_array(values, error: type[Exception], what: str) -> np.ndarray:
 
 
 def _validate_unitary(u: np.ndarray, n_targets: int, stack: bool = False) -> np.ndarray:
-    """``u`` as a new read-only complex matrix on ``n_targets`` qubits, or with
-    ``stack`` an (m, 2^k, 2^k) stack of them, whose U†U is one product."""
+    """``u`` as a new read-only matrix on ``n_targets`` qubits, or as an (m, d, d) ``stack``."""
     u = _complex_array(u, UnitarityError, "matrix")
     dim = 1 << n_targets
     if u.shape != ((len(u), dim, dim) if stack else (dim, dim)):
@@ -271,7 +270,9 @@ def _validate_unitary(u: np.ndarray, n_targets: int, stack: bool = False) -> np.
     peak = np.abs(u).max()
     if not peak <= 1 + ATOL_MATRIX:
         raise UnitarityError(f"matrix is not unitary (entry magnitude {peak:.3e})")
-    defect = np.abs((u.conj().mT if stack else u.conj().T) @ u - _identity(dim)).max()
+    gram = (u.conj().mT if stack else u.conj().T) @ u
+    gram -= _identity(dim)  # in place: for a stack, the largest temporary
+    defect = np.abs(gram).max()
     if not defect <= ATOL_MATRIX:
         raise UnitarityError(f"matrix is not unitary (defect {defect:.3e})")
     u.flags.writeable = False

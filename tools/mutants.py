@@ -225,15 +225,15 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/measure.py",
-        "mats.mT[:, value[cols, None] != value[cols]]",
-        "mats.mT[:, value[cols, None] == value[cols]]",
+        "mask = value[cols, None] != value",
+        "mask = value[cols, None] == value",
         "_leaks reads the amplitudes that stay within a register value",
     ),
     Mutant(
         "src/deutschsim/measure.py",
-        "[None, value[cols, None] != value]",
-        "[None, value[cols, None] == value]",
-        "_leaks reads the amplitudes a layer or an oracle keeps within a register value",
+        "op.apply_rows(np.eye(1 << n)[cols])[None, mask]",
+        "np.eye(1 << n)[cols][None, mask]",
+        "_leaks reads a layer's or an oracle's leak off basis states it did not move",
     ),
     Mutant(
         "src/deutschsim/measure.py",
@@ -252,13 +252,12 @@ MUTANTS = [
         "    peak = np.abs(u).max()\n"
         "    if not peak <= 1 + ATOL_MATRIX:\n"
         '        raise UnitarityError(f"matrix is not unitary (entry magnitude {peak:.3e})")\n'
-        "    defect = np.abs((u.conj().mT if stack else u.conj().T) @ u - _identity(dim)).max()\n",
+        "    gram = (u.conj().mT if stack else u.conj().T) @ u\n",
         "    judged = u[:1] if stack else u\n"
         "    peak = np.abs(judged).max()\n"
         "    if not peak <= 1 + ATOL_MATRIX:\n"
         '        raise UnitarityError(f"matrix is not unitary (entry magnitude {peak:.3e})")\n'
-        "    defect = np.abs((judged.conj().mT if stack else judged.conj().T) @ judged\n"
-        "                    - _identity(dim)).max()\n",
+        "    gram = (judged.conj().mT if stack else judged.conj().T) @ judged\n",
         "the stacked validator judges only a stack's first matrix",
     ),
     Mutant(
