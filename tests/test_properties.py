@@ -7,7 +7,8 @@ batches against two np.moveaxis calls, the deferred-measurement
 precondition on drawn ops, oracles and layers against a dense expansion
 built with np.kron and int(label, 2) arithmetic, each case of a drawn
 deferred-measurement batch against apply_circuit and measure run one state
-at a time, the evolution kernel's single-state drift check
+at a time, the first fault of a drawn batch against one met an item at a
+time, the evolution kernel's single-state drift check
 on drawn circuits against its batch one, value validation against a
 per-value pass, the register readouts of drawn unit states against each
 other, and the exit code of `dj --function-file` on drawn file text.
