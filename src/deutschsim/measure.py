@@ -231,29 +231,20 @@ class DeferredEquivalenceReport(Record):
 
 def _leaks(ops: Sequence[Op], positions: Sequence[int]) -> list[float]:
     """Largest amplitude each op moves between basis states whose qubits
-    ``positions`` read differently (0 if none is a target), from the basis
-    states where its other qubits read 0: by ``apply_rows`` for a layer or an
-    oracle.  A plain ``Op`` moves column r of its matrix there, so plain ops
-    on one qubit count and targets are read off one stack of their matrices."""
-    leaks, groups, register = [0.0] * len(ops), {}, set(positions)
-    for i, op in enumerate(ops):
-        if not register.isdisjoint(op.targets):
-            plain = type(op).apply_rows is Op.apply_rows
-            groups.setdefault((op.n_qubits, op.targets) if plain else i, []).append(i)
-    for key, members in groups.items():
-        op = ops[members[0]]
-        n, positions = op.n_qubits, tuple(positions)
+    ``positions`` read differently (0 if none is a target), read by
+    ``apply_rows`` off the basis states where its other qubits read 0."""
+    leaks, positions = [], tuple(positions)
+    for op in ops:
+        if not any(t in positions for t in op.targets):
+            leaks.append(0.0)
+            continue
+        n = op.n_qubits
         cols = _index_table(n, op.targets)[0][:, 0]
         # The table of ``positions`` has rows of 2^(n-w) indices, w = len(positions),
         # so a shift of each index's place in it gives its row: the register's value.
         value = _index_table(n, positions)[1] >> (n - len(positions))
-        mask = value[cols, None] != value
-        if type(key) is tuple:
-            moved = np.stack([ops[i].matrix for i in members])[:, mask[:, cols]]
-        else:
-            moved = op.apply_rows(np.eye(1 << n)[cols])[None, mask]
-        for i, peak in zip(members, np.abs(moved).max(-1, initial=0.0).tolist()):
-            leaks[i] = peak
+        moved = op.apply_rows(np.eye(1 << n)[cols])
+        leaks.append(float(np.abs(moved[value[cols, None] != value]).max(initial=0.0)))
     return leaks
 
 

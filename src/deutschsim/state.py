@@ -270,7 +270,7 @@ def _validate_unitary(u: np.ndarray, n_targets: int, stack: bool = False) -> np.
     peak = np.abs(u).max()
     if not peak <= 1 + ATOL_MATRIX:
         raise UnitarityError(f"matrix is not unitary (entry magnitude {peak:.3e})")
-    gram = (u.conj().mT if stack else u.conj().T) @ u
+    gram = (u.conj().swapaxes(-1, -2) if stack else u.conj().T) @ u
     gram -= _identity(dim)  # in place: for a stack, the largest temporary
     defect = np.abs(gram).max()
     if not defect <= ATOL_MATRIX:

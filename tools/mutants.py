@@ -225,15 +225,15 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/measure.py",
-        "mask = value[cols, None] != value",
-        "mask = value[cols, None] == value",
+        "moved[value[cols, None] != value]",
+        "moved[value[cols, None] == value]",
         "_leaks reads the amplitudes that stay within a register value",
     ),
     Mutant(
         "src/deutschsim/measure.py",
-        "op.apply_rows(np.eye(1 << n)[cols])[None, mask]",
-        "np.eye(1 << n)[cols][None, mask]",
-        "_leaks reads a layer's or an oracle's leak off basis states it did not move",
+        "moved = op.apply_rows(np.eye(1 << n)[cols])",
+        "moved = np.eye(1 << n)[cols]",
+        "_leaks reads an op's leak off basis states it did not move",
     ),
     Mutant(
         "src/deutschsim/measure.py",
@@ -243,21 +243,21 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/measure.py",
-        "np.stack([ops[i].matrix for i in members])",
-        "np.stack([ops[members[0]].matrix for i in members])",
-        "the stacked leak reads only a group's first member",
+        "cols = _index_table(n, op.targets)[0][:, 0]",
+        "cols = _index_table(n, ops[0].targets)[0][:, 0]",
+        "_leaks reads every op's basis states off the first op's targets",
     ),
     Mutant(
         "src/deutschsim/state.py",
         "    peak = np.abs(u).max()\n"
         "    if not peak <= 1 + ATOL_MATRIX:\n"
         '        raise UnitarityError(f"matrix is not unitary (entry magnitude {peak:.3e})")\n'
-        "    gram = (u.conj().mT if stack else u.conj().T) @ u\n",
+        "    gram = (u.conj().swapaxes(-1, -2) if stack else u.conj().T) @ u\n",
         "    judged = u[:1] if stack else u\n"
         "    peak = np.abs(judged).max()\n"
         "    if not peak <= 1 + ATOL_MATRIX:\n"
         '        raise UnitarityError(f"matrix is not unitary (entry magnitude {peak:.3e})")\n'
-        "    gram = (judged.conj().mT if stack else judged.conj().T) @ judged\n",
+        "    gram = (judged.conj().swapaxes(-1, -2) if stack else judged.conj().T) @ judged\n",
         "the stacked validator judges only a stack's first matrix",
     ),
     Mutant(
