@@ -7,9 +7,10 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from . import __version__
 from .deutsch import (
@@ -266,6 +267,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def entry() -> NoReturn:
+    """The process entry: ``deutschsim`` and ``python -m deutschsim.cli``.
+
+    It freezes the heap that importing numpy and the package left tracked,
+    about 22,000 objects, then exits with ``main()``'s code.  Frozen objects
+    are skipped by every later full collection, the interpreter's own at
+    exit included, which would otherwise walk them all again.  ``main``
+    freezes nothing, so a caller that runs it in-process keeps its heap.
+    """
+    gc.freeze()
+    sys.exit(main())
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -288,4 +302,4 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

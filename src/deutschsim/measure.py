@@ -301,9 +301,11 @@ def _deferred_batch(cases: Sequence, register: str) -> tuple[list[float], Callab
     outcomes = [format(v, f"0{len(positions)}b") for v in kept.tolist()]
     p_first, firsts = _project(initials[owner], table[kept], register, outcomes)
     bounds = np.searchsorted(owner, np.arange(n + 1)).tolist()
-    spans = [
-        np.append(j, np.arange(n + a, n + b)) for j, a, b in zip(range(n), bounds, bounds[1:])
-    ]
+    # Case j's rows, row j then rows n + bounds[j]:n + bounds[j + 1], are one
+    # slice of the branch rows with each case's initial row inserted first.
+    index = np.insert(np.arange(n, n + len(owner)), bounds[:-1], np.arange(n))
+    cuts = [a + j for j, a in enumerate(bounds)]
+    spans = [index[a:b] for a, b in zip(cuts, cuts[1:])]
     steps = [_Step(plans, spans, p) for p in range(max(map(len, plans)))]
     rows = _evolve(np.concatenate([initials, firsts]), steps)
     p_last, lasts = _project(rows[owner], table[kept], register, outcomes)

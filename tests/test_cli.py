@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, exit codes, JSON dumps, text format."""
 
+import ast
+import gc
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import deutschsim
+import deutschsim.cli as cli
 from deutschsim import (
     RNG_ALGORITHM,
     SETTING_LABELS,
@@ -480,6 +483,87 @@ class TestColdStart:
     def test_json_output_golden_in_a_fresh_process(self, argv):
         proc = fresh_python("-m", "deutschsim.cli", *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, JSON_STDOUT[argv], "")
+
+
+class TestProcessEntry:
+    def test_entry_freezes_then_exits_with_mains_code(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert (exc.value.code, calls) == (3, ["freeze", "main"])
+
+    def test_console_script_names_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+        assert project["scripts"] == {"deutschsim": "deutschsim.cli:entry"}
+
+    def test_main_block_calls_the_entry(self):
+        module = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        blocks = [
+            node.body
+            for node in module.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert [[ast.unparse(stmt) for stmt in body] for body in blocks] == [["entry()"]]
+
+    def test_main_in_process_freezes_nothing(self, capsys):
+        # The tests and the benchmark's launcher call main() in-process.
+        before = gc.get_freeze_count()
+        assert run_cli(capsys, "run", "01")[0] == 0
+        assert gc.get_freeze_count() == before
+
+
+class TestExitCodesInAFreshProcess:
+    """The exit-code contract as a shell sees it, through the process entry."""
+
+    def test_usage_error_exits_2(self):
+        proc = fresh_python("-m", "deutschsim.cli", "run", "99")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines()[-1].startswith(
+            "deutschsim run: error: argument b: invalid choice: '99'"
+        )
+
+    def test_malformed_function_file_exits_2(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("0: 0,0,1\n")
+        proc = fresh_python("-m", "deutschsim.cli", "dj", "--function-file", str(path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines()[0] == (
+            "error: line 1: value list length 3 is not a power of two >= 2"
+        )
+
+    def test_promise_violation_exits_3(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("00: 0,0,0,0\n01: 0,0,0,1\n")
+        proc = fresh_python("-m", "deutschsim.cli", "dj", "--function-file", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3,
+            "00: constant (outcome=0, evaluations=1)\n",
+            "promise violation: 01: f=0001 is neither constant nor balanced\n",
+        )
+
+    def test_failing_verify_exits_1(self):
+        # The stand-in check reports whether the entry froze the heap before
+        # the command ran.
+        launcher = (
+            "import gc, runpy, sys\n"
+            "import deutschsim.verify as v\n"
+            "v.run_all = lambda: [v.CheckResult(\n"
+            "    'eq5_final_state', False, 0.5, 1e-12, f'frozen={gc.get_freeze_count() > 0}'\n"
+            ")]\n"
+            "sys.argv = ['deutschsim', 'verify']\n"
+            "runpy.run_module('deutschsim.cli', run_name='__main__')\n"
+        )
+        proc = fresh_python("-c", launcher)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1,
+            "[FAIL] eq5_final_state  max_dev=5.000e-01  bound=1.000e-12  (frozen=True)\n"
+            "0/1 checks passed\n",
+            "failed: eq5_final_state\n",
+        )
 
 
 def test_version_flag(capsys):

@@ -310,6 +310,20 @@ MUTANTS = [
         "every row of a stacked group gets the group's first matrix",
     ),
     Mutant(
+        "src/deutschsim/cli.py",
+        "    gc.freeze()\n    sys.exit(main())\n",
+        "    sys.exit(main())\n",
+        "the process entry does not freeze the heap",
+    ),
+    Mutant(
+        "src/deutschsim/cli.py",
+        "    gc.freeze()\n    sys.exit(main())\n\n\n"
+        "def main(argv: Sequence[str] | None = None) -> int:\n",
+        "    sys.exit(main())\n\n\n"
+        "def main(argv: Sequence[str] | None = None) -> int:\n    gc.freeze()\n",
+        "main freezes the heap, not the process entry",
+    ),
+    Mutant(
         "src/deutschsim/deutsch.py",
         "if p > 1.0 - ATOL_STATE:",
         "if p >= 1.0 - ATOL_STATE:",
