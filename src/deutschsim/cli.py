@@ -270,9 +270,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def entry() -> NoReturn:
     """The process entry: ``deutschsim`` and ``python -m deutschsim.cli``.
 
-    It freezes the heap that importing numpy and the package left tracked,
-    about 22,000 objects, then exits with ``main()``'s code.  Frozen objects
-    are skipped by every later full collection, the interpreter's own at
+    It freezes the objects that importing numpy and the package left
+    tracked, about 21,000, then exits with ``main()``'s code.  Frozen
+    objects are skipped by every later collection, the interpreter's own at
     exit included, which would otherwise walk them all again.  ``main``
     freezes nothing, so a caller that runs it in-process keeps its heap.
     """
