@@ -29,7 +29,6 @@ from .state import (
     _index_table,
     _is_int,
     _outcome_indices,
-    _product,
     _validate_unitary,
 )
 
@@ -232,19 +231,24 @@ class DeferredEquivalenceReport(Record):
 def _leaks(ops: Sequence[Op], positions: Sequence[int]) -> list[float]:
     """Largest amplitude each op moves between basis states whose qubits
     ``positions`` read differently (0 if none is a target), read by
-    ``apply_rows`` off the basis states where its other qubits read 0."""
-    leaks, positions = [], tuple(positions)
+    ``apply_rows`` off the basis states where its other qubits read 0.
+    Those basis states, and which of their amplitudes cross register
+    values, are built once per qubit count and targets."""
+    leaks, positions, shared = [], tuple(positions), {}
     for op in ops:
         if not any(t in positions for t in op.targets):
             leaks.append(0.0)
             continue
-        n = op.n_qubits
-        cols = _index_table(n, op.targets)[0][:, 0]
-        # The table of ``positions`` has rows of 2^(n-w) indices, w = len(positions),
-        # so a shift of each index's place in it gives its row: the register's value.
-        value = _index_table(n, positions)[1] >> (n - len(positions))
-        moved = op.apply_rows(np.eye(1 << n)[cols])
-        leaks.append(float(np.abs(moved[value[cols, None] != value]).max(initial=0.0)))
+        key = n, targets = op.n_qubits, op.targets
+        if key not in shared:
+            cols = _index_table(n, targets)[0][:, 0]
+            # The table of ``positions`` has rows of 2^(n-w) indices, w = len(positions),
+            # so a shift of each index's place in it gives its row: the register's value.
+            value = _index_table(n, positions)[1] >> (n - len(positions))
+            shared[key] = np.eye(1 << n)[cols], value[cols, None] != value
+        basis, across = shared[key]
+        moved = op.apply_rows(basis)
+        leaks.append(float(np.abs(moved[across]).max(initial=0.0)))
     return leaks
 
 
@@ -277,11 +281,11 @@ def _deferred_batch(cases: Sequence, register: str) -> tuple[list[float], Callab
     any row is evolved; the first leaking op, in case order, raises, and in
     a batch of several its message names its case too.  The outcomes of
     every case are projected at once, through the register's table of basis
-    indices.  The initial states, then every projected branch, are the rows
-    of one array, run through ``_evolve`` one op position at a time, so each
-    row's norm drift is checked after each of its ops; a case with fewer ops
-    keeps its rows.  The project-last branches are read off each case's
-    evolved initial row.
+    indices.  Each case's initial state, then its projected branches, are
+    one slice of the rows of one array, run through ``_evolve`` one op
+    position at a time, so each row's norm drift is checked after each of
+    its ops; a case with fewer ops keeps its rows.  The project-last branches
+    are read off each case's evolved initial row.
     """
     plans = _as_ops(cases)
     n, layout = len(cases), cases[0][1].layout
@@ -301,23 +305,27 @@ def _deferred_batch(cases: Sequence, register: str) -> tuple[list[float], Callab
     outcomes = [format(v, f"0{len(positions)}b") for v in kept.tolist()]
     p_first, firsts = _project(initials[owner], table[kept], register, outcomes)
     bounds = np.searchsorted(owner, np.arange(n + 1)).tolist()
-    # Case j's rows, row j then rows n + bounds[j]:n + bounds[j + 1], are one
-    # slice of the branch rows with each case's initial row inserted first.
-    index = np.insert(np.arange(n, n + len(owner)), bounds[:-1], np.arange(n))
+    # Case j's rows, its initial row and then its branches, are rows
+    # cuts[j]:cuts[j + 1] of the branch rows with each case's initial row
+    # inserted before its first branch.
     cuts = [a + j for j, a in enumerate(bounds)]
-    spans = [index[a:b] for a, b in zip(cuts, cuts[1:])]
-    steps = [_Step(plans, spans, p) for p in range(max(map(len, plans)))]
-    rows = _evolve(np.concatenate([initials, firsts]), steps)
-    p_last, lasts = _project(rows[owner], table[kept], register, outcomes)
+    spans = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    steps = [
+        _Step((ops[p], span) for ops, span in zip(plans, spans) if p < len(ops))
+        for p in range(max(map(len, plans)))
+    ]
+    rows = _evolve(np.insert(firsts, bounds[:-1], initials, axis=0), steps)
+    finals, firsts = rows[cuts[:-1]], np.delete(rows, cuts[:-1], axis=0)
+    p_last, lasts = _project(finals[owner], table[kept], register, outcomes)
     deviations = np.maximum(
-        np.max(np.abs(np.abs(rows[n:]) ** 2 - np.abs(lasts) ** 2), axis=-1),
+        np.max(np.abs(np.abs(firsts) ** 2 - np.abs(lasts) ** 2), axis=-1),
         np.abs(p_first - p_last),
     )
     worst = np.maximum.reduceat(deviations, bounds[:-1]).tolist()
 
     def report(j: int) -> DeferredEquivalenceReport:
         a, b = bounds[j], bounds[j + 1]
-        first = [StateVector(layout, row) for row in rows[n + a : n + b]]
+        first = [StateVector(layout, row) for row in firsts[a:b]]
         last = [StateVector(layout, row) for row in lasts[a:b]]
         pf, pl, dev = (field[a:b].tolist() for field in (p_first, p_last, deviations))
         return DeferredEquivalenceReport(
@@ -327,30 +335,12 @@ def _deferred_batch(cases: Sequence, register: str) -> tuple[list[float], Callab
     return worst, report
 
 
-class _Step:
-    """Op ``p`` of every case that has one, as one op for ``_evolve`` on the
-    rows of a batch, whose case j holds rows ``spans[j]``.  Plain ``Op``s
-    are grouped by targets and row count, so each group is one product of
-    a (cases, 1) stack of matrices with a (cases, rows) stack of blocks;
-    any other op is grouped by identity."""
-
-    def __init__(self, plans: list[list[Op]], spans: list[np.ndarray], p: int):
-        self.groups: dict = {}
-        for ops, span in zip(plans, spans):
-            if p < len(ops):
-                op = ops[p]
-                stacked = type(op).apply_rows is Op.apply_rows
-                key = (op.targets, len(span)) if stacked else op
-                self.groups.setdefault(key, []).append((op, span))
+class _Step(list):
+    """One op position of a batch as one op for ``_evolve``: a list of
+    ``(op, span)`` pairs, each case's op at that position and the slice of
+    rows the case holds.  A case with fewer ops has no pair there."""
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
-        dim = rows.shape[-1]
-        for key, members in self.groups.items():
-            op, index = members[0][0], np.concatenate([span for _, span in members])
-            if type(key) is tuple:
-                mats = np.stack([member.matrix for member, _ in members])[:, None]
-                blocks = rows[index].reshape(len(members), -1, dim)
-                rows[index] = _product(mats, blocks, op.n_qubits, op.targets).reshape(-1, dim)
-            else:
-                rows[index] = op.apply_rows(rows[index])
+        for op, span in self:
+            rows[span] = op.apply_rows(rows[span])
         return rows

@@ -49,8 +49,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/state.py",
-        "table, inverse, _ = _index_table(n, targets)",
-        "table, inverse, _ = _index_table(n, tuple(sorted(targets)))",
+        "table, inverse, _ = _index_table(self.n_qubits, self.targets)",
+        "table, inverse, _ = _index_table(self.n_qubits, tuple(sorted(self.targets)))",
         "the gather/product/scatter reads its targets in sorted order",
     ),
     Mutant(
@@ -225,14 +225,14 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/measure.py",
-        "moved[value[cols, None] != value]",
-        "moved[value[cols, None] == value]",
+        "value[cols, None] != value",
+        "value[cols, None] == value",
         "_leaks reads the amplitudes that stay within a register value",
     ),
     Mutant(
         "src/deutschsim/measure.py",
-        "moved = op.apply_rows(np.eye(1 << n)[cols])",
-        "moved = np.eye(1 << n)[cols]",
+        "moved = op.apply_rows(basis)",
+        "moved = basis",
         "_leaks reads an op's leak off basis states it did not move",
     ),
     Mutant(
@@ -243,7 +243,7 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/measure.py",
-        "cols = _index_table(n, op.targets)[0][:, 0]",
+        "cols = _index_table(n, targets)[0][:, 0]",
         "cols = _index_table(n, ops[0].targets)[0][:, 0]",
         "_leaks reads every op's basis states off the first op's targets",
     ),
@@ -305,9 +305,21 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/measure.py",
-        "np.stack([member.matrix for member, _ in members])",
-        "np.stack([op.matrix for _ in members])",
-        "every row of a stacked group gets the group's first matrix",
+        "zip(plans, spans)",
+        "zip(plans, spans[1:] + spans[:1])",
+        "a step applies each case's op to the next case's rows",
+    ),
+    Mutant(
+        "src/deutschsim/measure.py",
+        "zip(plans, spans)",
+        "zip(plans[:-1], spans)",
+        "a step skips the last case",
+    ),
+    Mutant(
+        "src/deutschsim/state.py",
+        "u.conj().swapaxes(-1, -2)",
+        "u.conj().mT",
+        "the stacked validator transposes by ndarray.mT, which NumPy 1.x lacks",
     ),
     Mutant(
         "src/deutschsim/cli.py",
