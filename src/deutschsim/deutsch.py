@@ -101,9 +101,7 @@ class CountedOracle(Op):
     _CHECKED = ("targets", "n_qubits", "perm")
 
     def __init__(self, values: Sequence[int]):
-        vals = np.frombuffer(bytes(_validate_values(values)), np.uint8)
-        cols = np.arange(2 * vals.size, dtype=np.intp)
-        self._bind_perm(cols ^ vals[cols >> 1])
+        self._bind_values(np.frombuffer(bytes(_validate_values(values)), np.uint8))
 
     @classmethod
     def _batch(cls, functions: Sequence[tuple[int, ...]]) -> CountedOracle:
@@ -112,13 +110,14 @@ class CountedOracle(Op):
         to row i of a batch by ``take_along_axis``.  Only ``_apply_batch``
         counts its application."""
         vals = np.frombuffer(b"".join(map(bytes, functions)), np.uint8)
-        vals = vals.reshape(len(functions), -1)
-        cols = np.arange(2 * vals.shape[1], dtype=np.intp)
         oracle = cls.__new__(cls)
-        oracle._bind_perm(cols ^ vals[:, cols >> 1])
+        oracle._bind_values(vals.reshape(len(functions), -1))
         return oracle
 
-    def _bind_perm(self, perm: np.ndarray) -> None:
+    def _bind_values(self, vals: np.ndarray) -> None:
+        """Bind the index array of (2^n,) values, or one row per row of (k, 2^n)."""
+        cols = np.arange(2 * vals.shape[-1], dtype=np.intp)
+        perm = cols ^ vals.take(cols >> 1, -1)
         perm.flags.writeable = False
         n = perm.shape[-1].bit_length() - 1
         self._bind(tuple(range(n)), n, perm)
@@ -155,12 +154,16 @@ def _canonical_values() -> tuple[int, ...]:
 
 
 def deutsch_circuit() -> list[Op]:
-    """H on A, a fresh canonical ``CountedOracle``, H on A: the unitary part
-    of a canonical run.  ``apply_circuit``, ``deferred_equivalence`` and
-    ``inverse_circuit`` reach the oracle through ``apply_rows`` or ``inverse``,
-    so replaying the circuit counts no oracle call."""
-    h_on_a = _hadamards_on_a(CANONICAL_LAYOUT)
-    return [h_on_a, CountedOracle(_canonical_values()), h_on_a]
+    """``_circuit`` of a canonical run, with a fresh canonical oracle.  Replays
+    by ``apply_circuit``, ``deferred_equivalence`` or ``inverse_circuit`` reach
+    it through ``apply_rows`` or ``inverse``, so they count no oracle call."""
+    return _circuit(CANONICAL_LAYOUT, CountedOracle(_canonical_values()))
+
+
+def _circuit(layout: RegisterLayout, oracle: Op) -> list[Op]:
+    """H on A, ``oracle``, H on A: the unitary part of a run on ``layout``."""
+    h_on_a = _hadamards_on_a(layout)
+    return [h_on_a, oracle, h_on_a]
 
 
 @lru_cache(maxsize=16)
@@ -173,21 +176,26 @@ def _hadamards_on_a(layout: RegisterLayout) -> Op:
     return layer(hadamard(), positions, layout.total_qubits)
 
 
-def _run_pipeline(
-    layout: RegisterLayout, input_labels: Sequence[str], oracle: CountedOracle
-) -> StageTrace:
-    """Run the equal superposition of ``input_labels`` through H on V (the
-    labels hold |1>_V), then H on A, ``oracle`` and H on A, recording the
-    state after the first Hadamards, the oracle and the last ones."""
-    h_on_a = _hadamards_on_a(layout)
-    raw = superpose([(1.0, label) for label in input_labels], layout)
-    state = apply_unitary(raw, hadamard(), layout.qubit_positions("V"))
-    after_h = StateVector(layout, _evolve(state.amps, (h_on_a,)))
-    after_f = oracle.apply(after_h)
-    final = StateVector(layout, _evolve(after_f.amps, (h_on_a,)))
+def _run_pipeline(layout: RegisterLayout, labels: Sequence[str], oracle: Op) -> StageTrace:
+    """Run ``_prepared(layout, labels)`` through ``_circuit`` op by op, by
+    ``Op.apply``, recording the state after each op."""
+    states = [_prepared(layout, labels)]
+    for op in _circuit(layout, oracle):
+        states.append(op.apply(states[-1]))
+    _check_one_call(oracle)
+    return StageTrace(tuple(zip(STAGES, states)))
+
+
+def _prepared(layout: RegisterLayout, labels: Sequence[str]) -> StateVector:
+    """The equal superposition of ``labels``, which hold |1>_V, with H on V:
+    the input stage of a run, and the start of every row of a batch."""
+    raw = superpose([(1.0, label) for label in labels], layout)
+    return apply_unitary(raw, hadamard(), layout.qubit_positions("V"))
+
+
+def _check_one_call(oracle: Op) -> None:
     if oracle.calls != 1:
         raise SimulatorError(f"oracle applied {oracle.calls} times, expected once")
-    return StageTrace(tuple(zip(STAGES, (state, after_h, after_f, final))))
 
 
 def _check_bit(value: int, name: str) -> None:
@@ -196,29 +204,21 @@ def _check_bit(value: int, name: str) -> None:
         raise ValueError(f"{name} must be 0 or 1, got {value!r}")
 
 
-def _classify(state: StateVector, prepared_a: str) -> Classification:
-    """The readout rule: register A reads back its prepared label ``prepared_a``
-    with certainty for a constant function and never for a balanced one.
-    Only the amplitudes where A reads ``prepared_a`` are read."""
-    row = state.amps[_outcome_indices(state.layout, "A")[int(prepared_a, 2)]]
-    return _readout(float((np.abs(row) ** 2).sum()), prepared_a)
-
-
-def _classify_rows(
-    layout: RegisterLayout, rows: np.ndarray, prepared_a: str
-) -> list[Classification]:
-    """``_classify`` of each row of a (k, 2^n) amplitude array."""
-    kept = rows[:, _outcome_indices(layout, "A")[int(prepared_a, 2)]]
-    return [_readout(p, prepared_a) for p in (np.abs(kept) ** 2).sum(-1).tolist()]
-
-
-def _readout(p: float, prepared_a: str) -> Classification:
-    """The verdict for p(A = ``prepared_a``): 1 is constant, 0 balanced."""
-    if p > 1.0 - ATOL_STATE:
-        return Classification.CONSTANT
-    if p < ATOL_STATE:
-        return Classification.BALANCED
-    raise BlockStructureError(f"p(A={prepared_a}) = {p} is neither 0 nor 1")
+def _classify(layout: RegisterLayout, amps: np.ndarray, prepared_a: str) -> list[Classification]:
+    """The readout rule, for each row of a (k, 2^n) amplitude array (one
+    state is the row ``amps[None]``): register A reads back its prepared
+    label ``prepared_a`` with certainty for a constant function and never
+    for a balanced one.  Only the amplitudes where A reads it are read."""
+    kept = amps.take(_outcome_indices(layout, "A")[int(prepared_a, 2)], -1)
+    verdicts = []
+    for p in (np.abs(kept) ** 2).sum(-1).tolist():
+        if p > 1.0 - ATOL_STATE:
+            verdicts.append(Classification.CONSTANT)
+        elif p < ATOL_STATE:
+            verdicts.append(Classification.BALANCED)
+        else:
+            raise BlockStructureError(f"p(A={prepared_a}) = {p} is neither 0 nor 1")
+    return verdicts
 
 
 def run_deutsch(b: str, initial_a: int = 0) -> tuple[StageTrace, Verdict]:
@@ -233,7 +233,7 @@ def run_deutsch(b: str, initial_a: int = 0) -> tuple[StageTrace, Verdict]:
     _check_bit(initial_a, "initial A state")
     oracle = CountedOracle(_canonical_values())
     trace = _run_pipeline(CANONICAL_LAYOUT, [b + str(initial_a) + "1"], oracle)
-    classification = _classify(trace.final, str(initial_a))
+    [classification] = _classify(CANONICAL_LAYOUT, trace.final.amps[None], str(initial_a))
     outcome_bit = initial_a ^ (classification is Classification.BALANCED)
     return trace, Verdict(outcome_bit, classification, oracle.calls)
 
@@ -256,11 +256,9 @@ def solution_correlation(
     or 1 raises ValueError.
     """
     _check_bit(balanced_bit, "balanced_bit")
-    result = {}
-    for b in sorted(outcome_distribution(final, "B").probs):
-        branch = measure(final, "B", b).post_state
-        result[b] = _classify(branch, str(1 - balanced_bit))
-    return result
+    settings = sorted(outcome_distribution(final, "B").probs)
+    branches = np.array([measure(final, "B", b).post_state.amps for b in settings])
+    return dict(zip(settings, _classify(final.layout, branches, str(1 - balanced_bit))))
 
 
 def run_deutsch_jozsa(values: Sequence[int]) -> Verdict:
@@ -274,21 +272,22 @@ def run_deutsch_jozsa(values: Sequence[int]) -> Verdict:
     """
     vals = _promised(values)
     n = _dj_width(vals)
-    oracle = CountedOracle(vals)
-    trace = _run_pipeline(_dj_layout(n), ["0" * n + "1"], oracle)
-    classification = _classify(trace.final, "0" * n)
+    layout, oracle = _dj_layout(n), CountedOracle(vals)
+    trace = _run_pipeline(layout, ["0" * n + "1"], oracle)
+    [classification] = _classify(layout, trace.final.amps[None], "0" * n)
     outcome_bit = int(classification is Classification.BALANCED)
     return Verdict(outcome_bit, classification, oracle.calls)
 
 
 def run_deutsch_jozsa_batch(functions: Iterable[Sequence[int]]) -> list[Verdict]:
     """``run_deutsch_jozsa`` of every function in ``functions``, as the rows
-    of one batch.  |0...0>|-> is prepared once, as a single run prepares
-    it, and one row per function runs through H on A, one application of
-    an oracle that holds each function's index array for its row, and H on
-    A, each op one ``_evolve`` over all rows, which checks every row's norm
-    drift.  That one application is one query of each function, so every
-    verdict reports one evaluation.
+    of one batch.  |0...0>|-> is prepared once, by ``_prepared`` as for a
+    single run, and one row per function runs through the run's
+    ``_circuit``: H on A, one application of an oracle that holds each
+    function's index array for its row, and H on A, each op one ``_evolve``
+    over all rows, which checks every row's norm drift.  That one
+    application is one query of each function, so every verdict reports
+    one evaluation.
 
     The functions must be a non-empty sequence, not a set or a mapping, of
     one width (ValueError otherwise); PromiseViolationError names the first
@@ -304,16 +303,13 @@ def run_deutsch_jozsa_batch(functions: Iterable[Sequence[int]]) -> list[Verdict]
         _promised(vals)
     n = _dj_width(checked[0])
     layout, oracle = _dj_layout(n), CountedOracle._batch(checked)
-    start = superpose([(1.0, "0" * n + "1")], layout)
-    start = apply_unitary(start, hadamard(), layout.qubit_positions("V"))
-    h_on_a = _hadamards_on_a(layout)
-    rows = np.broadcast_to(start.amps, (len(checked), layout.dim))
-    final = _evolve(oracle._apply_batch(_evolve(rows, (h_on_a,))), (h_on_a,))
-    if oracle.calls != 1:
-        raise SimulatorError(f"oracle applied {oracle.calls} times, expected once")
+    rows = np.broadcast_to(_prepared(layout, ["0" * n + "1"]).amps, (len(checked), layout.dim))
+    for op in _circuit(layout, oracle):
+        rows = oracle._apply_batch(rows) if op is oracle else _evolve(rows, (op,))
+    _check_one_call(oracle)
     return [
         Verdict(int(c is Classification.BALANCED), c, oracle.calls)
-        for c in _classify_rows(layout, final, "0" * n)
+        for c in _classify(layout, rows, "0" * n)
     ]
 
 

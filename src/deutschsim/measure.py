@@ -84,7 +84,7 @@ def measure(state: StateVector, register: str, outcome: str) -> MeasurementRecor
     if not isinstance(outcome, str) or len(outcome) != width or set(outcome) - {"0", "1"}:
         raise LayoutError(f"outcome {outcome!r} is not a {width}-bit string")
     table = _outcome_indices(layout, register)[[int(outcome, 2)]]
-    (probability,), (post,) = _project(state.amps, table, register, [outcome])
+    (probability,), (post,) = _project(state.amps[None], table, register, [outcome])
     return MeasurementRecord(register, outcome, float(probability), StateVector(layout, post))
 
 
@@ -92,11 +92,11 @@ def _project(
     amps: np.ndarray, table: np.ndarray, register: str, outcomes: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probability of each outcome, whose basis indices are its row of
-    ``table``, and the renormalized projection onto them, one row each, of
-    ``amps``: one amplitude row for every outcome, or one row per outcome.
-    ImpossibleOutcomeError names the first outcome of zero probability."""
+    ``table``, and the renormalized projection onto them of its own row of
+    ``amps``, one amplitude row per outcome.  ImpossibleOutcomeError names
+    the first outcome of zero probability."""
     index = np.arange(len(table))[:, None]
-    picked = amps[table] if amps.ndim == 1 else amps[index, table]
+    picked = amps[index, table]
     probability = (np.abs(picked) ** 2).sum(-1)
     impossible = probability < PROB_EPS
     if impossible.any():

@@ -420,13 +420,39 @@ class TestRunDeutschJozsaBatch:
             assert verdict.outcome_bit == int(not constant)
             assert verdict.evaluations_used == 1
 
-    def test_neither_function_named_before_any_oracle_is_built(self, monkeypatch):
-        built = []
-        bind_perm = CountedOracle._bind_perm
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_indeterminate_readout_rejected_after_one_application(self, n, monkeypatch):
+        # The promise check is patched, as for the single run, to pass the
+        # "neither" function with a single 1; behind a balanced and a constant
+        # function, its row raises the single run's message, after the
+        # batch's one oracle application.
+        neither = (0,) * ((1 << n) - 1) + (1,)
+        monkeypatch.setattr(
+            "deutschsim.deutsch._classification", lambda vals: Classification.BALANCED
+        )
+        with pytest.raises(BlockStructureError, match="is neither 0 nor 1") as single:
+            run_deutsch_jozsa(neither)
+        shapes = []
+        apply_batch = CountedOracle._apply_batch
         monkeypatch.setattr(
             CountedOracle,
-            "_bind_perm",
-            lambda self, perm: built.append(perm.shape) or bind_perm(self, perm),
+            "_apply_batch",
+            lambda self, rows: shapes.append(rows.shape) or apply_batch(self, rows),
+        )
+        batch = [(0, 1) * (1 << (n - 1)), (1,) * (1 << n), neither]
+        with pytest.raises(BlockStructureError) as info:
+            run_deutsch_jozsa_batch(batch)
+        assert str(info.value) == str(single.value)
+        assert str(info.value).startswith(f"p(A={'0' * n}) = ")
+        assert shapes == [(3, 2 << n)]
+
+    def test_neither_function_named_before_any_oracle_is_built(self, monkeypatch):
+        built = []
+        bind_values = CountedOracle._bind_values
+        monkeypatch.setattr(
+            CountedOracle,
+            "_bind_values",
+            lambda self, vals: built.append(vals.shape) or bind_values(self, vals),
         )
         batch = [[0, 1, 1, 0], (1, 1, 1, 1), np.array([0, 1, 1, 1]), [0, 0, 0, 1]]
         message = r"^function \[0, 1, 1, 1\] is neither constant nor balanced$"
@@ -434,7 +460,7 @@ class TestRunDeutschJozsaBatch:
             run_deutsch_jozsa_batch(batch)
         assert built == []
         assert len(run_deutsch_jozsa_batch(batch[:2])) == 2
-        assert built == [(2, 8)]
+        assert built == [(2, 4)]
 
     @pytest.mark.parametrize(
         "batch, lengths",

@@ -498,6 +498,21 @@ class TestBatchedHarness:
         )
         assert evolved == []
 
+    def test_leak_read_off_each_ops_own_targets(self):
+        # Case 0's first op acts on V alone.  Case 1's op 1 is a CNOT from A
+        # onto the low B qubit: it moves amplitude across B only where A
+        # reads 1, which no basis state of V's targets (every other qubit 0)
+        # shows, so its leak must be read off its own targets.
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        initial = state_from(SUPERPOSED_STAGES["input"])
+        cases = [([(hadamard(), (3,))], initial), ([(hadamard(), (2,)), (cnot, (2, 1))], initial)]
+        with pytest.raises(BlockDiagonalityError) as info:
+            _deferred_batch(cases, "B")
+        assert str(info.value) == (
+            "circuit op 1 of case 1 does not preserve register 'B' "
+            "basis vectors (off-block magnitude 1.000e+00)"
+        )
+
     @pytest.mark.parametrize(
         "bad, error",
         [
@@ -691,8 +706,8 @@ class TestAllBranchesAtOnce:
         amps = basis_state(CANONICAL_LAYOUT, "0100").amps
         table = _outcome_indices(CANONICAL_LAYOUT, "B")
         with pytest.raises(ImpossibleOutcomeError, match="'10' of register 'B'"):
-            _project(amps, table[[1, 2, 0]], "B", ["01", "10", "00"])
-        probability, post = _project(amps, table[[1]], "B", ["01"])
+            _project(np.tile(amps, (3, 1)), table[[1, 2, 0]], "B", ["01", "10", "00"])
+        probability, post = _project(amps[None], table[[1]], "B", ["01"])
         assert probability.tolist() == [1.0] and np.array_equal(post[0], amps)
 
 

@@ -126,12 +126,12 @@ def promise_batches(draw) -> list[list[int]]:
 @given(promise_batches())
 def test_batch_rows_equal_single_runs_bit_for_bit(functions):
     read = []
-    classify_rows = deutsch._classify_rows
+    classify = deutsch._classify
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
             deutsch,
-            "_classify_rows",
-            lambda layout, rows, a: read.append(rows) or classify_rows(layout, rows, a),
+            "_classify",
+            lambda layout, rows, a: read.append(rows) or classify(layout, rows, a),
         )
         verdicts = run_deutsch_jozsa_batch(functions)
     assert verdicts == [run_deutsch_jozsa(f) for f in functions]

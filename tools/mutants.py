@@ -8,7 +8,9 @@ Each entry of ``MUTANTS`` replaces one exact piece of text in one file
 under ``src/``.  For each, the script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` to a temporary directory, applies the mutation there and
 runs ``python -m pytest -q -x`` on the copy.  A failing run kills the
-mutant; a passing run means it survived.  The working tree is never
+mutant, and the node id of the test that failed, read off pytest's
+``FAILED`` summary line, is printed beside it; a passing run means it
+survived.  The working tree is never
 changed, and no test is.
 
 The unmutated copy runs first and must pass.  The exit code is 0 when every
@@ -201,8 +203,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/deutsch.py",
-        "cols ^ vals[cols >> 1]",
-        "cols ^ vals[cols % vals.size]",
+        "cols ^ vals.take(cols >> 1, -1)",
+        "cols ^ vals.take(cols % vals.shape[-1], -1)",
         "the oracle reads f at the wrong argument",
     ),
     Mutant(
@@ -293,9 +295,15 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/deutsch.py",
-        'for c in _classify_rows(layout, final, "0" * n)',
-        'for c in _classify_rows(layout, final[[0] * len(final)], "0" * n)',
+        'for c in _classify(layout, rows, "0" * n)',
+        'for c in _classify(layout, rows[[0] * len(rows)], "0" * n)',
         "the batch reads every verdict from row 0",
+    ),
+    Mutant(
+        "src/deutschsim/deutsch.py",
+        "for p in (np.abs(kept) ** 2).sum(-1).tolist():",
+        "for p in (np.abs(kept[:1]) ** 2).sum(-1).tolist() * len(kept):",
+        "the shared readout reads only the first row",
     ),
     Mutant(
         "src/deutschsim/measure.py",
@@ -345,17 +353,25 @@ MUTANTS = [
 ]
 
 
-def tier1(tree: Path) -> bool:
-    """True if the tier-1 suite passes on ``tree``, stopping at the first failure."""
+def tier1(tree: Path) -> str | None:
+    """Run the tier-1 suite on ``tree``, stopping at the first failure: None
+    if it passes, else the node id on pytest's first ``FAILED`` or ``ERROR``
+    summary line, or its exit code if it printed none."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
         cwd=tree,
         env=env,
-        stdout=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
+        text=True,
     )
-    return run.returncode == 0
+    if run.returncode == 0:
+        return None
+    for line in run.stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" ", 1)[1].split(" - ", 1)[0]
+    return f"pytest exit code {run.returncode}"
 
 
 def copy_tree(dest: Path) -> None:
@@ -369,8 +385,9 @@ def main(selected: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="deutschsim-mutants-") as tmp:
         base = Path(tmp) / "base"
         copy_tree(base)
-        if not tier1(base):
-            print("the unmutated suite fails; no mutant can be judged")
+        failed = tier1(base)
+        if failed:
+            print(f"the unmutated suite fails ({failed}); no mutant can be judged")
             return 1
         bad = 0
         for k, m in enumerate(mutants):
@@ -383,11 +400,11 @@ def main(selected: list[str]) -> int:
             copy_tree(tree)
             (tree / m.file).write_text(text.replace(m.old, m.new))
             start = time.perf_counter()
-            survived = tier1(tree)
+            killer = tier1(tree)
             shutil.rmtree(tree)
             secs = time.perf_counter() - start
-            if not survived:
-                print(f"killed    {secs:5.1f}s  {m.why}")
+            if killer:
+                print(f"killed    {secs:5.1f}s  {m.why}  by {killer}")
             elif m.equivalent:
                 print(f"survived  {secs:5.1f}s  {m.why}  [equivalent: {m.equivalent}]")
             else:
