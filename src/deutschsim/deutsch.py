@@ -50,6 +50,10 @@ STAGES = ("input", "after_H_A", "after_H_f", "after_H_A_2")
 # Cap on the generalized argument register: the largest layout less V.
 MAX_ARG_BITS = _MAX_QUBITS - 1
 
+# The V Hadamard of every run; ``apply_unitary`` checks a copy of it.
+_H = hadamard()
+_H.flags.writeable = False
+
 
 class StageTrace(Record):
     """The four pipeline stages in order: input, after each unitary.  A
@@ -190,7 +194,7 @@ def _prepared(layout: RegisterLayout, labels: Sequence[str]) -> StateVector:
     """The equal superposition of ``labels``, which hold |1>_V, with H on V:
     the input stage of a run, and the start of every row of a batch."""
     raw = superpose([(1.0, label) for label in labels], layout)
-    return apply_unitary(raw, hadamard(), layout.qubit_positions("V"))
+    return apply_unitary(raw, _H, layout.qubit_positions("V"))
 
 
 def _check_one_call(oracle: Op) -> None:
@@ -205,13 +209,13 @@ def _check_bit(value: int, name: str) -> None:
 
 
 def _classify(layout: RegisterLayout, amps: np.ndarray, prepared_a: str) -> list[Classification]:
-    """The readout rule, for each row of a (k, 2^n) amplitude array (one
-    state is the row ``amps[None]``): register A reads back its prepared
-    label ``prepared_a`` with certainty for a constant function and never
-    for a balanced one.  Only the amplitudes where A reads it are read."""
+    """The readout rule for each row of a (k, 2^n) amplitude array, one state
+    being the row ``amps[None]``: A reads back its prepared label ``prepared_a``
+    with certainty for a constant function and never for a balanced one.  p
+    sums the squared real and imaginary parts where A reads that label."""
     kept = amps.take(_outcome_indices(layout, "A")[int(prepared_a, 2)], -1)
     verdicts = []
-    for p in (np.abs(kept) ** 2).sum(-1).tolist():
+    for p in np.square(kept.view(np.float64)).sum(-1).tolist():
         if p > 1.0 - ATOL_STATE:
             verdicts.append(Classification.CONSTANT)
         elif p < ATOL_STATE:
@@ -281,13 +285,11 @@ def run_deutsch_jozsa(values: Sequence[int]) -> Verdict:
 
 def run_deutsch_jozsa_batch(functions: Iterable[Sequence[int]]) -> list[Verdict]:
     """``run_deutsch_jozsa`` of every function in ``functions``, as the rows
-    of one batch.  |0...0>|-> is prepared once, by ``_prepared`` as for a
-    single run, and one row per function runs through the run's
-    ``_circuit``: H on A, one application of an oracle that holds each
-    function's index array for its row, and H on A, each op one ``_evolve``
-    over all rows, which checks every row's norm drift.  That one
-    application is one query of each function, so every verdict reports
-    one evaluation.
+    of one batch: ``_prepared``'s |0...0>|-> in one row per function runs
+    through ``_circuit``, each op one ``_evolve`` over all rows, which checks
+    every row's norm drift.  The oracle holds each function's index array
+    for its row; its one application is one query of each function, so
+    every verdict reports one evaluation.
 
     The functions must be a non-empty sequence, not a set or a mapping, of
     one width (ValueError otherwise); PromiseViolationError names the first

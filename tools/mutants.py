@@ -301,8 +301,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/deutschsim/deutsch.py",
-        "for p in (np.abs(kept) ** 2).sum(-1).tolist():",
-        "for p in (np.abs(kept[:1]) ** 2).sum(-1).tolist() * len(kept):",
+        "for p in np.square(kept.view(np.float64)).sum(-1).tolist():",
+        "for p in np.square(kept[:1].view(np.float64)).sum(-1).tolist() * len(kept):",
         "the shared readout reads only the first row",
     ),
     Mutant(
