@@ -10,8 +10,7 @@ under ``src/``.  For each, the script copies ``src/``, ``tests/`` and
 runs ``python -m pytest -q -x`` on the copy.  A failing run kills the
 mutant, and the node id of the test that failed, read off pytest's
 ``FAILED`` summary line, is printed beside it; a passing run means it
-survived.  The working tree is never
-changed, and no test is.
+survived.  The working tree is never changed, and no test is.
 
 The unmutated copy runs first and must pass.  The exit code is 0 when every
 mutant is killed or survives with a declared equivalence reason, and 1 when
