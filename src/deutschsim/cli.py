@@ -91,18 +91,19 @@ def _print_trace(trace: StageTrace) -> None:
             print(f"  |{_grouped_label(layout, basis)}>  {format_amplitude(amp)}")
 
 
-def _emit_run(
-    args: argparse.Namespace, trace: StageTrace, summary: dict, lines: list[str]
+def _emit(
+    args: argparse.Namespace, doc: dict, lines: list[str], trace: StageTrace | None = None
 ) -> int:
-    """Print a run as JSON (``summary`` plus stage dumps) or as text lines,
-    the latter after the stage trace when ``--trace`` is given."""
+    """Print ``doc`` as JSON under ``--json``, with the stage dumps of a
+    ``trace``; else the text ``lines``, after the trace under ``--trace``."""
     if args.json:
         import json
 
-        stages = [state_dump(state, label) for label, state in trace.stages]
-        print(json.dumps({**summary, "stages": stages}, indent=2))
+        if trace is not None:
+            doc = {**doc, "stages": [state_dump(state, label) for label, state in trace.stages]}
+        print(json.dumps(doc, indent=2))
         return EXIT_OK
-    if args.trace:
+    if trace is not None and args.trace:
         _print_trace(trace)
     for line in lines:
         print(line)
@@ -117,7 +118,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "evaluations": verdict.evaluations_used,
     }
     line = " ".join(f"{key}={value}" for key, value in fields.items())
-    return _emit_run(args, trace, {"verdict": fields}, [line])
+    return _emit(args, {"verdict": fields}, [line], trace)
 
 
 def _cmd_superposed(args: argparse.Namespace) -> int:
@@ -125,7 +126,7 @@ def _cmd_superposed(args: argparse.Namespace) -> int:
     correlation = solution_correlation(trace.final, balanced_bit=1 - args.initial_a)
     summary = {"solution": {b: c.value for b, c in correlation.items()}}
     lines = [f"b={b} {c.value}" for b, c in correlation.items()]
-    return _emit_run(args, trace, summary, lines)
+    return _emit(args, summary, lines, trace)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -166,15 +167,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "register": args.register,
         "shots": args.shots,
     }
-    if args.json:
-        import json
-
-        print(json.dumps({**fields, "counts": counts}, indent=2))
-        return EXIT_OK
-    print(" ".join(f"{key}={value}" for key, value in fields.items()))
-    for outcome in sorted(counts):
-        print(f"{outcome} {counts[outcome]}")
-    return EXIT_OK
+    lines = [" ".join(f"{key}={value}" for key, value in fields.items())]
+    lines += [f"{outcome} {counts[outcome]}" for outcome in sorted(counts)]
+    return _emit(args, {**fields, "counts": counts}, lines)
 
 
 def _cmd_dj(args: argparse.Namespace) -> int:

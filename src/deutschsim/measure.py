@@ -76,7 +76,7 @@ def measure(state: StateVector, register: str, outcome: str) -> MeasurementRecor
     """Project onto ``outcome`` of ``register`` and renormalize.
 
     If the state already lies in the outcome's eigenspace the post state is
-    the input state itself (the measurement does not disturb it).
+    a new ``StateVector`` equal to the input (the measurement does not disturb it).
     """
     _check_state(state)
     layout = state.layout
@@ -172,6 +172,9 @@ def _as_ops(cases: Sequence) -> list[list[Op]]:
 
 
 def apply_circuit(state: StateVector, circuit: Sequence) -> StateVector:
+    """``state`` after ``circuit``, a sequence of ops or ``(matrix, targets)``
+    pairs, each checked in circuit order as ``_as_ops`` checks them, then
+    applied in that order by ``_evolve``."""
     (ops,) = _as_ops([(circuit, state)])
     return StateVector(state.layout, _evolve(state.amps, ops))
 

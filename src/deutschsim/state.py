@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,36 +45,21 @@ class RegisterLayout(Record):
         if not all(_is_int(w) for _, w in pairs):
             raise LayoutError(f"register widths must be integers, got {pairs}")
         pairs = tuple((n, int(w)) for n, w in pairs)
-        names = [n for n, _ in pairs]
+        names = tuple(n for n, _ in pairs)
         if len(set(names)) != len(names):
-            raise LayoutError(f"duplicate register names in {names}")
+            raise LayoutError(f"duplicate register names in {list(names)}")
         if not pairs or any(w < 1 for _, w in pairs):
             raise LayoutError("every register needs width >= 1")
-        self.__dict__.update(groups=pairs)
-        if self.total_qubits > _MAX_QUBITS:
-            raise LayoutError(f"layout has {self.total_qubits} > {_MAX_QUBITS} qubits")
-
-    # Geometry is computed once per instance and kept in its ``__dict__``;
-    # equality, hash and repr still read ``groups`` only.
-    @cached_property
-    def total_qubits(self) -> int:
-        return sum(w for _, w in self.groups)
-
-    @cached_property
-    def dim(self) -> int:
-        return 1 << self.total_qubits
-
-    @cached_property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.groups)
-
-    @cached_property
-    def _positions(self) -> dict[str, tuple[int, ...]]:
-        positions, offset = {}, 0
-        for n, w in self.groups:
-            positions[n] = tuple(range(offset, offset + w))
-            offset += w
-        return positions
+        total = sum(w for _, w in pairs)
+        if total > _MAX_QUBITS:
+            raise LayoutError(f"layout has {total} > {_MAX_QUBITS} qubits")
+        positions, start = {}, 0
+        for n, w in pairs:
+            positions[n], start = tuple(range(start, start + w)), start + w
+        # The geometry is set once, here; equality, hash and repr read ``groups`` only.
+        self.__dict__.update(
+            groups=pairs, total_qubits=total, dim=1 << total, names=names, _positions=positions
+        )
 
     def width(self, register: str) -> int:
         return len(self.qubit_positions(register))
@@ -125,7 +110,7 @@ class StateVector(Record):
         self.__dict__.update(layout=layout, amps=amps)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return _norms(self.amps)
 
     def amplitude(self, label: str) -> complex:
         return complex(self.amps[self.layout.index_of_label(label)])
@@ -140,7 +125,9 @@ class StateVector(Record):
 
     def max_delta(self, other: StateVector) -> float:
         """Largest amplitude difference; layouts must match."""
-        _check_same_layout(self, other)
+        _check_state(other)
+        if other.layout != self.layout:
+            raise LayoutError("states live on different register layouts")
         return float(np.max(np.abs(self.amps - other.amps)))
 
     def with_phase(self, theta: float) -> StateVector:
@@ -198,13 +185,6 @@ def _check_state(value) -> None:
         raise LayoutError(f"expected a StateVector, got {value!r}")
 
 
-def _check_same_layout(s1: StateVector, s2: StateVector) -> None:
-    _check_state(s1)
-    _check_state(s2)
-    if s1.layout != s2.layout:
-        raise LayoutError("states live on different register layouts")
-
-
 def basis_state(layout: RegisterLayout, label: str) -> StateVector:
     """The computational basis vector named by ``label``."""
     _check_layout(layout)
@@ -243,7 +223,7 @@ def superpose(
     amps = np.zeros(layout.dim, dtype=np.complex128)
     for weight, label in pairs:
         amps[layout.index_of_label(label)] += weight / peak
-    norm = np.linalg.norm(amps)
+    norm = _norms(amps)
     if not norm >= ATOL_STATE:
         raise DegenerateStateError(f"superposition weights cancel (scaled norm {norm})")
     return StateVector(layout, amps / norm)

@@ -119,6 +119,11 @@ class TestRunCommand:
             assert stage["meta"]["tool"] == "deutschsim"
             assert "version" in stage["meta"]
 
+    def test_trace_with_json_prints_only_the_json_document(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "01", "--trace", "--json")
+        assert code == 0 and "registers:" not in out
+        assert out == JSON_STDOUT[("run", "01", "--json")]
+
     def test_initial_a_flag(self, capsys):
         code, out, _ = run_cli(capsys, "run", "01", "--initial-a", "1")
         assert code == 0
@@ -136,6 +141,19 @@ class TestSuperposedCommand:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines == ["b=00 constant", "b=01 balanced", "b=10 balanced", "b=11 constant"]
+
+    def test_trace_prints_four_stages_then_solution_lines(self, capsys):
+        code, out, _ = run_cli(capsys, "superposed", "--trace")
+        lines = out.splitlines()
+        heads = [k for k, line in enumerate(lines) if line.startswith("stage ")]
+        assert code == 0 and lines[0] == "registers: B[2] A[1] V[1]"
+        assert [lines[k] for k in heads] == [
+            "stage input", "stage after_H_A", "stage after_H_f", "stage after_H_A_2"
+        ]
+        assert heads[0] == 1 and all(b - a > 1 for a, b in zip(heads, heads[1:]))
+        body = [line for k, line in enumerate(lines[:-4]) if k > 0 and k not in heads]
+        assert len(body) == 8 + 16 + 16 + 8 and all(line.startswith("  |") for line in body)
+        assert lines[-4:] == ["b=00 constant", "b=01 balanced", "b=10 balanced", "b=11 constant"]
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "superposed", "--json")

@@ -7,10 +7,12 @@ change can re-run its own entries in seconds; the full run is the gate.
 Each entry of ``MUTANTS`` replaces one exact piece of text in one file
 under ``src/``.  For each, the script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` to a temporary directory, applies the mutation there and
-runs ``python -m pytest -q -x`` on the copy.  A failing run kills the
+runs ``python -m pytest -q -x`` on the copy, with the test files named in
+order and ``tests/test_acceptance.py`` last.  A failing run kills the
 mutant, and the node id of the test that failed, read off pytest's
-``FAILED`` summary line, is printed beside it; a passing run means it
-survived.  The working tree is never changed, and no test is.
+``FAILED`` summary line, is printed beside it: a unit test of the fault
+where one fails, not the end-to-end acceptance gate.  A passing run means
+it survived.  The working tree is never changed, and no test is.
 
 The unmutated copy runs first and must pass.  The exit code is 0 when every
 mutant is killed or survives with a declared equivalence reason, and 1 when
@@ -343,6 +345,30 @@ MUTANTS = [
         "main freezes the heap, not the process entry",
     ),
     Mutant(
+        "src/deutschsim/state.py",
+        "dim=1 << total",
+        "dim=total",
+        "RegisterLayout stores its qubit count as dim",
+    ),
+    Mutant(
+        "src/deutschsim/state.py",
+        "return StateVector(layout, amps / norm)",
+        "return StateVector(layout, amps / norm**2)",
+        "superpose divides by the squared norm",
+    ),
+    Mutant(
+        "src/deutschsim/cli.py",
+        "        if trace is not None:\n            doc = ",
+        "        if False:\n            doc = ",
+        "the printer drops the stage dumps from a --json run",
+    ),
+    Mutant(
+        "src/deutschsim/cli.py",
+        "if trace is not None and args.trace:",
+        "if trace is not None:",
+        "the printer prints the trace without --trace",
+    ),
+    Mutant(
         "src/deutschsim/deutsch.py",
         "if p > 1.0 - ATOL_STATE:",
         "if p >= 1.0 - ATOL_STATE:",
@@ -353,12 +379,15 @@ MUTANTS = [
 
 
 def tier1(tree: Path) -> str | None:
-    """Run the tier-1 suite on ``tree``, stopping at the first failure: None
-    if it passes, else the node id on pytest's first ``FAILED`` or ``ERROR``
+    """Run the tier-1 suite on ``tree``, file by file in name order with
+    ``test_acceptance.py`` last, stopping at the first failure: None if it
+    passes, else the node id on pytest's first ``FAILED`` or ``ERROR``
     summary line, or its exit code if it printed none."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    last = "test_acceptance.py"
+    files = sorted((tree / "tests").glob("test_*.py"), key=lambda p: (p.name == last, p.name))
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *map(str, files)],
         cwd=tree,
         env=env,
         stdout=subprocess.PIPE,
