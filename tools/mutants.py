@@ -10,9 +10,9 @@ under ``src/``.  For each, the script copies ``src/``, ``tests/`` and
 runs ``python -m pytest -q -x`` on the copy, with the test files named in
 order and ``tests/test_acceptance.py`` last.  A failing run kills the
 mutant, and the node id of the test that failed, read off pytest's
-``FAILED`` summary line, is printed beside it: a unit test of the fault
-where one fails, not the end-to-end acceptance gate.  A passing run means
-it survived.  The working tree is never changed, and no test is.
+``FAILED`` summary line, is printed beside it; the acceptance tests are
+named only when no other test fails.  A passing run means it survived.
+The working tree is never changed, and no test is.
 
 The unmutated copy runs first and must pass.  The exit code is 0 when every
 mutant is killed or survives with a declared equivalence reason, and 1 when
